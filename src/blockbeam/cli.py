@@ -1,6 +1,8 @@
 """Command-line front end: enhance, simulate, evaluate, sweep.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or data error.
+Exit codes: 0 success, 2 configuration error (including an input too short
+for the configured block or stems shorter than the estimate), 3 I/O or data
+error.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ from .vad import dump_mask_csv
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and 1-based indices: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _block_frames(block_ms: str, stft_cfg: StftConfig):
@@ -299,7 +312,7 @@ def _add_enhance_options(p: argparse.ArgumentParser):
     p.add_argument("--vad", choices=VAD_MODES, default="none")
     p.add_argument("--vad-weights", default=None, help="weight file for --vad network")
     p.add_argument("--pooling", choices=POOLING_MODES, default="median")
-    p.add_argument("--ref-channel", type=int, default=1, help="1-based reference channel")
+    p.add_argument("--ref-channel", type=_positive_int, default=1, help="1-based reference channel")
     p.add_argument("--t-mu", type=float, default=0.05, help="mic-failure correlation threshold")
     p.add_argument("--t-snr", type=float, default=5.0, help="oracle mask SNR threshold in dB")
     p.add_argument("--sub-block-len", type=int, default=10, help="RTF sub-block length in frames")
@@ -333,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--estimate", required=True)
     ev.add_argument("--clean", required=True)
     ev.add_argument("--noise", required=True)
-    ev.add_argument("--filter-len", type=int, default=32)
-    ev.add_argument("--ref-channel", type=int, default=1)
+    ev.add_argument("--filter-len", type=_positive_int, default=32)
+    ev.add_argument("--ref-channel", type=_positive_int, default=1, help="1-based reference channel")
     ev.add_argument("--json", default=None, help="also write the report to this path")
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -343,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--beamformer", default="irtf,mvdr,gev", help="comma-separated list")
     _add_enhance_options(sw)
     sw.add_argument("--postfilter", choices=POSTFILTERS + ("auto",), default="auto")
-    sw.add_argument("--filter-len", type=int, default=32)
+    sw.add_argument("--filter-len", type=_positive_int, default=32)
     sw.add_argument("--csv", required=True)
     sw.set_defaults(func=_cmd_sweep)
     return parser

@@ -5,11 +5,28 @@ plus a few decaying taps) and adds noise scaled to a requested global SNR.
 Because the FIRs are known exactly, the true relative transfer functions are
 available per segment, which makes estimator accuracy directly measurable.
 
-Metrics follow the usual projection-based decomposition, simplified to a
-time-invariant allowed-distortion filter: the estimate is split into a target
-part (projection onto delayed copies of the target stem), an interference
-part (projection of the remainder onto delayed noise stems) and an artifact
-remainder.
+Metrics follow the projection-based decomposition of BSS Eval (Vincent,
+Gribonval & Fevotte, IEEE TASLP 2006), simplified to a time-invariant
+allowed-distortion filter: the estimate is split into a target part
+(projection onto delayed copies of the target stem), an interference part
+(projection of the remainder onto delayed noise stems) and an artifact
+remainder. The delays are truncated and causal: a stem delayed by d samples
+is zero over its first d samples and is cut at the estimate's length.
+
+Each projection is solved from its normal equations, as BSS Eval builds
+them, rather than from the dense samples-by-delays matrix D. The Gram matrix
+D^T D is block Toeplitz in the stem-pair cross-correlations at lags
+-(L-1)..(L-1), minus the outer product of the L-1 rows that the truncation
+cuts off; D^T x is the correlation of x with each stem. The system is solved
+by a symmetric eigendecomposition; eigenvalues at or below
+lambda_max * max(N, K L) * eps (N samples, K stems, L delays) are dropped,
+which gives the minimum-norm least-squares solution when the basis is rank
+deficient (duplicated or silent stems). In singular-value terms that
+cutoff is sqrt(max(N, K L) * eps) * sigma_max, so only a basis whose
+condition number exceeds 1 / sqrt(max(N, K L) * eps) (3e5 at N = 51200)
+loses a direction that a dense SVD solve would keep. The coefficients are
+applied as causal FIR filters, truncated to the estimate's length, and one
+step of iterative refinement follows.
 """
 
 from __future__ import annotations
@@ -259,12 +276,57 @@ class Decomposition:
     artifact: np.ndarray
 
 
-def _delay_matrix(x: np.ndarray, n_delays: int) -> np.ndarray:
-    """Columns are x delayed by 0 .. n_delays-1 samples (zero-padded)."""
-    out = np.zeros((x.shape[0], n_delays))
-    for d in range(n_delays):
-        out[d:, d] = x[: x.shape[0] - d]
-    return out
+def _lag_products(a: np.ndarray, b: np.ndarray, n_lags: int) -> np.ndarray:
+    """out[k] = sum_m a[:, m] b[:, m + k]^T for lags k = 0 .. n_lags-1.
+
+    a is (p, N) and b is (q, N); lags at or beyond N give zeros.
+    """
+    n = a.shape[1]
+    return np.stack([a[:, : max(n - k, 0)] @ b[:, k:].T for k in range(n_lags)])
+
+
+def _delay_gram(stems: np.ndarray, n_delays: int) -> np.ndarray:
+    """D^T D for the truncated causal delay matrix of the stacked stems.
+
+    Columns of D are ordered stem-major (stem i, delay a -> i * n_delays + a);
+    column (i, a) is stem i delayed by a samples, zero-padded at the start
+    and cut at N. The untruncated delay matrix has N + n_delays - 1 rows and
+    a block-Toeplitz Gram; removing its last n_delays - 1 rows (the tail)
+    leaves D.
+    """
+    k, n = stems.shape
+    lags = _lag_products(stems, stems, n_delays)  # (L, K, K), lags 0 .. L-1
+    both = np.concatenate([lags[:0:-1].transpose(0, 2, 1), lags])  # lags -(L-1) .. L-1
+    d = np.arange(n_delays)
+    gram = both[d[:, None] - d[None, :] + n_delays - 1]  # [a, b, i, j]
+    gram = gram.transpose(2, 0, 3, 1).reshape(k * n_delays, k * n_delays)
+    src = n + np.arange(n_delays - 1)[:, None] - d  # stem sample in tail row t, delay a
+    src = np.where((src >= 0) & (src < n), src, n)  # index n reads the zero pad
+    tail = np.pad(stems, ((0, 0), (0, 1)))[:, src]  # (K, L-1, L)
+    tail = tail.transpose(1, 0, 2).reshape(n_delays - 1, k * n_delays)
+    return gram - tail.T @ tail
+
+
+def _project(stems: np.ndarray, x: np.ndarray, n_delays: int) -> np.ndarray:
+    """Least-squares projection of x onto the truncated causal delays of stems.
+
+    One step of iterative refinement (re-solving for the residual, whose
+    correlations are taken from the signals rather than the Gram matrix)
+    brings the projection to the accuracy of a dense QR or SVD solve unless
+    the delay basis is very ill-conditioned.
+    """
+    gram = _delay_gram(stems, n_delays)
+    eigval, eigvec = np.linalg.eigh(gram)
+    keep = eigval > eigval[-1] * max(gram.shape[0], x.shape[0]) * np.finfo(np.float64).eps
+    basis, scale = eigvec[:, keep], eigval[keep]
+    projection = np.zeros_like(x)
+    if not np.any(keep):  # silent stems, or no samples at all
+        return projection
+    for _ in range(2):
+        rhs = _lag_products(stems, (x - projection)[np.newaxis], n_delays)[:, :, 0].T.ravel()
+        coef = (basis @ ((rhs @ basis) / scale)).reshape(stems.shape[0], n_delays)
+        projection += sum(scipy.signal.lfilter(c, [1.0], stem) for c, stem in zip(coef, stems))
+    return projection
 
 
 def decompose(estimate, target_stem, noise_stems, filter_len: int = DEFAULT_FILTER_LEN) -> Decomposition:
@@ -283,15 +345,11 @@ def decompose(estimate, target_stem, noise_stems, filter_len: int = DEFAULT_FILT
     if target.shape[0] != est.shape[0] or noises.shape[1] != est.shape[0]:
         raise SizeError("stems must match the estimate length")
 
-    basis_t = _delay_matrix(target, filter_len)
-    coef, *_ = np.linalg.lstsq(basis_t, est, rcond=None)
-    s_target = basis_t @ coef
+    s_target = _project(target[np.newaxis], est, filter_len)
     remainder = est - s_target
 
     if noises.shape[0] > 0 and noises.size > 0:
-        basis_n = np.hstack([_delay_matrix(n, filter_len) for n in noises])
-        coef_n, *_ = np.linalg.lstsq(basis_n, remainder, rcond=None)
-        e_interf = basis_n @ coef_n
+        e_interf = _project(noises, remainder, filter_len)
     else:
         e_interf = np.zeros_like(remainder)
     e_artif = remainder - e_interf

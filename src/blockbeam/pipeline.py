@@ -325,6 +325,10 @@ def run_with_diagnostics(
         )
     if oracle is not None:
         for stem in (oracle.clean, oracle.noise):
+            if stem.sample_rate != signal.sample_rate:
+                raise ConfigError(
+                    f"oracle stem rate {stem.sample_rate} != mixture rate {signal.sample_rate}"
+                )
             if stem.channel_count != signal.channel_count or stem.n_samples < signal.n_samples:
                 raise SizeError("oracle stems must cover every channel and sample of the mixture")
 

@@ -254,3 +254,58 @@ class TestSweepCommand:
             ]
         )
         assert code == 2
+
+
+def _stem_args(sim_dir):
+    return ["--clean", str(sim_dir / "clean.wav"), "--noise", str(sim_dir / "noise.wav")]
+
+
+class TestArgumentValidation:
+    """--ref-channel is 1-based and --filter-len counts taps: both must be
+    integers >= 1, rejected by argparse with exit code 2."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-5", "x"])
+    @pytest.mark.parametrize("command", ["enhance", "evaluate", "sweep"])
+    def test_ref_channel_below_one_rejected(self, sim_dir, tmp_path, command, value):
+        argv = {
+            "enhance": ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(tmp_path / "o.wav")],
+            "evaluate": ["evaluate", "--estimate", str(sim_dir / "mixture.wav"), *_stem_args(sim_dir)],
+            "sweep": ["sweep", "--input", str(sim_dir / "mixture.wav"), *_stem_args(sim_dir), "--csv", str(tmp_path / "s.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--ref-channel={value}"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.wav").exists() and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_filter_len_below_one_rejected(self, sim_dir, tmp_path, command, value):
+        argv = {
+            "evaluate": ["evaluate", "--estimate", str(sim_dir / "mixture.wav"), *_stem_args(sim_dir)],
+            "sweep": ["sweep", "--input", str(sim_dir / "mixture.wav"), *_stem_args(sim_dir), "--csv", str(tmp_path / "s.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--filter-len={value}"])
+        assert exc.value.code == 2
+
+
+class TestTooShortInput:
+    """Input shorter than one block, or stems shorter than the estimate, is a
+    configuration error (exit 2): the block length or the stem choice does
+    not fit the input, while the files themselves are readable."""
+
+    def test_input_shorter_than_one_block_exits_2(self, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        rng = np.random.default_rng(0)
+        write_wav(MultichannelSignal(rng.standard_normal((2, 400)), 16000), short)
+        code = main(["enhance", "--input", str(short), "--output", str(tmp_path / "o.wav")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_stems_shorter_than_estimate_exits_2(self, sim_dir, tmp_path):
+        est = tmp_path / "est.wav"
+        clean = read_wav(sim_dir / "clean.wav")
+        write_wav(MultichannelSignal(np.zeros((1, clean.n_samples + 100)), 16000), est)
+        code = main(["evaluate", "--estimate", str(est), *_stem_args(sim_dir)])
+        assert code == 2

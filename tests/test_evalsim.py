@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.evalsim import (
@@ -18,6 +20,7 @@ from blockbeam.evalsim import (
     true_rtfs,
     white_noise,
 )
+from blockbeam.pipeline import OracleStems, PipelineConfig, run
 
 
 def make_sim(seed=0, snr_db=5.0, delays=(0, 2, 5, 7), duration=1.0):
@@ -257,3 +260,147 @@ class TestEvaluateBlockwise:
             evaluate_blockwise(
                 sim.mixture.samples[0], sim.clean.samples[0], sim.noise.samples, window=8
             )
+
+
+def reference_delay_matrix(x, n_delays):
+    """Dense truncated causal delay matrix: column d is x delayed by d samples.
+
+    Columns at delays >= N stay zero; the dense library version raised a
+    ValueError there once n_delays > N + 1 (for N >= 2).
+    """
+    n = x.shape[0]
+    out = np.zeros((n, n_delays))
+    for d in range(min(n_delays, n)):
+        out[d:, d] = x[: n - d]
+    return out
+
+
+def reference_decompose(estimate, target_stem, noise_stems, filter_len):
+    """Dense delay matrices solved by SVD least squares: the definition the
+    normal-equation evaluator reproduces."""
+    basis_t = reference_delay_matrix(target_stem, filter_len)
+    coef, *_ = np.linalg.lstsq(basis_t, estimate, rcond=None)
+    s_target = basis_t @ coef
+    remainder = estimate - s_target
+    if noise_stems.shape[0] > 0 and noise_stems.size > 0:
+        basis_n = np.hstack([reference_delay_matrix(n, filter_len) for n in noise_stems])
+        coef_n, *_ = np.linalg.lstsq(basis_n, remainder, rcond=None)
+        e_interf = basis_n @ coef_n
+    else:
+        e_interf = np.zeros_like(remainder)
+    return Decomposition(target=s_target, interference=e_interf, artifact=remainder - e_interf)
+
+
+def assert_parts_match(estimate, target_stem, noise_stems, filter_len):
+    ref = reference_decompose(estimate, target_stem, noise_stems, filter_len)
+    got = decompose(estimate, target_stem, noise_stems, filter_len)
+    scale = np.linalg.norm(estimate)
+    for name in ("target", "interference", "artifact"):
+        err = np.linalg.norm(getattr(got, name) - getattr(ref, name))
+        assert err <= 1e-10 * scale, f"{name}: relative error {err / scale:.2e}"
+    assert np.allclose(got.target + got.interference + got.artifact, estimate, rtol=0, atol=1e-12 * scale)
+    return ref, got
+
+
+def assert_matches_reference(estimate, target_stem, noise_stems, filter_len=32):
+    ref, got = assert_parts_match(estimate, target_stem, noise_stems, filter_len)
+    r_ref, r_got = metrics(ref), metrics(got)
+    assert r_got.sir_db == pytest.approx(r_ref.sir_db, abs=1e-9)
+    assert r_got.sdr_db == pytest.approx(r_ref.sdr_db, abs=1e-9)
+
+
+def decaying_burst(n, lead, rng):
+    """Random-sign burst decaying by 0.6 per sample, starting `lead` samples in."""
+    return np.r_[np.zeros(lead), 0.6 ** np.arange(n - lead) * rng.choice([-1.0, 1.0], n - lead)]
+
+
+class TestDecomposeMatchesDenseReference:
+    def test_enhanced_pipeline_output(self):
+        sim, _ = make_sim(seed=30)
+        cfg = PipelineConfig(block_frames=50, beamformer="mvdr", postfilter="wiener", vad_mode="oracle")
+        out = run(sim.mixture, cfg, oracle=OracleStems(clean=sim.clean, noise=sim.noise)).samples[0]
+        n = out.shape[0]
+        assert_matches_reference(out, sim.clean.samples[0, :n], sim.noise.samples[:, :n])
+
+    def test_duplicated_noise_stems(self):
+        sim, _ = make_sim(seed=31)
+        noises = np.vstack([sim.noise.samples, sim.noise.samples[:2]])
+        assert_matches_reference(sim.mixture.samples[0], sim.clean.samples[0], noises)
+
+    def test_all_zero_noise_stem(self):
+        sim, _ = make_sim(seed=32)
+        noises = np.vstack([sim.noise.samples[:2], np.zeros(sim.mixture.n_samples)])
+        assert_matches_reference(sim.mixture.samples[0], sim.clean.samples[0], noises)
+
+    def test_all_zero_target_stem(self):
+        sim, _ = make_sim(seed=33)
+        est = sim.mixture.samples[0]
+        assert_matches_reference(est, np.zeros_like(est), sim.noise.samples)
+        assert not np.any(decompose(est, np.zeros_like(est), sim.noise.samples).target)
+
+    def test_filter_len_one(self):
+        sim, _ = make_sim(seed=34)
+        assert_matches_reference(
+            sim.mixture.samples[0], sim.clean.samples[0], sim.noise.samples, filter_len=1
+        )
+
+    def test_signal_shorter_than_filter(self):
+        # N = 20 < L = 32: the truncated rows outnumber the kept ones. The
+        # stems start late, so each part of the estimate is nonzero: target
+        # on samples 8.., interference on 3..7, artifact on 0..2
+        rng = np.random.default_rng(35)
+        target = decaying_burst(20, 8, rng)
+        noise = decaying_burst(20, 3, rng)
+        est = rng.standard_normal(20)
+        _, got = assert_parts_match(est, target, noise[np.newaxis], 32)
+        assert np.allclose(got.artifact[3:], 0.0, atol=1e-12)
+        assert np.allclose(got.interference[8:], 0.0, atol=1e-12)
+        assert_matches_reference(est, target, noise[np.newaxis], filter_len=32)
+
+    def test_empty_estimate(self):
+        d = decompose(np.zeros(0), np.zeros(0), np.zeros((2, 0)), 8)
+        assert d.target.shape == d.interference.shape == d.artifact.shape == (0,)
+
+    def test_no_noise_rows(self):
+        sim, _ = make_sim(seed=36)
+        est = sim.mixture.samples[0]
+        assert_matches_reference(est, sim.clean.samples[0], np.zeros((0, est.shape[0])))
+
+
+def _has_ill_posed_directions(basis):
+    """True when a singular value lies between the dense solver's null
+    cutoff (max(M, N) eps sigma_max) and 1e-4 sigma_max.
+
+    There the Gram-based solve drops a direction below
+    sqrt(max(M, N) eps) sigma_max that the dense solve keeps, and both
+    solutions carry errors of about eps times the condition number, so the
+    two cannot be compared to 1e-10.
+    """
+    if basis.size == 0:
+        return False
+    sv = np.linalg.svd(basis, compute_uv=False)
+    if sv[0] == 0.0:
+        return False
+    ratio = sv / sv[0]
+    return bool(np.any((ratio > max(basis.shape) * np.finfo(np.float64).eps) & (ratio < 1e-4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    filter_len=st.integers(1, 40),
+    n_noise=st.integers(0, 3),
+    lead=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decompose_matches_dense_reference_property(n, filter_len, n_noise, lead, seed):
+    rng = np.random.default_rng(seed)
+    target = rng.standard_normal(n)
+    target[:lead] = 0.0  # leading silence makes the basis rank deficient
+    noises = rng.standard_normal((n_noise, n))
+    est = rng.standard_normal(n)
+    assume(not _has_ill_posed_directions(reference_delay_matrix(target, filter_len)))
+    if n_noise:
+        basis_n = np.hstack([reference_delay_matrix(x, filter_len) for x in noises])
+        assume(not _has_ill_posed_directions(basis_n))
+    assert_parts_match(est, target, noises, filter_len)

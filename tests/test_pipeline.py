@@ -312,3 +312,17 @@ class TestRun:
         cfg_none = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="none", vad_mode="none")
         out_none = run(sim.mixture, cfg_none)
         assert np.allclose(out.samples, out_none.samples, atol=1e-9)
+
+
+def test_oracle_stem_sample_rate_checked():
+    sim = gain_mixture(seed=21, duration=1.0)
+    wrong_rate = OracleStems(
+        clean=MultichannelSignal(sim.clean.samples, 8000),
+        noise=sim.noise,
+    )
+    cfg = PipelineConfig(block_frames=100, vad_mode="oracle")
+    with pytest.raises(ConfigError, match="rate"):
+        run(sim.mixture, cfg, oracle=wrong_rate)
+    wrong_noise = OracleStems(clean=sim.clean, noise=MultichannelSignal(sim.noise.samples, 8000))
+    with pytest.raises(ConfigError, match="rate"):
+        run(sim.mixture, cfg, oracle=wrong_noise)
