@@ -1,7 +1,25 @@
 """Inverse-RTF, MVDR and max-SNR (GEV) beamformers with BAN normalization.
 
 All per-frequency-bin computations are independent; functions take stacked
-(bins, ...) arrays and are pure.
+(bins, ...) arrays, are pure, and run as a few batched numpy calls over bins
+rather than a Python loop:
+
+- covariances and the blocking-matrix noise estimate are batched `matmul`s
+  (the noise estimate is x (P B)^T with P the least-squares projection);
+- the MVDR pseudoinverse and its largest eigenvalue come from one batched
+  `eigh` of the noise covariance;
+- the max-SNR problem speech_cov w = lambda noise_cov w is solved as in
+  Warsitz & Haeb-Umbach (IEEE TASLP 2007): one batched `eigvalsh` flags noise
+  covariances that are not positive definite, every other bin is whitened by
+  its batched Cholesky factor L and solved as the Hermitian problem
+  L^-1 speech_cov L^-H. Only flagged bins (and bins whose Cholesky fails)
+  go through the per-bin generalized solver with its diagonal-loading ladder.
+
+A GEV bin whose mask (or complement) sums to zero has no speech/noise
+contrast: both covariances are the sample covariance and the pencil is the
+identity. Such a bin takes the principal eigenvector of its sample
+covariance, which makes the beam independent of the input scale, and is
+counted in `fallback_bins`.
 """
 
 from __future__ import annotations
@@ -60,7 +78,7 @@ class CovarianceSet:
 def sample_covariance(bins) -> np.ndarray:
     """Unnormalized per-bin sum of outer products, (K, M, M)."""
     x = np.asarray(bins)
-    return np.einsum("klm,kln->kmn", x, np.conj(x))
+    return x.transpose(0, 2, 1) @ np.conj(x)
 
 
 def _hermitize(mats: np.ndarray) -> np.ndarray:
@@ -132,8 +150,9 @@ def estimate_noise(bins, rtf: RtfSet):
         gram = gram + (bad * eps)[:, None, None] * np.eye(n_ch - 1)
 
     proj = cxx_bh @ np.linalg.inv(gram)  # Cxx B^H (B Cxx B^H)^{-1}, (K, M, M-1)
-    noise_est = np.einsum("kmp,kpn,kln->klm", proj, bmat, x)
-    noise_cov = _hermitize(proj @ bmat @ cxx)
+    proj_b = proj @ bmat  # (K, M, M)
+    noise_est = x @ proj_b.transpose(0, 2, 1)
+    noise_cov = _hermitize(proj_b @ cxx)
     cov = CovarianceSet(sample=cxx, noise_est=noise_cov, loaded_bins=n_loaded)
     return noise_est, cov
 
@@ -142,19 +161,26 @@ def mvdr_weights(cov: CovarianceSet, rtf: RtfSet) -> BeamWeights:
     """Distortionless minimum-variance weights from the rank-deficient noise covariance.
 
     w = (C+ g) / (g^H C+ g) with C+ the Moore-Penrose pseudoinverse, so
-    w^H g = 1 per bin. Bins whose denominator vanishes (steering vector in
-    the null space, or an all-zero covariance) fall back to inverse-RTF
-    weights and are counted in fallback_bins.
+    w^H g = 1 per bin. C+ is applied through one eigendecomposition
+    C = V diag(lam) V^H: eigenvalues with |lam| <= PINV_RCOND * max |lam|
+    are dropped, and the largest eigenvalue of C+ is the largest kept 1/lam.
+    Bins whose denominator vanishes (steering vector in the null space, or
+    an all-zero covariance) fall back to inverse-RTF weights and are counted
+    in fallback_bins.
     """
     if cov.noise_est is None:
         raise SizeError("covariance set lacks the blocking-based noise covariance")
     steer = rtf.rtf
-    pinv = _hermitize(np.linalg.pinv(cov.noise_est, rcond=PINV_RCOND, hermitian=True))
-    num = np.einsum("kmn,kn->km", pinv, steer)
-    den = np.einsum("km,km->k", np.conj(steer), num).real
+    lam, vecs = np.linalg.eigh(cov.noise_est)
+    mag = np.abs(lam)
+    keep = mag > PINV_RCOND * mag.max(axis=1, keepdims=True)
+    inv_lam = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+    coef = inv_lam * (np.conj(vecs.transpose(0, 2, 1)) @ steer[:, :, None])[:, :, 0]
+    num = (vecs @ coef[:, :, None])[:, :, 0]  # C+ g
+    den = (np.conj(steer) * num).sum(axis=1).real
 
-    eig_max = np.linalg.eigvalsh(pinv)[:, -1]
-    floor = MVDR_DEN_GUARD * eig_max * np.einsum("km,km->k", np.conj(steer), steer).real
+    eig_max = inv_lam.max(axis=1)
+    floor = MVDR_DEN_GUARD * eig_max * (np.conj(steer) * steer).sum(axis=1).real
     degenerate = den <= floor
 
     weights = np.empty_like(num)
@@ -173,6 +199,10 @@ def masked_covariances(bins, mask):
     Bins where the mask (or its complement) sums to zero cannot be averaged;
     they are replaced by the plain per-frame average of x x^H and flagged.
 
+    Both weighted sums go through one (K, L, M) buffer holding the weighted
+    conjugate frames, so no other full-size temporary is made:
+    sum_l w_l x_l x_l^H = conj((w conj(x))^T x).
+
     Returns (speech cov, noise cov, degenerate flags), covs (K, M, M).
     """
     x = np.asarray(bins)
@@ -181,19 +211,27 @@ def masked_covariances(bins, mask):
     if w.shape != (n_bins, n_frames):
         raise SizeError(f"mask shape {w.shape} != spectrogram grid {(n_bins, n_frames)}")
 
-    w_speech = w.sum(axis=1)
-    w_noise = (1.0 - w).sum(axis=1)
-    degenerate = (w_speech <= MASK_SUM_FLOOR) | (w_noise <= MASK_SUM_FLOOR)
+    w_noise = 1.0 - w
+    sum_speech = w.sum(axis=1)
+    sum_noise = w_noise.sum(axis=1)
+    degenerate = (sum_speech <= MASK_SUM_FLOOR) | (sum_noise <= MASK_SUM_FLOOR)
 
-    speech = np.einsum("kl,klm,kln->kmn", w, x, np.conj(x))
-    noise = np.einsum("kl,klm,kln->kmn", 1.0 - w, x, np.conj(x))
-    speech /= np.maximum(w_speech, MASK_SUM_FLOOR)[:, None, None]
-    noise /= np.maximum(w_noise, MASK_SUM_FLOOR)[:, None, None]
+    weighted = np.conj(x)
+    weighted *= w[:, :, None]
+    speech = np.conj(weighted.transpose(0, 2, 1) @ x)
+    np.conjugate(x, out=weighted)
+    weighted *= w_noise[:, :, None]
+    noise = np.conj(weighted.transpose(0, 2, 1) @ x)
+    del weighted
 
-    if np.any(degenerate):
-        substitute = sample_covariance(x) / n_frames
-        speech[degenerate] = substitute[degenerate]
-        noise[degenerate] = substitute[degenerate]
+    # the two weights add up to one, so for a degenerate bin the two sums add
+    # up to the plain sum of x x^H
+    speech[degenerate] += noise[degenerate]
+    noise[degenerate] = speech[degenerate]
+    sum_speech[degenerate] = n_frames
+    sum_noise[degenerate] = n_frames
+    speech /= sum_speech[:, None, None]
+    noise /= sum_noise[:, None, None]
     return _hermitize(speech), _hermitize(noise), degenerate
 
 
@@ -202,33 +240,67 @@ def masked_covariances(bins, mask):
 _GEV_LOADINGS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
 
 
+def _solve_max_snr_loaded(a: np.ndarray, b: np.ndarray):
+    """Maximal generalized eigenpair of one bin, loading b until it is
+    positive definite; the speech covariance's own top eigenpair if no
+    loading helps."""
+    n_ch = a.shape[0]
+    try:
+        w, v = scipy.linalg.eigh(a, b)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        scale = max(np.trace(b).real / n_ch, 1.0)
+        for eps in _GEV_LOADINGS:
+            try:
+                w, v = scipy.linalg.eigh(a, b + eps * scale * np.eye(n_ch))
+                break
+            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+                continue
+        else:
+            w, v = np.linalg.eigh(a)
+    return v[:, -1], w[-1]
+
+
+def _batched_cholesky(mats: np.ndarray):
+    """Lower Cholesky factors of a stack of matrices, and a flag for each
+    matrix whose factorization fails (its factor is left zero)."""
+    try:
+        return np.linalg.cholesky(mats), np.zeros(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(mats)
+        failed = np.zeros(len(mats), dtype=bool)
+        for i, mat in enumerate(mats):
+            try:
+                chol[i] = np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return chol, failed
+
+
 def solve_max_snr(speech_cov: np.ndarray, noise_cov: np.ndarray):
     """Maximal generalized eigenpair of (speech cov, noise cov) per bin.
 
     Returns (eigvectors (K, M) with unit norm, eigenvalues (K,)).
-    Non-positive-definite noise matrices get escalating diagonal loading.
+    Positive definite noise matrices are whitened by their Cholesky factor
+    L and the Hermitian problems L^-1 speech_cov L^-H of all such bins are
+    solved by one batched eigh. Bins that eigvalsh finds not positive
+    definite, or whose Cholesky factorization fails, are solved one at a
+    time with escalating diagonal loading.
     """
     n_bins, n_ch, _ = speech_cov.shape
     vecs = np.empty((n_bins, n_ch), dtype=np.complex128)
     vals = np.empty(n_bins)
-    eye = np.eye(n_ch)
-    for k in range(n_bins):
-        a, b = speech_cov[k], noise_cov[k]
-        try:
-            w, v = scipy.linalg.eigh(a, b)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-            scale = max(np.trace(b).real / n_ch, 1.0)
-            for eps in _GEV_LOADINGS:
-                try:
-                    w, v = scipy.linalg.eigh(a, b + eps * scale * eye)
-                    break
-                except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                    continue
-            else:
-                # Last resort: ordinary eigenproblem on the speech covariance.
-                w, v = np.linalg.eigh(a)
-        vecs[k] = v[:, -1]
-        vals[k] = w[-1]
+    ladder = np.linalg.eigvalsh(noise_cov)[:, 0] <= 0.0
+    ok = np.flatnonzero(~ladder)
+    chol, failed = _batched_cholesky(noise_cov[ok])
+    ladder[ok[failed]] = True
+    ok, chol = ok[~failed], chol[~failed]
+    inv_chol = np.linalg.inv(chol)
+    inv_chol_h = np.conj(inv_chol.transpose(0, 2, 1))
+    w, v = np.linalg.eigh(_hermitize(inv_chol @ speech_cov[ok] @ inv_chol_h))
+    vecs[ok] = (inv_chol_h @ v[:, :, -1:])[:, :, 0]
+    vals[ok] = w[:, -1]
+    for k in np.flatnonzero(ladder):
+        vecs[k], vals[k] = _solve_max_snr_loaded(speech_cov[k], noise_cov[k])
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs, vals
 
@@ -251,13 +323,18 @@ def gev_weights(bins, mask, ref_component: int = 0) -> BeamWeights:
     Solves speech_cov w = lambda noise_cov w for the maximal eigenvalue per
     bin from mask-weighted covariance estimates, normalizes ||w|| = 1, and
     fixes the arbitrary phase by making the reference component real
-    nonnegative. fallback_bins counts bins with a degenerate mask.
+    nonnegative. A bin with a degenerate mask takes the principal
+    eigenvector of its sample covariance; fallback_bins counts those bins.
     """
     x = np.asarray(bins)
     if x.shape[2] < 2:
         raise SizeError("the max-SNR beamformer needs >= 2 channels")
     speech_cov, noise_cov, degenerate = masked_covariances(x, mask)
-    vecs, _ = solve_max_snr(speech_cov, noise_cov)
+    vecs = np.empty(speech_cov.shape[:2], dtype=np.complex128)
+    vecs[~degenerate], _ = solve_max_snr(speech_cov[~degenerate], noise_cov[~degenerate])
+    if np.any(degenerate):
+        # both covariances are the sample covariance: take its principal axis
+        vecs[degenerate] = np.linalg.eigh(speech_cov[degenerate])[1][:, :, -1]
     vecs = _fix_phase(vecs, ref_component)
 
     n_ch = x.shape[2]

@@ -146,17 +146,21 @@ def _channel_masks(bins_active, active, ref, cfg, network, oracle_bins):
     """Masks for the non-reference active channels, keyed by position in the
     active-channel array."""
     n_bins, n_frames, _ = bins_active.shape
+    positions = [pos for pos, ch in enumerate(active) if ch != ref]
+    if cfg.vad_mode == "network":
+        # one forward pass for all channels: frame l of channel i is column
+        # l * len(positions) + i of the stacked input
+        stacked = infer_mask(network, bins_active[:, :, positions].reshape(n_bins, -1))
+        values = stacked.values.reshape(n_bins, n_frames, len(positions))
+        return {pos: Mask(values[:, :, i], "network") for i, pos in enumerate(positions)}
     masks = {}
-    for pos, ch in enumerate(active):
-        if ch == ref:
-            continue
+    for pos in positions:
         if cfg.vad_mode == "none":
             masks[pos] = unit_mask(n_bins, n_frames)
-        elif cfg.vad_mode == "oracle":
-            clean_bins, noise_bins = oracle_bins
-            masks[pos] = oracle_ibm(clean_bins[:, :, ch], noise_bins[:, :, ch], cfg.t_snr)
         else:
-            masks[pos] = infer_mask(network, bins_active[:, :, pos])
+            clean_bins, noise_bins = oracle_bins
+            ch = active[pos]
+            masks[pos] = oracle_ibm(clean_bins[:, :, ch], noise_bins[:, :, ch], cfg.t_snr)
     return masks
 
 
@@ -207,10 +211,12 @@ def process_block(
     with _StageTimer(timings, "stft"):
         spec = analyze(block, cfg.stft)
         bins_active = spec.bins[:, :, active]
-        oracle_bins = None
-        if cfg.vad_mode == "oracle":
-            if oracle is None:
-                raise ConfigError("oracle VAD mode needs clean/noise stems")
+
+    oracle_bins = None
+    if cfg.vad_mode == "oracle":
+        if oracle is None:
+            raise ConfigError("oracle VAD mode needs clean/noise stems")
+        with _StageTimer(timings, "oracle_stft"):
             oracle_bins = (
                 analyze(oracle.clean, cfg.stft).bins,
                 analyze(oracle.noise, cfg.stft).bins,
@@ -223,8 +229,6 @@ def process_block(
         pooled = pool_median([masks[pos] for pos in sorted(masks)])
 
     rtf = None
-    noise_est = None
-    cov = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
     if need_rtf:
         with _StageTimer(timings, "rtf"):
@@ -237,12 +241,15 @@ def process_block(
             )
             diag.rtf_fallback_bins = sum(rtf.fallback_bins.values())
 
+    if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
+        with _StageTimer(timings, "noise_est"):
+            noise_est, cov = estimate_noise(bins_active, rtf)
+            diag.noise_loaded_bins = cov.loaded_bins
+
     with _StageTimer(timings, "beamform"):
         if cfg.beamformer == "irtf":
             weights = irtf_weights(rtf)
         elif cfg.beamformer == "mvdr":
-            noise_est, cov = estimate_noise(bins_active, rtf)
-            diag.noise_loaded_bins = cov.loaded_bins
             weights = mvdr_weights(cov, rtf)
             diag.mvdr_fallback_bins = weights.fallback_bins
         else:
@@ -252,9 +259,6 @@ def process_block(
 
     with _StageTimer(timings, "postfilter"):
         if cfg.postfilter == "wiener":
-            if noise_est is None:
-                noise_est, cov = estimate_noise(bins_active, rtf)
-                diag.noise_loaded_bins = cov.loaded_bins
             residual = residual_noise(weights, noise_est)
             speech_mask = None if cfg.vad_mode == "none" else pooled
             gain = wiener_mask(beam_out, residual, speech_mask, cfg.stft.bin_frequencies(), cfg.post)
@@ -333,9 +337,11 @@ def run_with_diagnostics(
                 raise SizeError("oracle stems must cover every channel and sample of the mixture")
 
     blocks = partition_frames(signal.n_samples, cfg)
+    hop = cfg.stft.hop
+    total_frames = sum(n for _, n in blocks)
+    fade_in = (np.arange(hop) + 0.5) / hop
     results = []
-    pieces = []
-    for start_frame, n_frames in blocks:
+    for idx, (start_frame, n_frames) in enumerate(blocks):
         lo, hi = block_sample_range(start_frame, n_frames, cfg.stft)
         block_oracle = None
         if oracle is not None:
@@ -345,21 +351,17 @@ def run_with_diagnostics(
             )
         result = process_block(_slice_signal(signal, lo, hi), cfg, network, block_oracle)
         results.append(result)
-        synth = synthesize(Spectrogram(result.enhanced[:, :, None], cfg.stft))
-        pieces.append((lo, synth.samples[0]))
-
-    hop = cfg.stft.hop
-    total_frames = sum(n for _, n in blocks)
-    out_len = cfg.stft.frame_len + (total_frames - 1) * hop
-    out = np.zeros(out_len)
-    fade_in = (np.arange(hop) + 0.5) / hop
-    for idx, (lo, piece) in enumerate(pieces):
-        if idx == 0:
-            out[lo : lo + piece.shape[0]] = piece
-        else:
-            out[lo : lo + hop] *= 1.0 - fade_in
-            out[lo : lo + hop] += fade_in * piece[:hop]
-            out[lo + hop : lo + piece.shape[0]] = piece[hop:]
+        with _StageTimer(result.diagnostics.timings, "synthesis"):
+            piece = synthesize(Spectrogram(result.enhanced[:, :, None], cfg.stft)).samples[0]
+            if idx == 0:
+                # allocated only now so that it adds nothing to the first
+                # (in batch mode the only) block's peak memory
+                out = np.zeros(cfg.stft.frame_len + (total_frames - 1) * hop)
+                out[lo:hi] = piece
+            else:
+                out[lo : lo + hop] *= 1.0 - fade_in
+                out[lo : lo + hop] += fade_in * piece[:hop]
+                out[lo + hop : hi] = piece[hop:]
     return MultichannelSignal(out[np.newaxis, :], signal.sample_rate), results
 
 

@@ -73,7 +73,9 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> Mask:
     Each frame is processed independently (no context): the magnitude vector
     is normalized by the stored global mean/std and propagated through the
     layers. Output is clipped to [0, 1]; with a sigmoid output layer the clip
-    is a no-op.
+    is a no-op. Because frames are independent, several channels can share
+    one call with their frames side by side on the frame axis; each layer is
+    then one matrix product for all of them.
     """
     channel_bins = np.asarray(channel_bins)
     if channel_bins.ndim != 2:
@@ -84,12 +86,13 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> Mask:
         )
     h = (np.abs(channel_bins) - net.input_mean[:, None]) / net.input_std[:, None]
     for layer in net.layers:
-        h = layer.weights @ h + layer.bias[:, None]
+        h = layer.weights @ h
+        h += layer.bias[:, None]
         if layer.activation == "relu":
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         else:
-            h = expit(h)
-    return Mask(np.clip(h, 0.0, 1.0), "network")
+            expit(h, out=h)
+    return Mask(np.clip(h, 0.0, 1.0, out=h), "network")
 
 
 def pool_median(masks: Sequence[Mask]) -> Mask:

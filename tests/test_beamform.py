@@ -1,7 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockbeam import beamform
 from blockbeam.beamform import (
+    PINV_RCOND,
     BeamWeights,
     CovarianceSet,
     apply_weights,
@@ -389,3 +396,158 @@ class TestApplyWeights:
         w = BeamWeights(weights=np.ones((4, 2), dtype=complex), method="irtf")
         with pytest.raises(SizeError):
             apply_weights(w, random_bins(4, 3, 3, 49))
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against their per-bin / einsum formulations.
+
+_REFERENCE_LOADINGS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+
+
+def reference_solve_max_snr(speech_cov, noise_cov):
+    """Per-bin generalized eigensolver with the diagonal-loading ladder: one
+    scipy.linalg.eigh(a, b) per bin, loading b on failure."""
+    n_bins, n_ch, _ = speech_cov.shape
+    vecs = np.empty((n_bins, n_ch), dtype=np.complex128)
+    vals = np.empty(n_bins)
+    eye = np.eye(n_ch)
+    for k in range(n_bins):
+        a, b = speech_cov[k], noise_cov[k]
+        try:
+            w, v = scipy.linalg.eigh(a, b)
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+            scale = max(np.trace(b).real / n_ch, 1.0)
+            for eps in _REFERENCE_LOADINGS:
+                try:
+                    w, v = scipy.linalg.eigh(a, b + eps * scale * eye)
+                    break
+                except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+                    continue
+            else:
+                w, v = np.linalg.eigh(a)
+        vecs[k] = v[:, -1]
+        vals[k] = w[-1]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vecs, vals
+
+
+def reference_mvdr(noise_cov, steer):
+    """MVDR numerator, denominator and guard from np.linalg.pinv plus a
+    second eigvalsh of the pseudoinverse."""
+    pinv = np.linalg.pinv(noise_cov, rcond=PINV_RCOND, hermitian=True)
+    pinv = 0.5 * (pinv + np.conj(pinv.transpose(0, 2, 1)))
+    num = np.einsum("kmn,kn->km", pinv, steer)
+    den = np.einsum("km,km->k", np.conj(steer), num).real
+    eig_max = np.linalg.eigvalsh(pinv)[:, -1]
+    return num, den, eig_max
+
+
+def relative_error(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def noise_bin(kind, n_ch, rng):
+    """One noise covariance: positive definite, singular with a dead
+    channel, indefinite, or all zero."""
+    a = rng.standard_normal((n_ch, n_ch)) + 1j * rng.standard_normal((n_ch, n_ch))
+    psd = a @ np.conj(a.T)
+    if kind == "pd":
+        return psd + rng.uniform(1e-3, 1.0) * np.trace(psd).real / n_ch * np.eye(n_ch)
+    if kind == "dead":
+        dead = rng.integers(n_ch)
+        psd[dead, :] = 0.0
+        psd[:, dead] = 0.0
+        return psd
+    if kind == "indefinite":
+        eigs = np.linalg.eigvalsh(psd)
+        return psd - rng.uniform(eigs[0], eigs[-1]) * np.eye(n_ch)
+    return np.zeros((n_ch, n_ch), dtype=complex)
+
+
+class TestBatchedKernels:
+    def test_sample_covariance_matches_einsum(self):
+        x = random_bins(33, 57, 4, 60)
+        expected = np.einsum("klm,kln->kmn", x, np.conj(x))
+        assert relative_error(sample_covariance(x), expected) < 1e-12
+
+    def test_masked_covariances_match_einsum(self):
+        x = random_bins(33, 57, 4, 61)
+        w = np.random.default_rng(62).uniform(0.0, 1.0, (33, 57))
+        w[3] = 1.0  # degenerate: no noise frames
+        w[5] = 0.0  # degenerate: no speech frames
+        speech, noise, degen = masked_covariances(x, w)
+        exp_speech = np.einsum("kl,klm,kln->kmn", w, x, np.conj(x))
+        exp_speech /= np.maximum(w.sum(axis=1), 1e-300)[:, None, None]
+        exp_noise = np.einsum("kl,klm,kln->kmn", 1.0 - w, x, np.conj(x))
+        exp_noise /= np.maximum((1.0 - w).sum(axis=1), 1e-300)[:, None, None]
+        sample = np.einsum("klm,kln->kmn", x, np.conj(x)) / 57
+        exp_speech[[3, 5]] = sample[[3, 5]]
+        exp_noise[[3, 5]] = sample[[3, 5]]
+        assert np.flatnonzero(degen).tolist() == [3, 5]
+        assert relative_error(speech, exp_speech) < 1e-12
+        assert relative_error(noise, exp_noise) < 1e-12
+
+    def test_estimate_noise_matches_einsum(self):
+        n_bins, n_frames, n_ch = 33, 57, 4
+        x = random_bins(n_bins, n_frames, n_ch, 63)
+        inv_rtf = random_inverse_rtf(n_bins, n_ch, 64, ref=2)
+        rtf = rtf_from_inverse(inv_rtf, ref=2)
+        noise_est, cov = estimate_noise(x, rtf)
+
+        cxx = np.einsum("klm,kln->kmn", x, np.conj(x))
+        bmat = blocking_matrix(inv_rtf, 2)
+        cxx_bh = cxx @ np.conj(bmat.transpose(0, 2, 1))
+        proj = cxx_bh @ np.linalg.inv(bmat @ cxx_bh)
+        expected = np.einsum("kmp,kpn,kln->klm", proj, bmat, x)
+        expected_cov = proj @ bmat @ cxx
+        expected_cov = 0.5 * (expected_cov + np.conj(expected_cov.transpose(0, 2, 1)))
+        assert cov.loaded_bins == 0
+        assert relative_error(noise_est, expected) < 1e-12
+        assert relative_error(cov.noise_est, expected_cov) < 1e-12
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_mvdr_weights_match_pinv_construction(self, rank):
+        n_bins, n_ch = 48, 4
+        noise_cov = hermitian_psd(n_bins, n_ch, 65 + rank, rank=rank)
+        noise_cov[7] = 0.0
+        rtf = rtf_from_inverse(random_inverse_rtf(n_bins, n_ch, 70 + rank))
+        num, den, eig_max = reference_mvdr(noise_cov, rtf.rtf)
+        floor = 1e-12 * eig_max * np.sum(np.abs(rtf.rtf) ** 2, axis=1)
+        degenerate = den <= floor
+        expected = np.conj(rtf.inv_rtf) / n_ch
+        expected[~degenerate] = num[~degenerate] / den[~degenerate, None]
+
+        w = mvdr_weights(CovarianceSet(noise_est=noise_cov), rtf)
+        assert w.fallback_bins == int(np.count_nonzero(degenerate)) >= 1
+        assert relative_error(w.weights, expected) < 1e-9
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_ch=st.integers(2, 6),
+        kinds=st.lists(st.sampled_from(["pd", "dead", "indefinite", "zero"]), min_size=0, max_size=12),
+    )
+    def test_solve_max_snr_matches_per_bin_reference(self, seed, n_ch, kinds):
+        rng = np.random.default_rng(seed)
+        kinds = ["pd", "dead", "indefinite"] + kinds
+        speech = hermitian_psd(len(kinds), n_ch, rng.integers(2**32))
+        noise = np.stack([noise_bin(kind, n_ch, rng) for kind in kinds])
+
+        with mock.patch.object(
+            beamform, "_solve_max_snr_loaded", wraps=beamform._solve_max_snr_loaded
+        ) as ladder:
+            vecs, vals = solve_max_snr(speech, noise)
+        ref_vecs, ref_vals = reference_solve_max_snr(speech, noise)
+
+        assert ladder.call_count >= 2  # the dead and the indefinite bin at least
+        alignment = np.abs(np.einsum("km,km->k", np.conj(ref_vecs), vecs))
+        assert np.all(alignment >= 1.0 - 1e-9)
+        assert np.all(np.abs(vals - ref_vals) <= 1e-9 * np.abs(ref_vals))
+
+    def test_degenerate_gev_bin_takes_principal_eigenvector(self):
+        x = random_bins(6, 20, 3, 75)
+        w = gev_weights(x, unit_mask(6, 20))
+        assert w.fallback_bins == 6
+        for k in range(6):
+            principal = np.linalg.eigh(x[k].T @ np.conj(x[k]))[1][:, -1]
+            assert abs(np.vdot(principal, w.weights[k])) == pytest.approx(1.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from blockbeam.evalsim import (
 from blockbeam.pipeline import (
     OracleStems,
     PipelineConfig,
+    VALID_PAIRINGS,
+    _channel_masks,
     block_sample_range,
     frames_for_duration_ms,
     partition_frames,
@@ -22,6 +26,7 @@ from blockbeam.pipeline import (
     run_with_diagnostics,
 )
 from blockbeam.stft import StftConfig, analyze
+from blockbeam.vad import infer_mask
 
 
 def gain_mixture(seed=0, duration=1.0, gains=(1.0, 0.8, 1.2, 0.9), snr_db=5.0, noise_fn=white_noise):
@@ -33,6 +38,18 @@ def gain_mixture(seed=0, duration=1.0, gains=(1.0, 0.8, 1.2, 0.9), snr_db=5.0, n
     spec = MixtureSpec(channel_count=len(gains), firs=firs[np.newaxis], snr_db=snr_db)
     sim = simulate(spec, dry, noise_fn(len(gains), dry.shape[0], rng))
     return sim
+
+
+def stage_set(beamformer, postfilter, vad_mode):
+    """Timed stages of one non-passthrough process_block call."""
+    stages = ["failure_detection", "stft", "vad", "beamform", "postfilter"]
+    if vad_mode == "oracle":
+        stages.append("oracle_stft")
+    if beamformer != "gev" or postfilter == "wiener":
+        stages.append("rtf")
+    if beamformer == "mvdr" or postfilter == "wiener":
+        stages.append("noise_est")
+    return stages
 
 
 class TestPipelineConfig:
@@ -193,6 +210,7 @@ class TestProcessBlock:
         result = process_block(block, cfg)
         for stage in ("failure_detection", "stft", "vad", "rtf", "beamform", "postfilter"):
             assert stage in result.diagnostics.timings
+        assert set(result.diagnostics.timings) == set(stage_set("irtf", "none", "none"))
 
     def test_keep_intermediates(self):
         sim = gain_mixture(seed=10, duration=1.0)
@@ -326,3 +344,86 @@ def test_oracle_stem_sample_rate_checked():
     wrong_noise = OracleStems(clean=sim.clean, noise=MultichannelSignal(sim.noise.samples, 8000))
     with pytest.raises(ConfigError, match="rate"):
         run(sim.mixture, cfg, oracle=wrong_noise)
+
+
+PAIRINGS = [(bf, pf) for bf in sorted(VALID_PAIRINGS) for pf in sorted(VALID_PAIRINGS[bf])]
+
+
+@pytest.mark.parametrize("vad_mode", ["none", "oracle"])
+@pytest.mark.parametrize("beamformer,postfilter", PAIRINGS)
+def test_timing_stages_per_pairing(beamformer, postfilter, vad_mode):
+    # each stage is timed under its own name: the noise estimate only when
+    # MVDR or the Wiener filter uses it, the oracle-stem STFT only with
+    # oracle masks, and synthesis only by run_with_diagnostics
+    sim = gain_mixture(seed=22, duration=1.0)
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    cfg = PipelineConfig(
+        block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode=vad_mode
+    )
+    expected = set(stage_set(beamformer, postfilter, vad_mode))
+    _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+    for result in results:
+        assert set(result.diagnostics.timings) == expected | {"synthesis"}
+    block = MultichannelSignal(sim.mixture.samples[:, :13184], 16000)
+    block_oracle = OracleStems(
+        clean=MultichannelSignal(sim.clean.samples[:, :13184], 16000),
+        noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
+    )
+    assert set(process_block(block, cfg, oracle=block_oracle).diagnostics.timings) == expected
+
+
+@pytest.mark.parametrize("beamformer,postfilter", [("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban")])
+def test_stage_timings_cover_wall_time(beamformer, postfilter):
+    sim = gain_mixture(seed=23, duration=3.3)
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    cfg = PipelineConfig(
+        block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode="oracle"
+    )
+    shares = []
+    for _ in range(5):
+        start = time.perf_counter()
+        _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+        wall = time.perf_counter() - start
+        timed = sum(sum(r.diagnostics.to_json_dict()["timings_s"].values()) for r in results)
+        shares.append(timed / wall)
+    assert len(results) == 4
+    assert np.median(shares) >= 0.95
+
+
+@pytest.mark.parametrize("alpha", [1e-30, 1e-10, 1e10, 1e30])
+def test_gev_ban_without_vad_is_scale_equivariant(alpha):
+    # without a VAD every mask bin is degenerate; the beam must then follow
+    # the data (principal eigenvector), not the rounding of an identity pencil
+    rng = np.random.default_rng(24)
+    dry = speech_like_source(1.7, 16000, rng)
+    spec = MixtureSpec(channel_count=4, firs=delay_firs([0, 2, 5, 7])[np.newaxis], snr_db=5.0)
+    sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
+    cfg = PipelineConfig(block_frames=100, beamformer="gev", postfilter="ban", vad_mode="none")
+    y = run(sim.mixture, cfg).samples
+    y_scaled = run(MultichannelSignal(alpha * sim.mixture.samples, 16000), cfg).samples
+    assert np.linalg.norm(y_scaled / alpha - y) <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("active,ref", [([0, 1, 2, 3], 0), ([0, 2, 3], 2), ([1, 3], 3)])
+def test_stacked_network_masks_match_per_channel_inference(active, ref):
+    rng = np.random.default_rng(25)
+    dims = (257, 64, 48, 257)
+    net = NetworkWeights(
+        layers=[
+            NetworkLayer(rng.standard_normal((d_out, d_in)) / np.sqrt(d_in), rng.standard_normal(d_out), act)
+            for d_in, d_out, act in zip(dims[:-1], dims[1:], ("relu", "relu", "sigmoid"))
+        ],
+        input_mean=rng.uniform(0.0, 1.0, 257),
+        input_std=rng.uniform(0.5, 2.0, 257),
+    )
+    sim = gain_mixture(seed=26, duration=1.0)
+    bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000), StftConfig()).bins
+    bins_active = bins[:, :, active]
+    cfg = PipelineConfig(block_frames=100, vad_mode="network")
+    masks = _channel_masks(bins_active, active, ref, cfg, net, None)
+    expected_positions = [pos for pos, ch in enumerate(active) if ch != ref]
+    assert sorted(masks) == expected_positions
+    for pos in expected_positions:
+        alone = infer_mask(net, bins_active[:, :, pos]).values
+        assert masks[pos].kind == "network"
+        assert np.allclose(masks[pos].values, alone, rtol=0.0, atol=1e-12)
