@@ -6,6 +6,11 @@ rather than a Python loop:
 
 - covariances and the blocking-matrix noise estimate are batched `matmul`s
   (the noise estimate is x (P B)^T with P the least-squares projection);
+- the pipeline never forms that (K, L, M) noise estimate: the projection
+  P B (`noise_projection`) is billed to its `noise_est` stage, and the
+  Wiener filter's residual w^H (P B) x, taken as the single product
+  x ((P B)^T conj(w)) (`postfilter.projected_residual`), to its `postfilter`
+  stage;
 - the MVDR pseudoinverse and its largest eigenvalue come from one batched
   `eigh` of the noise covariance;
 - the max-SNR problem speech_cov w = lambda noise_cov w is solved as in
@@ -116,15 +121,16 @@ def blocking_matrix(inv_rtf: np.ndarray, ref: int) -> np.ndarray:
     return bmat
 
 
-def estimate_noise(bins, rtf: RtfSet):
-    """Blocked least-squares noise estimate and its covariance.
+def noise_projection(bins, rtf: RtfSet):
+    """Per-bin map from the microphones to their blocked least-squares noise.
 
     The blocking matrix output v = B x contains only noise; the noise as
     observed on the microphones is recovered per frame by the least-squares
-    projection Cxx B^H (B Cxx B^H)^{-1} v. Ill-conditioned (B Cxx B^H) bins
-    receive diagonal loading instead of raising.
+    projection P v with P = Cxx B^H (B Cxx B^H)^{-1}, so the noise estimate
+    of frame x is (P B) x. Ill-conditioned (B Cxx B^H) bins receive diagonal
+    loading instead of raising.
 
-    Returns (noise estimate (K, L, M), CovarianceSet with sample + noise_est).
+    Returns (P B (K, M, M), CovarianceSet with sample + noise_est).
     """
     x = np.asarray(bins)
     n_bins, _, n_ch = x.shape
@@ -151,10 +157,19 @@ def estimate_noise(bins, rtf: RtfSet):
 
     proj = cxx_bh @ np.linalg.inv(gram)  # Cxx B^H (B Cxx B^H)^{-1}, (K, M, M-1)
     proj_b = proj @ bmat  # (K, M, M)
-    noise_est = x @ proj_b.transpose(0, 2, 1)
     noise_cov = _hermitize(proj_b @ cxx)
-    cov = CovarianceSet(sample=cxx, noise_est=noise_cov, loaded_bins=n_loaded)
-    return noise_est, cov
+    return proj_b, CovarianceSet(sample=cxx, noise_est=noise_cov, loaded_bins=n_loaded)
+
+
+def estimate_noise(bins, rtf: RtfSet):
+    """Blocked least-squares noise estimate (P B) x of every frame and its
+    covariance; see `noise_projection`.
+
+    Returns (noise estimate (K, L, M), CovarianceSet with sample + noise_est).
+    """
+    x = np.asarray(bins)
+    proj_b, cov = noise_projection(x, rtf)
+    return x @ proj_b.transpose(0, 2, 1), cov
 
 
 def mvdr_weights(cov: CovarianceSet, rtf: RtfSet) -> BeamWeights:
@@ -363,7 +378,7 @@ def apply_weights(weights: BeamWeights, bins, use_ban: bool = False) -> np.ndarr
         raise SizeError(
             f"weights {weights.weights.shape} do not match spectrogram {x.shape}"
         )
-    out = np.einsum("km,klm->kl", np.conj(weights.weights), x)
+    out = (x @ np.conj(weights.weights)[:, :, None])[:, :, 0]
     if use_ban:
         if weights.ban_gain is None:
             raise ConfigError(f"{weights.method} weights carry no BAN gain")

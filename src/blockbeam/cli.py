@@ -258,7 +258,8 @@ def _cmd_sweep(args) -> int:
     oracle = OracleStems(clean=clean, noise=noise) if args.vad == "oracle" else None
     network = _load_vad_network(args)
 
-    rows = []
+    # every configuration is checked before the first one runs
+    grid = []
     for beamformer in args.beamformer.split(","):
         if beamformer not in BEAMFORMERS:
             raise ConfigError(f"unknown beamformer {beamformer!r}")
@@ -278,27 +279,31 @@ def _cmd_sweep(args) -> int:
                 sub_block_len=args.sub_block_len,
                 stft=stft_cfg,
             )
-            enhanced, _ = run_with_diagnostics(mixture, cfg, network, oracle)
-            report = evalsim.evaluate_estimate(
-                enhanced.samples[0],
-                clean.samples[args.ref_channel - 1],
-                noise.samples,
-                args.filter_len,
-            )
-            rows.append(
-                {
-                    "beamformer": beamformer,
-                    "block_ms": block_ms,
-                    "postfilter": postfilter,
-                    "sir_db": f"{report.sir_db:.3f}",
-                    "sdr_db": f"{report.sdr_db:.3f}",
-                    "sar_db": f"{report.sar_db:.3f}",
-                }
-            )
-            print(
-                f"{beamformer:>5s} block={block_ms:>6s} "
-                f"SIR={report.sir_db:7.2f} SDR={report.sdr_db:7.2f} SAR={report.sar_db:7.2f}"
-            )
+            grid.append((block_ms, cfg))
+
+    rows = []
+    for block_ms, cfg in grid:
+        enhanced, _ = run_with_diagnostics(mixture, cfg, network, oracle)
+        report = evalsim.evaluate_estimate(
+            enhanced.samples[0],
+            clean.samples[args.ref_channel - 1],
+            noise.samples,
+            args.filter_len,
+        )
+        rows.append(
+            {
+                "beamformer": cfg.beamformer,
+                "block_ms": block_ms,
+                "postfilter": cfg.postfilter,
+                "sir_db": f"{report.sir_db:.3f}",
+                "sdr_db": f"{report.sdr_db:.3f}",
+                "sar_db": f"{report.sar_db:.3f}",
+            }
+        )
+        print(
+            f"{cfg.beamformer:>5s} block={block_ms:>6s} "
+            f"SIR={report.sir_db:7.2f} SDR={report.sdr_db:7.2f} SAR={report.sar_db:7.2f}"
+        )
     with open(args.csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import MultichannelSignal, NetworkWeights
-from .beamform import apply_weights, estimate_noise, gev_weights, irtf_weights, mvdr_weights
+from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
-from .postfilter import PostfilterConfig, apply_postfilter, residual_noise, wiener_mask
+from .postfilter import PostfilterConfig, apply_postfilter, projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, RtfSet, build_rtf_set
 from .stft import Spectrogram, StftConfig, analyze, frame_count, synthesize
 from .vad import Mask, T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median, unit_mask
@@ -36,7 +36,10 @@ class PipelineConfig:
 
     block_frames is an STFT frame count per block, or "batch" to process the
     whole recording as a single block. No statistics are carried between
-    blocks.
+    blocks. allow_any_pairing lifts two checks: the beamformer/post-filter
+    pairing, and the rejection of beamformer "gev" with vad_mode "none"
+    (without masks every GEV bin is degenerate and takes the principal
+    eigenvector of its sample covariance, not the max-SNR beam).
     """
 
     block_frames: int | str = 100
@@ -80,6 +83,12 @@ class PipelineConfig:
             raise ConfigError(
                 f"postfilter {self.postfilter!r} is not paired with beamformer "
                 f"{self.beamformer!r}; pass allow_any_pairing to override"
+            )
+        if not self.allow_any_pairing and self.beamformer == "gev" and self.vad_mode == "none":
+            raise ConfigError(
+                "beamformer 'gev' needs speech masks: with vad_mode 'none' every bin is "
+                "degenerate and the beam is the principal component, not the max-SNR "
+                "beam; pass allow_any_pairing to override"
             )
 
     @property
@@ -142,9 +151,14 @@ class _StageTimer:
         return False
 
 
+def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSignal:
+    return MultichannelSignal(signal.samples[channels], signal.sample_rate)
+
+
 def _channel_masks(bins_active, active, ref, cfg, network, oracle_bins):
     """Masks for the non-reference active channels, keyed by position in the
-    active-channel array."""
+    active-channel array. oracle_bins holds the clean and noise spectrograms
+    of those channels only, in active-channel order."""
     n_bins, n_frames, _ = bins_active.shape
     positions = [pos for pos, ch in enumerate(active) if ch != ref]
     if cfg.vad_mode == "network":
@@ -154,13 +168,12 @@ def _channel_masks(bins_active, active, ref, cfg, network, oracle_bins):
         values = stacked.values.reshape(n_bins, n_frames, len(positions))
         return {pos: Mask(values[:, :, i], "network") for i, pos in enumerate(positions)}
     masks = {}
-    for pos in positions:
+    for i, pos in enumerate(positions):
         if cfg.vad_mode == "none":
             masks[pos] = unit_mask(n_bins, n_frames)
         else:
             clean_bins, noise_bins = oracle_bins
-            ch = active[pos]
-            masks[pos] = oracle_ibm(clean_bins[:, :, ch], noise_bins[:, :, ch], cfg.t_snr)
+            masks[pos] = oracle_ibm(clean_bins[:, :, i], noise_bins[:, :, i], cfg.t_snr)
     return masks
 
 
@@ -197,8 +210,7 @@ def process_block(
     if len(active) < 2:
         diag.passthrough = True
         with _StageTimer(timings, "stft"):
-            ref = cfg.ref_channel
-            spec = analyze(MultichannelSignal(block.samples[ref : ref + 1], block.sample_rate), cfg.stft)
+            spec = analyze(_channels(block, [cfg.ref_channel]), cfg.stft)
         return BlockResult(enhanced=spec.bins[:, :, 0], diagnostics=diag)
 
     if cfg.ref_channel in active:
@@ -209,17 +221,18 @@ def process_block(
     ref_pos = active.index(ref)
 
     with _StageTimer(timings, "stft"):
-        spec = analyze(block, cfg.stft)
-        bins_active = spec.bins[:, :, active]
+        bins_active = analyze(_channels(block, active), cfg.stft).bins
 
     oracle_bins = None
     if cfg.vad_mode == "oracle":
         if oracle is None:
             raise ConfigError("oracle VAD mode needs clean/noise stems")
         with _StageTimer(timings, "oracle_stft"):
+            # only the channels that get a mask
+            mask_channels = [ch for ch in active if ch != ref]
             oracle_bins = (
-                analyze(oracle.clean, cfg.stft).bins,
-                analyze(oracle.noise, cfg.stft).bins,
+                analyze(_channels(oracle.clean, mask_channels), cfg.stft).bins,
+                analyze(_channels(oracle.noise, mask_channels), cfg.stft).bins,
             )
 
     with _StageTimer(timings, "vad"):
@@ -243,7 +256,9 @@ def process_block(
 
     if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
         with _StageTimer(timings, "noise_est"):
-            noise_est, cov = estimate_noise(bins_active, rtf)
+            # the projection only: the postfilter folds w into it, so the
+            # per-channel noise estimate is never formed
+            noise_proj, cov = noise_projection(bins_active, rtf)
             diag.noise_loaded_bins = cov.loaded_bins
 
     with _StageTimer(timings, "beamform"):
@@ -259,7 +274,7 @@ def process_block(
 
     with _StageTimer(timings, "postfilter"):
         if cfg.postfilter == "wiener":
-            residual = residual_noise(weights, noise_est)
+            residual = projected_residual(weights, bins_active, noise_proj)
             speech_mask = None if cfg.vad_mode == "none" else pooled
             gain = wiener_mask(beam_out, residual, speech_mask, cfg.stft.bin_frequencies(), cfg.post)
             enhanced = apply_postfilter(beam_out, gain)

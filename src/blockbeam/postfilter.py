@@ -46,6 +46,18 @@ def residual_noise(weights: BeamWeights, noise_est) -> np.ndarray:
     return apply_weights(weights, noise_est)
 
 
+def projected_residual(weights: BeamWeights, bins, projection) -> np.ndarray:
+    """Residual noise w^H (P B) x at the beamformer output from the noise
+    estimator's projection P B (`beamform.noise_projection`), equal to
+    residual_noise(weights, estimate_noise(bins, rtf)[0]) up to rounding.
+
+    (P B)^T conj(w) is folded first, so the (K, L, M) per-channel noise
+    estimate is never formed.
+    """
+    folded = np.asarray(projection).transpose(0, 2, 1) @ np.conj(weights.weights)[:, :, None]
+    return (np.asarray(bins) @ folded)[:, :, 0]
+
+
 def wiener_mask(beam_out, residual, speech_mask, bin_freqs, cfg: PostfilterConfig) -> np.ndarray:
     """Per-bin Wiener gain with the three practical overrides.
 

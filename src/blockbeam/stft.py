@@ -1,10 +1,18 @@
-"""Short-time Fourier analysis and weighted overlap-add synthesis."""
+"""Short-time Fourier analysis and weighted overlap-add synthesis.
+
+Layout contract: a spectrogram is a C-contiguous complex array of shape
+(bins, frames, channels). Every downstream stage works per frequency bin with
+batched `matmul`s over the leading bin axis, which need each bin's
+(frames, channels) matrix to be one contiguous block; `analyze` writes its
+transform in that layout directly rather than transposing a copy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MultichannelSignal
@@ -92,15 +100,19 @@ def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> Spectr
     Frame l covers samples [l*hop, l*hop + frame_len); frames are weighted by
     the periodic Hamming window and transformed with a one-sided FFT. No
     padding or centering is applied, so edge frames are real signal frames.
+
+    The windowed frames are formed as a (frame_len, frames, channels) array
+    and transformed along axis 0, so the result is already the C-contiguous
+    (bins, frames, channels) layout the pipeline needs. (`numpy.fft.rfft`
+    along axis 0 would return a non-contiguous array.)
     """
     if cfg is None:
         cfg = StftConfig(sample_rate=signal.sample_rate)
     n_frames = frame_count(signal.n_samples, cfg)
     window = periodic_hamming(cfg.frame_len)
     frames = sliding_window_view(signal.samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :]
-    frames = frames[:, :n_frames, :]
-    spec = np.fft.rfft(frames * window, axis=-1)  # (channels, frames, bins)
-    return Spectrogram(np.ascontiguousarray(spec.transpose(2, 1, 0)), cfg)
+    frames = frames[:, :n_frames, :].transpose(2, 1, 0) * window[:, None, None]
+    return Spectrogram(scipy.fft.rfft(frames, axis=0), cfg)
 
 
 def synthesize(spec: Spectrogram) -> MultichannelSignal:
@@ -109,20 +121,28 @@ def synthesize(spec: Spectrogram) -> MultichannelSignal:
     Each frame is inverse-transformed, weighted by the synthesis window and
     accumulated; the result is normalized by the summed squared window, which
     reconstructs the analyzed samples wherever that sum is above the floor.
+
+    The overlap-add runs over the ceil(frame_len / hop) hop-long chunks of a
+    frame rather than over frames: chunk c of every frame is added at once
+    into a (channels, hop blocks, hop) view of the output. Chunks are added
+    from the last to the first, so each sample sums its frames in frame
+    order, as a per-frame loop would.
     """
     cfg = spec.config
-    n_frames = spec.n_frames
-    window = periodic_hamming(cfg.frame_len)
-    frames = np.fft.irfft(spec.bins.transpose(2, 1, 0), n=cfg.frame_len, axis=-1)
+    n_frames, hop, frame_len = spec.n_frames, cfg.hop, cfg.frame_len
+    window = periodic_hamming(frame_len)
+    frames = np.fft.irfft(spec.bins.transpose(2, 1, 0), n=frame_len, axis=-1)
     frames *= window
 
-    out_len = cfg.frame_len + (n_frames - 1) * cfg.hop
-    out = np.zeros((spec.n_channels, out_len))
-    win_sum = np.zeros(out_len)
+    n_chunks = -(-frame_len // hop)
+    out = np.zeros((spec.n_channels, n_frames + n_chunks - 1, hop))
+    win_sum = np.zeros((n_frames + n_chunks - 1, hop))
     win_sq = window * window
-    for l in range(n_frames):
-        start = l * cfg.hop
-        out[:, start : start + cfg.frame_len] += frames[:, l, :]
-        win_sum[start : start + cfg.frame_len] += win_sq
-    out /= np.maximum(win_sum, WINDOW_SUM_FLOOR)
+    for c in reversed(range(n_chunks)):
+        lo, hi = c * hop, min((c + 1) * hop, frame_len)
+        out[:, c : c + n_frames, : hi - lo] += frames[:, :, lo:hi]
+        win_sum[c : c + n_frames, : hi - lo] += win_sq[lo:hi]
+    out_len = frame_len + (n_frames - 1) * hop
+    out = out.reshape(spec.n_channels, -1)[:, :out_len]
+    out /= np.maximum(win_sum.reshape(-1)[:out_len], WINDOW_SUM_FLOOR)
     return MultichannelSignal(out, cfg.sample_rate)

@@ -100,6 +100,10 @@ def pool_median(masks: Sequence[Mask]) -> Mask:
 
     For an even channel count the median is the mean of the two middle order
     statistics.
+
+    The masks are sorted per bin by an odd-even transposition network of
+    elementwise min/max compare-exchanges, so no stacked copy is made; the
+    result equals `np.median` over the stacked masks bit for bit.
     """
     if len(masks) == 0:
         raise SizeError("cannot pool an empty mask list")
@@ -108,7 +112,17 @@ def pool_median(masks: Sequence[Mask]) -> Mask:
     for a in arrays[1:]:
         if a.shape != shape:
             raise SizeError(f"mask shape mismatch: {a.shape} vs {shape}")
-    return Mask(np.median(np.stack(arrays, axis=0), axis=0), "pooled")
+    n = len(arrays)
+    if n == 1:
+        return Mask(arrays[0].copy(), "pooled")
+    for rnd in range(n):
+        for i in range(rnd % 2, n - 1, 2):
+            a, b = arrays[i], arrays[i + 1]
+            arrays[i], arrays[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    mid = n // 2
+    if n % 2:
+        return Mask(arrays[mid], "pooled")
+    return Mask((arrays[mid - 1] + arrays[mid]) / 2, "pooled")
 
 
 def unit_mask(n_bins: int, n_frames: int) -> Mask:

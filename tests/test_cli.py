@@ -159,6 +159,20 @@ class TestEnhanceCommand:
         )
         assert code == 2
 
+    def test_gev_without_vad_needs_override(self, sim_dir, tmp_path):
+        args = [
+            "enhance",
+            "--input", str(sim_dir / "mixture.wav"),
+            "--output", str(tmp_path / "o.wav"),
+            "--beamformer", "gev",
+            "--postfilter", "ban",
+            "--vad", "none",
+        ]
+        assert main(args) == 2
+        assert not (tmp_path / "o.wav").exists()
+        assert main(args + ["--allow-any-pairing"]) == 0
+        assert (tmp_path / "o.wav").exists()
+
     def test_oracle_without_stems_is_config_error(self, sim_dir, tmp_path):
         code = main(
             [
@@ -241,6 +255,23 @@ class TestSweepCommand:
         assert ("irtf", "wiener") in pairings
         assert ("gev", "ban") in pairings
         assert all(float(r["sir_db"]) > -200 for r in rows)
+
+    def test_gev_without_vad_rejected_before_any_run(self, sim_dir, tmp_path, capsys):
+        out_csv = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep",
+                "--input", str(sim_dir / "mixture.wav"),
+                "--clean", str(sim_dir / "clean.wav"),
+                "--noise", str(sim_dir / "noise.wav"),
+                "--vad", "none",
+                "--beamformer", "irtf,gev",
+                "--csv", str(out_csv),
+            ]
+        )
+        assert code == 2
+        assert not out_csv.exists()
+        assert "SIR=" not in capsys.readouterr().out
 
     def test_unknown_beamformer_is_config_error(self, sim_dir, tmp_path):
         code = main(

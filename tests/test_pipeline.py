@@ -1,9 +1,11 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
+from blockbeam.beamform import estimate_noise
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.evalsim import (
     MixtureSpec,
@@ -25,8 +27,9 @@ from blockbeam.pipeline import (
     run,
     run_with_diagnostics,
 )
+from blockbeam.postfilter import projected_residual, residual_noise
 from blockbeam.stft import StftConfig, analyze
-from blockbeam.vad import infer_mask
+from blockbeam.vad import infer_mask, oracle_ibm, pool_median
 
 
 def gain_mixture(seed=0, duration=1.0, gains=(1.0, 0.8, 1.2, 0.9), snr_db=5.0, noise_fn=white_noise):
@@ -64,6 +67,14 @@ class TestPipelineConfig:
     def test_pairing_override(self):
         cfg = PipelineConfig(beamformer="gev", postfilter="wiener", allow_any_pairing=True)
         assert cfg.postfilter == "wiener"
+
+    def test_gev_without_vad_rejected_unless_overridden(self):
+        with pytest.raises(ConfigError, match="gev"):
+            PipelineConfig(beamformer="gev", postfilter="ban", vad_mode="none")
+        for vad_mode in ("oracle", "network"):
+            PipelineConfig(beamformer="gev", postfilter="ban", vad_mode=vad_mode)
+        cfg = PipelineConfig(beamformer="gev", postfilter="none", vad_mode="none", allow_any_pairing=True)
+        assert cfg.vad_mode == "none"
 
     def test_valid_pairings(self):
         PipelineConfig(beamformer="gev", postfilter="ban")
@@ -357,8 +368,13 @@ def test_timing_stages_per_pairing(beamformer, postfilter, vad_mode):
     # oracle masks, and synthesis only by run_with_diagnostics
     sim = gain_mixture(seed=22, duration=1.0)
     oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    # gev without a VAD is rejected unless overridden
     cfg = PipelineConfig(
-        block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode=vad_mode
+        block_frames=100,
+        beamformer=beamformer,
+        postfilter=postfilter,
+        vad_mode=vad_mode,
+        allow_any_pairing=beamformer == "gev",
     )
     expected = set(stage_set(beamformer, postfilter, vad_mode))
     _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
@@ -398,7 +414,9 @@ def test_gev_ban_without_vad_is_scale_equivariant(alpha):
     dry = speech_like_source(1.7, 16000, rng)
     spec = MixtureSpec(channel_count=4, firs=delay_firs([0, 2, 5, 7])[np.newaxis], snr_db=5.0)
     sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
-    cfg = PipelineConfig(block_frames=100, beamformer="gev", postfilter="ban", vad_mode="none")
+    cfg = PipelineConfig(
+        block_frames=100, beamformer="gev", postfilter="ban", vad_mode="none", allow_any_pairing=True
+    )
     y = run(sim.mixture, cfg).samples
     y_scaled = run(MultichannelSignal(alpha * sim.mixture.samples, 16000), cfg).samples
     assert np.linalg.norm(y_scaled / alpha - y) <= 1e-9 * np.linalg.norm(y)
@@ -427,3 +445,71 @@ def test_stacked_network_masks_match_per_channel_inference(active, ref):
         alone = infer_mask(net, bins_active[:, :, pos]).values
         assert masks[pos].kind == "network"
         assert np.allclose(masks[pos].values, alone, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+@pytest.mark.parametrize("beamformer", ["irtf", "mvdr"])
+def test_wiener_residual_matches_beamformed_noise_estimate(beamformer, duplicate):
+    # the pipeline folds w into the noise projection; the result must be the
+    # residual of the full per-channel noise estimate. A duplicated channel
+    # makes two blocking-matrix rows equal, so every bin's B Cxx B^H is
+    # singular and diagonally loaded.
+    samples = gain_mixture(seed=27, duration=1.0).mixture.samples[:, :13184].copy()
+    if duplicate:
+        samples[3] = samples[1]
+    cfg = PipelineConfig(
+        block_frames=100,
+        beamformer=beamformer,
+        postfilter="wiener",
+        vad_mode="none",
+        keep_intermediates=True,
+    )
+    with mock.patch("blockbeam.pipeline.projected_residual", wraps=projected_residual) as spy:
+        result = process_block(MultichannelSignal(samples, 16000), cfg)
+    assert (result.diagnostics.noise_loaded_bins > 0) == duplicate
+    weights, bins, projection = spy.call_args.args
+    got = projected_residual(weights, bins, projection)
+    expected = residual_noise(weights, estimate_noise(bins, result.rtf)[0])
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_oracle_masks_use_the_right_stem_channels():
+    # reference channel 2 and a dead channel 1: only channels 0 and 3 get
+    # masks, and each must come from the same channel of the stems
+    sim = gain_mixture(seed=28, duration=1.0)
+    n = 13184
+    mixture = sim.mixture.samples[:, :n].copy()
+    clean = sim.clean.samples[:, :n].copy()
+    noise = sim.noise.samples[:, :n].copy()
+    for stems in (mixture, clean, noise):
+        stems[1] = 0.0
+    oracle = OracleStems(clean=MultichannelSignal(clean, 16000), noise=MultichannelSignal(noise, 16000))
+    cfg = PipelineConfig(
+        block_frames=100,
+        beamformer="mvdr",
+        postfilter="wiener",
+        vad_mode="oracle",
+        ref_channel=2,
+        keep_intermediates=True,
+    )
+    result = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
+    assert result.diagnostics.active_channels == [0, 2, 3]
+    assert not result.diagnostics.ref_fallback
+
+    full_clean = analyze(oracle.clean, cfg.stft).bins
+    full_noise = analyze(oracle.noise, cfg.stft).bins
+    expected = pool_median(
+        [oracle_ibm(full_clean[:, :, ch], full_noise[:, :, ch], cfg.t_snr) for ch in (0, 3)]
+    )
+    assert np.array_equal(result.pooled_mask.values, expected.values)
+
+    def full_stem_masks(bins_active, active, ref, cfg_, network, oracle_bins):
+        positions = [pos for pos, ch in enumerate(active) if ch != ref]
+        return {
+            pos: oracle_ibm(full_clean[:, :, active[pos]], full_noise[:, :, active[pos]], cfg_.t_snr)
+            for pos in positions
+        }
+
+    with mock.patch("blockbeam.pipeline._channel_masks", side_effect=full_stem_masks):
+        reference = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
+    assert np.array_equal(result.enhanced, reference.enhanced)

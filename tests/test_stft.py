@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from blockbeam.audio_io import MultichannelSignal
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.stft import (
+    WINDOW_SUM_FLOOR,
     Spectrogram,
     StftConfig,
     analyze,
@@ -18,6 +20,30 @@ CFG = StftConfig()
 def random_signal(n_channels, n_samples, seed=0, sample_rate=16000):
     rng = np.random.default_rng(seed)
     return MultichannelSignal(rng.uniform(-1, 1, size=(n_channels, n_samples)), sample_rate)
+
+
+def reference_analyze(samples, cfg):
+    """The transform-then-transpose formulation: numpy rfft along each
+    (channel, frame) row, then a contiguous copy into (bins, frames, channels)."""
+    n_frames = frame_count(samples.shape[1], cfg)
+    frames = sliding_window_view(samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :][:, :n_frames, :]
+    spec = np.fft.rfft(frames * periodic_hamming(cfg.frame_len), axis=-1)
+    return np.ascontiguousarray(spec.transpose(2, 1, 0))
+
+
+def reference_synthesize(bins, cfg):
+    """Per-frame weighted overlap-add loop."""
+    window = periodic_hamming(cfg.frame_len)
+    frames = np.fft.irfft(bins.transpose(2, 1, 0), n=cfg.frame_len, axis=-1) * window
+    n_frames = bins.shape[1]
+    out_len = cfg.frame_len + (n_frames - 1) * cfg.hop
+    out = np.zeros((bins.shape[2], out_len))
+    win_sum = np.zeros(out_len)
+    for l in range(n_frames):
+        start = l * cfg.hop
+        out[:, start : start + cfg.frame_len] += frames[:, l, :]
+        win_sum[start : start + cfg.frame_len] += window * window
+    return out / np.maximum(win_sum, WINDOW_SUM_FLOOR)
 
 
 class TestAnalyze:
@@ -137,3 +163,29 @@ class TestWindow:
         # periodic: w[n] = 0.54 - 0.46 cos(2 pi n / N), so no symmetric peak at the end
         assert w[256] == pytest.approx(1.0)
         assert w.min() > 0.079
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("n_channels,n_samples", [(1, 512), (4, 16000), (3, 5000)])
+    def test_analyze_layout_and_values(self, n_channels, n_samples):
+        sig = random_signal(n_channels, n_samples, seed=n_samples)
+        bins = analyze(sig, CFG).bins
+        assert bins.shape == (CFG.n_bins, frame_count(n_samples, CFG), n_channels)
+        assert bins.flags["C_CONTIGUOUS"]
+        assert np.array_equal(bins, reference_analyze(sig.samples, CFG))
+
+    def test_analyze_channel_subset_is_bitwise_slice(self):
+        sig = random_signal(6, 8000, seed=7)
+        subset = [1, 4, 5]
+        part = analyze(MultichannelSignal(sig.samples[subset], 16000), CFG).bins
+        assert np.array_equal(part, analyze(sig, CFG).bins[:, :, subset])
+
+    @pytest.mark.parametrize("frame_len,hop", [(512, 128), (512, 96), (512, 512), (64, 7)])
+    @pytest.mark.parametrize("n_channels,n_frames", [(1, 40), (3, 1), (2, 9)])
+    def test_synthesize_matches_per_frame_loop(self, frame_len, hop, n_channels, n_frames):
+        cfg = StftConfig(frame_len=frame_len, hop=hop)
+        rng = np.random.default_rng(frame_len + hop + n_frames)
+        shape = (cfg.n_bins, n_frames, n_channels)
+        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = synthesize(Spectrogram(bins, cfg)).samples
+        assert np.array_equal(out, reference_synthesize(bins, cfg))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockbeam.audio_io import NetworkLayer, NetworkWeights
 from blockbeam.errors import DataError, SizeError
@@ -129,6 +131,37 @@ class TestPoolMedian:
         a = pool_median(masks).values
         b = pool_median(masks[::-1]).values
         assert np.array_equal(a, b)
+
+
+# values with many exact ties: the binary oracle levels and a few others
+_MASK_LEVELS = st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.3, 0.7])
+
+
+@given(
+    n_masks=st.integers(1, 7),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    data=st.data(),
+)
+def test_pool_median_matches_numpy_median_bitwise(n_masks, shape, data):
+    size = n_masks * shape[0] * shape[1]
+    values = st.one_of(_MASK_LEVELS, st.floats(0.0, 1.0))
+    flat = data.draw(st.lists(values, min_size=size, max_size=size))
+    # abs() folds a -0.0 draw into 0.0, which masks never hold
+    stacked = np.abs(np.array(flat)).reshape(n_masks, *shape)
+    pooled = pool_median([Mask(m, "oracle") for m in stacked]).values
+    expected = np.median(stacked, axis=0)
+    assert pooled.shape == expected.shape
+    assert np.array_equal(pooled.view(np.int64), expected.view(np.int64))
+
+
+def test_pool_median_leaves_inputs_unchanged():
+    rng = np.random.default_rng(2)
+    values = [rng.uniform(0, 1, (3, 4)) for _ in range(5)]
+    masks = [Mask(v.copy(), "network") for v in values]
+    pooled = pool_median(masks)
+    assert all(np.array_equal(m.values, v) for m, v in zip(masks, values))
+    assert not np.shares_memory(pool_median(masks[:1]).values, masks[0].values)
+    assert pooled.kind == "pooled"
 
 
 class TestMask:
