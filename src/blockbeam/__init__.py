@@ -34,9 +34,9 @@ from .pipeline import (
     run,
     run_with_diagnostics,
 )
-from .postfilter import PostfilterConfig, apply_postfilter, residual_noise, wiener_mask
-from .rtf import RtfSet, SubblockPsd, build_rtf_set, compute_subblock_psd, estimate_rtf_inverse
+from .postfilter import PostfilterConfig, wiener_mask
+from .rtf import RtfSet, build_rtf_set
 from .stft import Spectrogram, StftConfig, analyze, synthesize
-from .vad import Mask, infer_mask, oracle_ibm, pool_median, unit_mask
+from .vad import infer_mask, oracle_ibm, pool_median
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ import scipy.linalg
 
 from .errors import ConfigError, SizeError
 from .rtf import RtfSet
-from .vad import mask_values
+from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
 NOISE_COV_RCOND = 1e-10
@@ -50,7 +50,7 @@ PINV_RCOND = 1e-8
 # inverse-RTF fallback for the affected bin.
 MVDR_DEN_GUARD = 1e-12
 
-# Mask sums at or below this are degenerate (no speech or no noise frames).
+# Sums of a mask at or below this are degenerate (no speech or no noise frames).
 MASK_SUM_FLOOR = np.finfo(np.float64).tiny
 
 
@@ -66,16 +66,10 @@ class BeamWeights:
 
 @dataclass
 class CovarianceSet:
-    """Per-bin covariance matrices, shape (bins, channels, channels).
+    """The blocking-matrix noise covariance per bin, shape (bins, channels,
+    channels), with rank <= channels - 1. It is an unnormalized sum over
+    frames; downstream formulas are scale-invariant."""
 
-    `sample` is the unnormalized sum over frames of x x^H; downstream
-    formulas are scale-invariant so no normalization is applied. `noise_est`
-    is the blocking-matrix noise covariance with rank <= channels - 1.
-    """
-
-    sample: np.ndarray | None = None
-    speech: np.ndarray | None = None
-    noise: np.ndarray | None = None
     noise_est: np.ndarray | None = None
     loaded_bins: int = 0
 
@@ -130,7 +124,7 @@ def noise_projection(bins, rtf: RtfSet):
     of frame x is (P B) x. Ill-conditioned (B Cxx B^H) bins receive diagonal
     loading instead of raising.
 
-    Returns (P B (K, M, M), CovarianceSet with sample + noise_est).
+    Returns (P B (K, M, M), CovarianceSet).
     """
     x = np.asarray(bins)
     n_bins, _, n_ch = x.shape
@@ -158,14 +152,14 @@ def noise_projection(bins, rtf: RtfSet):
     proj = cxx_bh @ np.linalg.inv(gram)  # Cxx B^H (B Cxx B^H)^{-1}, (K, M, M-1)
     proj_b = proj @ bmat  # (K, M, M)
     noise_cov = _hermitize(proj_b @ cxx)
-    return proj_b, CovarianceSet(sample=cxx, noise_est=noise_cov, loaded_bins=n_loaded)
+    return proj_b, CovarianceSet(noise_est=noise_cov, loaded_bins=n_loaded)
 
 
 def estimate_noise(bins, rtf: RtfSet):
     """Blocked least-squares noise estimate (P B) x of every frame and its
     covariance; see `noise_projection`.
 
-    Returns (noise estimate (K, L, M), CovarianceSet with sample + noise_est).
+    Returns (noise estimate (K, L, M), CovarianceSet).
     """
     x = np.asarray(bins)
     proj_b, cov = noise_projection(x, rtf)
@@ -209,7 +203,8 @@ def mvdr_weights(cov: CovarianceSet, rtf: RtfSet) -> BeamWeights:
 
 
 def masked_covariances(bins, mask):
-    """Mask-weighted speech and complement-weighted noise covariance averages.
+    """Speech covariance weighted by the mask and noise covariance weighted by
+    its complement, each averaged over frames.
 
     Bins where the mask (or its complement) sums to zero cannot be averaged;
     they are replaced by the plain per-frame average of x x^H and flagged.
@@ -222,9 +217,7 @@ def masked_covariances(bins, mask):
     """
     x = np.asarray(bins)
     n_bins, n_frames, _ = x.shape
-    w = mask_values(mask)
-    if w.shape != (n_bins, n_frames):
-        raise SizeError(f"mask shape {w.shape} != spectrogram grid {(n_bins, n_frames)}")
+    w = checked_mask(mask, (n_bins, n_frames))
 
     w_noise = 1.0 - w
     sum_speech = w.sum(axis=1)

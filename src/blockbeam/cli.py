@@ -28,7 +28,6 @@ from .pipeline import (
     frames_for_duration_ms,
     run_with_diagnostics,
 )
-from .postfilter import PostfilterConfig
 from .rtf import dump_rtf_csv
 from .stft import StftConfig
 from .vad import dump_mask_csv
@@ -61,11 +60,13 @@ def _block_frames(block_ms: str, stft_cfg: StftConfig):
     return frames_for_duration_ms(ms, stft_cfg)
 
 
-def _pipeline_config(args, stft_cfg: StftConfig, postfilter: str | None = None) -> PipelineConfig:
+def _pipeline_config(args, stft_cfg: StftConfig, block_ms: str, beamformer: str, postfilter: str) -> PipelineConfig:
+    """Settings of one run: the options enhance and sweep share, plus the
+    block length, beamformer and post-filter, which sweep varies."""
     return PipelineConfig(
-        block_frames=_block_frames(args.block_ms, stft_cfg),
-        beamformer=args.beamformer,
-        postfilter=postfilter if postfilter is not None else args.postfilter,
+        block_frames=_block_frames(block_ms, stft_cfg),
+        beamformer=beamformer,
+        postfilter=postfilter,
         vad_mode=args.vad,
         pooling=args.pooling,
         ref_channel=args.ref_channel - 1,
@@ -73,9 +74,7 @@ def _pipeline_config(args, stft_cfg: StftConfig, postfilter: str | None = None) 
         t_snr=args.t_snr,
         sub_block_len=args.sub_block_len,
         stft=stft_cfg,
-        post=PostfilterConfig(),
         allow_any_pairing=getattr(args, "allow_any_pairing", False),
-        keep_intermediates=bool(getattr(args, "dump_mask", None) or getattr(args, "dump_rtf", None)),
     )
 
 
@@ -98,7 +97,7 @@ def _load_vad_network(args):
 def _cmd_enhance(args) -> int:
     stft_cfg = StftConfig()
     mixture = read_wav(args.input)
-    cfg = _pipeline_config(args, stft_cfg)
+    cfg = _pipeline_config(args, stft_cfg, args.block_ms, args.beamformer, args.postfilter)
     network = _load_vad_network(args)
     oracle = _load_oracle(args)
 
@@ -128,7 +127,7 @@ def _cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _mixture_spec_from_config(conf: dict, n_samples: int, sample_rate: int, rng) -> evalsim.MixtureSpec:
+def _mixture_spec_from_config(conf: dict, sample_rate: int, rng) -> evalsim.MixtureSpec:
     channels = int(conf.get("channels", 4))
     noise_conf = conf.get("noise", "white")
     if isinstance(noise_conf, dict):
@@ -186,7 +185,7 @@ def _cmd_simulate(args) -> int:
         dry = evalsim.speech_like_source(duration_s, sample_rate, rng)
     n_samples = dry.shape[0]
 
-    spec = _mixture_spec_from_config(conf, n_samples, sample_rate, rng)
+    spec = _mixture_spec_from_config(conf, sample_rate, rng)
     if spec.noise_kind == "white":
         noise = evalsim.white_noise(spec.channel_count, n_samples, rng)
     elif spec.noise_kind == "pink":
@@ -261,25 +260,11 @@ def _cmd_sweep(args) -> int:
     # every configuration is checked before the first one runs
     grid = []
     for beamformer in args.beamformer.split(","):
-        if beamformer not in BEAMFORMERS:
-            raise ConfigError(f"unknown beamformer {beamformer!r}")
+        postfilter = args.postfilter
+        if postfilter == "auto":
+            postfilter = "ban" if beamformer == "gev" else "wiener"
         for block_ms in args.block_ms.split(","):
-            postfilter = args.postfilter
-            if postfilter == "auto":
-                postfilter = "ban" if beamformer == "gev" else "wiener"
-            cfg = PipelineConfig(
-                block_frames=_block_frames(block_ms, stft_cfg),
-                beamformer=beamformer,
-                postfilter=postfilter,
-                vad_mode=args.vad,
-                pooling=args.pooling,
-                ref_channel=args.ref_channel - 1,
-                t_mu=args.t_mu,
-                t_snr=args.t_snr,
-                sub_block_len=args.sub_block_len,
-                stft=stft_cfg,
-            )
-            grid.append((block_ms, cfg))
+            grid.append((block_ms, _pipeline_config(args, stft_cfg, block_ms, beamformer, postfilter)))
 
     rows = []
     for block_ms, cfg in grid:

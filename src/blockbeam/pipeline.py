@@ -1,5 +1,6 @@
-"""Block-online orchestration: failure detection, STFT, VAD, RTF, beamforming,
-post-filtering and resynthesis, applied independently to each block."""
+"""Block-online orchestration: failure detection, STFT, VAD, RTF, beamforming
+and post-filtering, applied independently to each block, then one
+resynthesis of the concatenated enhanced frames."""
 
 from __future__ import annotations
 
@@ -12,10 +13,10 @@ from .audio_io import MultichannelSignal, NetworkWeights
 from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
-from .postfilter import PostfilterConfig, apply_postfilter, projected_residual, wiener_mask
+from .postfilter import PostfilterConfig, projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, RtfSet, build_rtf_set
 from .stft import Spectrogram, StftConfig, analyze, frame_count, synthesize
-from .vad import Mask, T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median, unit_mask
+from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
 POSTFILTERS = ("none", "wiener", "ban")
@@ -54,7 +55,6 @@ class PipelineConfig:
     stft: StftConfig = field(default_factory=StftConfig)
     post: PostfilterConfig = field(default_factory=PostfilterConfig)
     allow_any_pairing: bool = False
-    keep_intermediates: bool = False
 
     def __post_init__(self):
         if self.beamformer not in BEAMFORMERS:
@@ -132,9 +132,13 @@ class BlockDiagnostics:
 
 @dataclass
 class BlockResult:
+    """One block's enhanced spectrum and intermediates; an intermediate is
+    None when its stage did not run (a passthrough block has neither, and
+    the RTF set exists only where a beamformer or post-filter uses it)."""
+
     enhanced: np.ndarray  # (bins, frames) complex
     diagnostics: BlockDiagnostics
-    pooled_mask: Mask | None = None
+    pooled_mask: np.ndarray | None = None  # (bins, frames) in [0, 1]
     rtf: RtfSet | None = None
 
 
@@ -156,25 +160,19 @@ def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSi
 
 
 def _channel_masks(bins_active, active, ref, cfg, network, oracle_bins):
-    """Masks for the non-reference active channels, keyed by position in the
-    active-channel array. oracle_bins holds the clean and noise spectrograms
-    of those channels only, in active-channel order."""
+    """(K, L, C) masks of the C non-reference active channels, in
+    active-channel order. oracle_bins holds the clean and noise spectrograms
+    of those channels only, in the same order."""
     n_bins, n_frames, _ = bins_active.shape
     positions = [pos for pos, ch in enumerate(active) if ch != ref]
     if cfg.vad_mode == "network":
         # one forward pass for all channels: frame l of channel i is column
         # l * len(positions) + i of the stacked input
         stacked = infer_mask(network, bins_active[:, :, positions].reshape(n_bins, -1))
-        values = stacked.values.reshape(n_bins, n_frames, len(positions))
-        return {pos: Mask(values[:, :, i], "network") for i, pos in enumerate(positions)}
-    masks = {}
-    for i, pos in enumerate(positions):
-        if cfg.vad_mode == "none":
-            masks[pos] = unit_mask(n_bins, n_frames)
-        else:
-            clean_bins, noise_bins = oracle_bins
-            masks[pos] = oracle_ibm(clean_bins[:, :, i], noise_bins[:, :, i], cfg.t_snr)
-    return masks
+        return stacked.reshape(n_bins, n_frames, len(positions))
+    if cfg.vad_mode == "oracle":
+        return oracle_ibm(*oracle_bins, cfg.t_snr)
+    return np.ones((n_bins, n_frames, len(positions)))
 
 
 def process_block(
@@ -185,12 +183,12 @@ def process_block(
 ) -> BlockResult:
     """Enhance one block with no state from other blocks.
 
-    Sequence: microphone-failure detection, STFT, per-channel VAD masks for
-    the non-reference channels, optional median pooling, inverse-RTF
-    estimation, beamforming, post-filtering. Returns the enhanced block in
-    the frequency domain plus diagnostics. If fewer than two channels
-    survive failure detection, the reference channel passes through
-    unprocessed and the block is flagged.
+    Sequence: microphone-failure detection, STFT, a stack of per-channel VAD
+    masks for the non-reference channels, their median, inverse-RTF
+    estimation from the median or the stack (cfg.pooling), beamforming,
+    post-filtering. Returns the enhanced block in the frequency domain plus
+    diagnostics. If fewer than two channels survive failure detection, the
+    reference channel passes through unprocessed and the block is flagged.
     """
     if cfg.ref_channel >= block.channel_count:
         raise ConfigError(
@@ -239,18 +237,17 @@ def process_block(
         if cfg.vad_mode == "network" and network is None:
             raise ConfigError("network VAD mode needs loaded weights")
         masks = _channel_masks(bins_active, active, ref, cfg, network, oracle_bins)
-        pooled = pool_median([masks[pos] for pos in sorted(masks)])
+        pooled = pool_median(masks)
 
     rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
     if need_rtf:
         with _StageTimer(timings, "rtf"):
-            if cfg.pooling == "median":
-                rtf_masks = pooled
-            else:
-                rtf_masks = [masks.get(pos) for pos in range(len(active))]
             rtf = build_rtf_set(
-                bins_active, rtf_masks, ref_channel=ref_pos, sub_block_len=cfg.sub_block_len
+                bins_active,
+                pooled if cfg.pooling == "median" else masks,
+                ref_channel=ref_pos,
+                sub_block_len=cfg.sub_block_len,
             )
             diag.rtf_fallback_bins = sum(rtf.fallback_bins.values())
 
@@ -277,16 +274,11 @@ def process_block(
             residual = projected_residual(weights, bins_active, noise_proj)
             speech_mask = None if cfg.vad_mode == "none" else pooled
             gain = wiener_mask(beam_out, residual, speech_mask, cfg.stft.bin_frequencies(), cfg.post)
-            enhanced = apply_postfilter(beam_out, gain)
+            enhanced = beam_out * gain
         else:
             enhanced = beam_out
 
-    return BlockResult(
-        enhanced=enhanced,
-        diagnostics=diag,
-        pooled_mask=pooled if cfg.keep_intermediates else None,
-        rtf=rtf if cfg.keep_intermediates else None,
-    )
+    return BlockResult(enhanced=enhanced, diagnostics=diag, pooled_mask=pooled, rtf=rtf)
 
 
 def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int]]:
@@ -332,10 +324,12 @@ def run_with_diagnostics(
     """Enhance a whole recording and return per-block results.
 
     Blocks partition the stream's frame grid, so consecutive blocks share
-    frame_len - hop samples of time support; each synthesized block is
-    cross-faded into the next over one hop to avoid seam clicks. The output
-    covers exactly the samples spanned by full STFT frames, so up to hop - 1
-    trailing input samples are trimmed.
+    frame_len - hop samples of time support. The enhanced frames of all
+    blocks are concatenated and synthesized once; weighted overlap-add
+    smooths the seams, and the synthesis time is split across the blocks'
+    `synthesis` stages by frame count. The output covers exactly the samples
+    spanned by full STFT frames, so up to hop - 1 trailing input samples are
+    trimmed.
     """
     if signal.sample_rate != cfg.stft.sample_rate:
         raise ConfigError(
@@ -352,11 +346,8 @@ def run_with_diagnostics(
                 raise SizeError("oracle stems must cover every channel and sample of the mixture")
 
     blocks = partition_frames(signal.n_samples, cfg)
-    hop = cfg.stft.hop
-    total_frames = sum(n for _, n in blocks)
-    fade_in = (np.arange(hop) + 0.5) / hop
     results = []
-    for idx, (start_frame, n_frames) in enumerate(blocks):
+    for start_frame, n_frames in blocks:
         lo, hi = block_sample_range(start_frame, n_frames, cfg.stft)
         block_oracle = None
         if oracle is not None:
@@ -364,20 +355,15 @@ def run_with_diagnostics(
                 clean=_slice_signal(oracle.clean, lo, hi),
                 noise=_slice_signal(oracle.noise, lo, hi),
             )
-        result = process_block(_slice_signal(signal, lo, hi), cfg, network, block_oracle)
-        results.append(result)
-        with _StageTimer(result.diagnostics.timings, "synthesis"):
-            piece = synthesize(Spectrogram(result.enhanced[:, :, None], cfg.stft)).samples[0]
-            if idx == 0:
-                # allocated only now so that it adds nothing to the first
-                # (in batch mode the only) block's peak memory
-                out = np.zeros(cfg.stft.frame_len + (total_frames - 1) * hop)
-                out[lo:hi] = piece
-            else:
-                out[lo : lo + hop] *= 1.0 - fade_in
-                out[lo : lo + hop] += fade_in * piece[:hop]
-                out[lo + hop : hi] = piece[hop:]
-    return MultichannelSignal(out[np.newaxis, :], signal.sample_rate), results
+        results.append(process_block(_slice_signal(signal, lo, hi), cfg, network, block_oracle))
+
+    start = time.perf_counter()
+    enhanced = np.concatenate([r.enhanced for r in results], axis=1)
+    out = synthesize(Spectrogram(enhanced[:, :, None], cfg.stft))
+    elapsed = time.perf_counter() - start
+    for (_, n_frames), result in zip(blocks, results):
+        result.diagnostics.timings["synthesis"] = elapsed * n_frames / enhanced.shape[1]
+    return out, results
 
 
 def run(

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import BeamWeights, apply_weights
+from .beamform import BeamWeights
 from .errors import ConfigError, SizeError
-from .vad import mask_values
+from .vad import checked_mask
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,10 @@ class PostfilterConfig:
             raise ConfigError(f"vad_threshold must be in [0, 1], got {self.vad_threshold}")
 
 
-def residual_noise(weights: BeamWeights, noise_est) -> np.ndarray:
-    """Residual noise at the beamformer output: w^H applied to the noise estimate."""
-    return apply_weights(weights, noise_est)
-
-
 def projected_residual(weights: BeamWeights, bins, projection) -> np.ndarray:
     """Residual noise w^H (P B) x at the beamformer output from the noise
     estimator's projection P B (`beamform.noise_projection`), equal to
-    residual_noise(weights, estimate_noise(bins, rtf)[0]) up to rounding.
+    apply_weights(weights, estimate_noise(bins, rtf)[0]) up to rounding.
 
     (P B)^T conj(w) is folded first, so the (K, L, M) per-channel noise
     estimate is never formed.
@@ -68,7 +63,7 @@ def wiener_mask(beam_out, residual, speech_mask, bin_freqs, cfg: PostfilterConfi
 
     Arguments:
         beam_out, residual: complex spectrograms (K, L)
-        speech_mask: pooled mask (K, L) or None
+        speech_mask: pooled speech-presence weights (K, L) in [0, 1], or None
         bin_freqs: (K,) bin center frequencies in Hz
     """
     u = np.asarray(beam_out)
@@ -91,17 +86,5 @@ def wiener_mask(beam_out, residual, speech_mask, bin_freqs, cfg: PostfilterConfi
     gain[freqs < cfg.low_cutoff_hz, :] = cfg.low_gain
     gain[freqs > cfg.high_cutoff_hz, :] = 1.0
     if speech_mask is not None:
-        p = mask_values(speech_mask)
-        if p.shape != u.shape:
-            raise SizeError(f"speech mask shape {p.shape} != output shape {u.shape}")
-        gain[p > cfg.vad_threshold] = 1.0
+        gain[checked_mask(speech_mask, u.shape) > cfg.vad_threshold] = 1.0
     return np.clip(gain, np.finfo(np.float64).tiny, 1.0)
-
-
-def apply_postfilter(beam_out, gain) -> np.ndarray:
-    """Elementwise product of the beamformer output and the gain."""
-    u = np.asarray(beam_out)
-    g = np.asarray(gain)
-    if u.shape != g.shape:
-        raise SizeError(f"gain shape {g.shape} != output shape {u.shape}")
-    return u * g

@@ -5,18 +5,19 @@ multiple of channel i plus a noise term whose cross-PSD with channel i is
 constant across sub-blocks. Dividing a block into N equally long sub-blocks
 gives N linear equations per frequency with two unknowns (the inverse RTF and
 that constant); the least-squares solution has a closed form in the first and
-second moments of the mask-weighted sub-block PSDs.
+second moments of the mask-weighted sub-block PSDs. This is the
+nonstationarity estimator of Gannot, Burshtein & Weinstein (IEEE TSP 2001),
+computed for every non-reference channel at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import SizeError
-from .vad import Mask, mask_values
+from .vad import checked_mask
 
 # Frames per sub-block (80 ms at the 512/128 framing).
 SUB_BLOCK_LEN_DEFAULT = 10
@@ -30,61 +31,49 @@ VARIANCE_GUARD = 1e-12
 RECIPROCAL_REG = 1e-6
 
 
-@dataclass
-class SubblockPsd:
-    """Mask-weighted (cross-)PSD sums per frequency and sub-block."""
+def _subblock_sums(x: np.ndarray, weights: np.ndarray, ref: int, sub_block_len: int):
+    """PSD sums weighted by the mask, per bin, sub-block and non-reference
+    channel.
 
-    cross: np.ndarray  # (bins, sub_blocks) complex, ref x conj(i)
-    auto: np.ndarray  # (bins, sub_blocks) real >= 0, |i|^2
-    sub_block_len: int
+    Returns (cross, auto), each (K, N, M-1): cross sums w x_ref conj(x_i)
+    and auto sums w |x_i|^2 over the frames of each sub-block. weights is
+    (K, L, 1), one mask shared by all channels, or (K, L, M-1), one mask per
+    non-reference channel in channel order. Trailing frames that do not fill
+    a sub-block are discarded.
 
-    @property
-    def sub_block_count(self) -> int:
-        return self.cross.shape[1]
-
-
-def compute_subblock_psd(bins, ref: int, channel: int, mask, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT) -> SubblockPsd:
-    """Accumulate mask-weighted PSD estimates over equally long sub-blocks.
-
-    Arguments:
-        bins: complex STFT tensor (K, L, M)
-        ref, channel: channel indices into the last axis
-        mask: (K, L) speech-presence weights applied to both sums
-        sub_block_len: frames per sub-block; trailing frames that do not fill
-            a sub-block are discarded
-
-    Requires L >= 2 * sub_block_len so the estimator sees variation across
-    sub-blocks.
+    Both sums pair each weight row with every channel over the sub-block's
+    frames, (K, N, W, S) with (K, N, S, M): the cross sums as a batched
+    matrix product, the auto sums as one einsum. Row c of a per-channel
+    stack then pairs with non-reference channel c, while the single row of
+    a shared mask pairs with all of them.
     """
-    x = np.asarray(bins)
-    if x.ndim != 3:
-        raise SizeError(f"expected (bins, frames, channels) tensor, got shape {x.shape}")
-    n_bins, n_frames, _ = x.shape
-    weights = mask_values(mask)
-    if weights.shape != (n_bins, n_frames):
-        raise SizeError(f"mask shape {weights.shape} != spectrogram grid {(n_bins, n_frames)}")
-    if n_frames < 2 * sub_block_len:
-        raise SizeError(
-            f"block has {n_frames} frames; needs >= 2 sub-blocks of {sub_block_len}"
-        )
+    n_bins, n_frames, n_ch = x.shape
     n_sub = n_frames // sub_block_len
     used = n_sub * sub_block_len
+    others = [c for c in range(n_ch) if c != ref]
+    w = weights[:, :used].reshape(n_bins, n_sub, sub_block_len, -1).swapaxes(2, 3)
+    xs = x[:, :used].reshape(n_bins, n_sub, sub_block_len, n_ch)
+    rows = np.arange(len(others)) % w.shape[2]
 
-    w = weights[:, :used].reshape(n_bins, n_sub, sub_block_len)
-    x_ref = x[:, :used, ref].reshape(n_bins, n_sub, sub_block_len)
-    x_i = x[:, :used, channel].reshape(n_bins, n_sub, sub_block_len)
-
-    cross = np.sum(w * x_ref * np.conj(x_i), axis=2)
-    auto = np.sum(w * (x_i.real**2 + x_i.imag**2), axis=2)
-    return SubblockPsd(cross=cross, auto=auto, sub_block_len=sub_block_len)
+    # sum w conj(x_ref) x_i is the conjugate of the cross sum
+    weighted_ref = w * xs[:, :, None, :, ref]
+    np.conjugate(weighted_ref, out=weighted_ref)
+    cross = np.conj((weighted_ref @ xs)[:, :, rows, others])
+    del weighted_ref
+    # |x|^2 summed from x's interleaved real/imaginary view, so that no
+    # squared copy of the block is made
+    parts = xs.view(np.float64)
+    power = np.einsum("knws,knsm,knsm->knwm", w, parts, parts)
+    auto = (power[..., 0::2] + power[..., 1::2])[:, :, rows, others]
+    return cross, auto
 
 
 def _closed_form(cross: np.ndarray, auto: np.ndarray):
-    """Least-squares slope of cross vs auto across sub-blocks, per frequency.
+    """Least-squares slope of cross vs auto across sub-blocks (axis 1).
 
-    Returns (inverse RTF per bin, fallback flags). Bins whose auto-PSD
-    variance is degenerate fall back to mean(cross)/mean(auto), or 1 when
-    even the mean auto-PSD vanishes.
+    Returns (inverse RTF, fallback flags), each with axis 1 removed. Entries
+    whose auto-PSD variance is degenerate fall back to
+    mean(cross)/mean(auto), or 1 when even the mean auto-PSD vanishes.
     """
     mean_cross = cross.mean(axis=1)
     mean_auto = auto.mean(axis=1)
@@ -100,14 +89,6 @@ def _closed_form(cross: np.ndarray, auto: np.ndarray):
     return g_inv, fallback
 
 
-def estimate_rtf_inverse(psd: SubblockPsd) -> np.ndarray:
-    """Closed-form inverse RTF per frequency bin from sub-block statistics."""
-    if psd.sub_block_count < 2:
-        raise SizeError("estimation needs at least 2 sub-blocks")
-    g_inv, _ = _closed_form(psd.cross, psd.auto)
-    return g_inv
-
-
 def reciprocal_rtf(inv_rtf: np.ndarray, reg: float = RECIPROCAL_REG) -> np.ndarray:
     """Regularized reciprocal: conj(g)/(|g|^2 + reg), finite even at g = 0."""
     return np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + reg)
@@ -115,16 +96,13 @@ def reciprocal_rtf(inv_rtf: np.ndarray, reg: float = RECIPROCAL_REG) -> np.ndarr
 
 @dataclass
 class RtfSet:
-    """Per-frequency inverse RTFs and regularized RTFs for the active channels.
+    """Per-frequency inverse RTFs and regularized RTFs, one column per
+    channel of the estimator's input; the reference column of inv_rtf is
+    exactly 1."""
 
-    Column order follows `channels`; the reference column of inv_rtf is
-    exactly 1.
-    """
-
-    inv_rtf: np.ndarray  # (bins, active_channels) complex
-    rtf: np.ndarray  # (bins, active_channels) complex
+    inv_rtf: np.ndarray  # (bins, channels) complex
+    rtf: np.ndarray  # (bins, channels) complex
     ref: int  # column index of the reference channel
-    channels: tuple  # original channel index per column
     fallback_bins: dict = field(default_factory=dict)  # channel -> guarded bin count
 
     @property
@@ -136,56 +114,42 @@ class RtfSet:
         return self.inv_rtf.shape[0]
 
 
-def build_rtf_set(
-    bins,
-    masks,
-    ref_channel: int = 0,
-    sub_block_len: int = SUB_BLOCK_LEN_DEFAULT,
-    active: Sequence[int] | None = None,
-) -> RtfSet:
-    """Estimate inverse RTFs for every active non-reference channel.
+def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT) -> RtfSet:
+    """Estimate the inverse RTF of every non-reference channel.
 
     Arguments:
         bins: complex STFT tensor (K, L, M)
-        masks: one Mask/array shared by all channels, or a per-channel
-            sequence indexed by original channel (entries for the reference
-            channel are ignored and may be None)
-        active: original channel indices to keep; defaults to all. Columns
-            for excluded channels do not appear in the result.
+        masks: speech-presence weights in [0, 1], applied to both PSD sums:
+            one (K, L) mask shared by all channels, or a (K, L, M-1) stack
+            with one mask per non-reference channel in channel order
+        ref_channel: index of the reference channel on the last axis
+        sub_block_len: frames per sub-block; needs L >= 2 * sub_block_len so
+            the estimator sees variation across sub-blocks
     """
-    x = np.asarray(bins)
+    # the auto sums read the complex128 data as interleaved float64 pairs
+    x = np.ascontiguousarray(bins, dtype=np.complex128)
     if x.ndim != 3:
         raise SizeError(f"expected (bins, frames, channels) tensor, got shape {x.shape}")
-    n_bins, _, n_ch = x.shape
-    channels = tuple(range(n_ch)) if active is None else tuple(sorted(int(c) for c in active))
-    if len(channels) < 1:
-        raise SizeError("no active channels")
-    if ref_channel not in channels:
-        raise SizeError(f"reference channel {ref_channel} is not active")
+    n_bins, n_frames, n_ch = x.shape
+    if not 0 <= ref_channel < n_ch:
+        raise SizeError(f"reference channel {ref_channel} out of range for {n_ch} channels")
+    if n_frames < 2 * sub_block_len:
+        raise SizeError(
+            f"block has {n_frames} frames; needs >= 2 sub-blocks of {sub_block_len}"
+        )
+    weights = checked_mask(masks, (n_bins, n_frames), (n_bins, n_frames, n_ch - 1))
+    if weights.ndim == 2:
+        weights = weights[:, :, None]
 
-    if isinstance(masks, (Mask, np.ndarray)):
-        mask_for = lambda i: masks
-    else:
-        mask_for = lambda i: masks[i]
-
-    inv_rtf = np.ones((n_bins, len(channels)), dtype=np.complex128)
-    fallback_bins = {}
-    for col, ch in enumerate(channels):
-        if ch == ref_channel:
-            continue
-        psd = compute_subblock_psd(x, ref_channel, ch, mask_for(ch), sub_block_len)
-        g_inv, fallback = _closed_form(psd.cross, psd.auto)
-        inv_rtf[:, col] = g_inv
-        n_fb = int(np.count_nonzero(fallback))
-        if n_fb:
-            fallback_bins[ch] = n_fb
-
+    others = [c for c in range(n_ch) if c != ref_channel]
+    inv_rtf = np.ones((n_bins, n_ch), dtype=np.complex128)
+    inv_rtf[:, others], fallback = _closed_form(*_subblock_sums(x, weights, ref_channel, sub_block_len))
+    counts = np.count_nonzero(fallback, axis=0)
     return RtfSet(
         inv_rtf=inv_rtf,
         rtf=reciprocal_rtf(inv_rtf),
-        ref=channels.index(ref_channel),
-        channels=channels,
-        fallback_bins=fallback_bins,
+        ref=ref_channel,
+        fallback_bins={ch: int(n) for ch, n in zip(others, counts) if n},
     )
 
 
@@ -193,9 +157,9 @@ def dump_rtf_csv(rtf: RtfSet, path) -> None:
     """Debug dump: per bin, magnitude and phase of each channel's inverse RTF."""
     cols = [np.arange(rtf.n_bins)]
     header = ["bin"]
-    for col, ch in enumerate(rtf.channels):
-        cols.append(np.abs(rtf.inv_rtf[:, col]))
-        cols.append(np.angle(rtf.inv_rtf[:, col]))
+    for ch in range(rtf.n_channels):
+        cols.append(np.abs(rtf.inv_rtf[:, ch]))
+        cols.append(np.angle(rtf.inv_rtf[:, ch]))
         header.append(f"ch{ch}_mag")
         header.append(f"ch{ch}_phase")
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=",".join(header), comments="")

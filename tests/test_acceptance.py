@@ -31,9 +31,9 @@ from blockbeam.pipeline import (
     run_with_diagnostics,
 )
 from blockbeam.postfilter import PostfilterConfig, wiener_mask
-from blockbeam.rtf import SubblockPsd, compute_subblock_psd, estimate_rtf_inverse
+from blockbeam.rtf import _closed_form, build_rtf_set
 from blockbeam.stft import StftConfig, analyze, synthesize
-from blockbeam.vad import Mask, oracle_ibm, unit_mask
+from blockbeam.vad import oracle_ibm
 
 FS = 16000
 STFT = StftConfig()
@@ -109,7 +109,7 @@ def test_criterion_02_rtf_closed_form_vs_oracle():
         n_sub = int(rng.integers(2, 26))
         cross = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
         auto = rng.uniform(0.5, 2.0, n_sub)
-        closed = estimate_rtf_inverse(SubblockPsd(cross[None, :], auto[None, :], 10))[0]
+        closed = _closed_form(cross[None, :], auto[None, :])[0][0]
         design = np.column_stack([auto.astype(complex), np.ones(n_sub, dtype=complex)])
         coef, *_ = np.linalg.lstsq(design, cross, rcond=None)
         rel = abs(closed - coef[0]) / max(abs(coef[0]), 1e-300)
@@ -130,7 +130,7 @@ def _pooled_phase_error(seed, snr_db, n_blocks=6, delay=12):
     for b in range(n_blocks):
         frames = slice(b * 100, b * 100 + 100)
         mask = oracle_ibm(clean_spec.bins[:, frames, 1], noise_spec.bins[:, frames, 1], 5.0)
-        g_inv = estimate_rtf_inverse(compute_subblock_psd(spec.bins[:, frames], 0, 1, mask, 10))
+        g_inv = build_rtf_set(spec.bins[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
         errs.append(np.abs(np.angle(g_inv[4:101] * np.conj(truth[4:101]))))
     return float(np.median(np.concatenate(errs)))
 
@@ -189,7 +189,7 @@ def test_criterion_05_blocking_matrix():
 
     from blockbeam.rtf import RtfSet
 
-    rtf = RtfSet(inv_rtf=inv_rtf, rtf=g_exact, ref=0, channels=(0, 1, 2, 3))
+    rtf = RtfSet(inv_rtf=inv_rtf, rtf=g_exact, ref=0)
     s = rng.standard_normal((257, 30)) + 1j * rng.standard_normal((257, 30))
     x = g_exact[:, None, :] * s[:, :, None]  # noise-free target block
     noise_est, _ = estimate_noise(x, rtf)
@@ -241,7 +241,7 @@ def test_criterion_07_wiener_mask_bounds_and_precedence():
             for mask_val in (0.0, 0.29, 0.3, 0.31, 1.0):
                 u = np.full((3, 1), np.sqrt(u2), dtype=complex)
                 r = np.full((3, 1), np.sqrt(r2), dtype=complex)
-                mask = Mask(np.full((3, 1), mask_val), "pooled")
+                mask = np.full((3, 1), mask_val)
                 gain = wiener_mask(u, r, mask, freqs, cfg)
                 base = np.maximum(u2 - r2, 1e-30) / max(u2, 1e-30)
                 vad_hit = mask_val > cfg.vad_threshold
@@ -372,8 +372,8 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
                 if name == "oracle":
                     mask = oracle_ibm(clean_spec.bins[:, frames, 1], noise_spec.bins[:, frames, 1], 5.0)
                 else:
-                    mask = unit_mask(257, 100)
-                g = estimate_rtf_inverse(compute_subblock_psd(mix_spec.bins[:, frames], 0, 1, mask, 10))
+                    mask = np.ones((257, 100))
+                g = build_rtf_set(mix_spec.bins[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
                 per_block.append(np.abs(np.angle(g[4:101] * np.conj(truth[4:101]))))
             errs[name] = float(np.median(np.concatenate(per_block)))
         ratios.append(errs["unit"] / errs["oracle"])

@@ -23,7 +23,6 @@ from blockbeam.beamform import (
 )
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.rtf import RtfSet
-from blockbeam.vad import Mask, unit_mask
 
 
 def random_bins(n_bins, n_frames, n_ch, seed):
@@ -36,12 +35,7 @@ def random_bins(n_bins, n_frames, n_ch, seed):
 def rtf_from_inverse(inv_rtf, ref=0, exact=False):
     """RtfSet fixture; exact=True uses the exact reciprocal (no regularizer)."""
     rtf = 1.0 / inv_rtf if exact else np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + 1e-6)
-    return RtfSet(
-        inv_rtf=inv_rtf,
-        rtf=rtf,
-        ref=ref,
-        channels=tuple(range(inv_rtf.shape[1])),
-    )
+    return RtfSet(inv_rtf=inv_rtf, rtf=rtf, ref=ref)
 
 
 def random_inverse_rtf(n_bins, n_ch, seed, ref=0):
@@ -304,11 +298,11 @@ class TestGevWeights:
 
     def test_masked_covariances_weighting(self):
         x = random_bins(4, 6, 2, 31)
-        mask = Mask(np.random.default_rng(32).uniform(0.1, 0.9, (4, 6)), "network")
+        mask = np.random.default_rng(32).uniform(0.1, 0.9, (4, 6))
         speech, noise, degen = masked_covariances(x, mask)
         assert not degen.any()
         k = 2
-        w = mask.values[k]
+        w = mask[k]
         manual = np.einsum("l,lm,ln->mn", w, x[k], np.conj(x[k])) / w.sum()
         assert np.allclose(speech[k], manual, atol=1e-12)
 
@@ -316,16 +310,16 @@ class TestGevWeights:
         x = random_bins(4, 6, 2, 33)
         values = np.random.default_rng(34).uniform(0.2, 0.8, (4, 6))
         values[1, :] = 1.0  # no noise frames at bin 1
-        speech, noise, degen = masked_covariances(x, Mask(values, "network"))
+        speech, noise, degen = masked_covariances(x, values)
         assert degen[1] and not degen[0]
         expected = sample_covariance(x)[1] / 6
         assert np.allclose(noise[1], expected)
-        w = gev_weights(x, Mask(values, "network"))
+        w = gev_weights(x, values)
         assert w.fallback_bins == 1
 
     def test_ban_gain_formula(self):
         x = random_bins(8, 24, 3, 35)
-        mask = Mask(np.random.default_rng(36).uniform(0.05, 0.95, (8, 24)), "network")
+        mask = np.random.default_rng(36).uniform(0.05, 0.95, (8, 24))
         w = gev_weights(x, mask)
         _, noise, _ = masked_covariances(x, mask)
         for k in range(8):
@@ -336,7 +330,7 @@ class TestGevWeights:
 
     def test_phase_fixed_reference_component(self):
         x = random_bins(8, 24, 3, 37)
-        mask = Mask(np.random.default_rng(38).uniform(0.05, 0.95, (8, 24)), "network")
+        mask = np.random.default_rng(38).uniform(0.05, 0.95, (8, 24))
         w = gev_weights(x, mask, ref_component=1)
         anchor = w.weights[:, 1]
         assert np.all(anchor.real >= -1e-12)
@@ -344,7 +338,7 @@ class TestGevWeights:
 
     def test_needs_two_channels(self):
         with pytest.raises(SizeError):
-            gev_weights(random_bins(4, 10, 1, 39), unit_mask(4, 10))
+            gev_weights(random_bins(4, 10, 1, 39), np.ones((4, 10)))
 
 
 class TestApplyWeights:
@@ -381,7 +375,7 @@ class TestApplyWeights:
 
     def test_ban_applied_when_requested(self):
         x = random_bins(8, 10, 2, 46)
-        mask = Mask(np.random.default_rng(47).uniform(0.2, 0.8, (8, 10)), "network")
+        mask = np.random.default_rng(47).uniform(0.2, 0.8, (8, 10))
         w = gev_weights(x, mask)
         plain = apply_weights(w, x)
         scaled = apply_weights(w, x, use_ban=True)
@@ -546,7 +540,7 @@ class TestBatchedKernels:
 
     def test_degenerate_gev_bin_takes_principal_eigenvector(self):
         x = random_bins(6, 20, 3, 75)
-        w = gev_weights(x, unit_mask(6, 20))
+        w = gev_weights(x, np.ones((6, 20)))
         assert w.fallback_bins == 6
         for k in range(6):
             principal = np.linalg.eigh(x[k].T @ np.conj(x[k]))[1][:, -1]

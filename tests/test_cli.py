@@ -79,29 +79,34 @@ class TestEnhanceCommand:
         assert "timings_s" in payload["blocks"][0]
 
     def test_batch_mode_and_dumps(self, sim_dir, tmp_path):
-        out = tmp_path / "enh.wav"
-        mask_base = tmp_path / "mask.csv"
-        rtf_base = tmp_path / "rtf.csv"
-        code = main(
-            [
-                "enhance",
-                "--input", str(sim_dir / "mixture.wav"),
-                "--output", str(out),
-                "--beamformer", "irtf",
-                "--block-ms", "batch",
-                "--vad", "none",
-                "--postfilter", "none",
-                "--dump-mask", str(mask_base),
-                "--dump-rtf", str(rtf_base),
-            ]
-        )
-        assert code == 0
-        mask = np.loadtxt(tmp_path / "mask_000.csv", delimiter=",")
-        assert mask.shape[0] == 257
-        with open(tmp_path / "rtf_000.csv") as fh:
-            header = fh.readline().strip().split(",")
-        assert header[0] == "bin"
-        assert "ch1_mag" in header
+        # one CSV of each kind per block: the 1.6 s input is one batch block
+        # or two 800 ms blocks
+        for block_ms, n_blocks in (("batch", 1), ("800", 2)):
+            out_dir = tmp_path / block_ms
+            out_dir.mkdir()
+            code = main(
+                [
+                    "enhance",
+                    "--input", str(sim_dir / "mixture.wav"),
+                    "--output", str(out_dir / "enh.wav"),
+                    "--beamformer", "irtf",
+                    "--block-ms", block_ms,
+                    "--vad", "none",
+                    "--postfilter", "none",
+                    "--dump-mask", str(out_dir / "mask.csv"),
+                    "--dump-rtf", str(out_dir / "rtf.csv"),
+                ]
+            )
+            assert code == 0
+            for kind in ("mask", "rtf"):
+                names = sorted(p.name for p in out_dir.glob(f"{kind}_*.csv"))
+                assert names == [f"{kind}_{i:03d}.csv" for i in range(n_blocks)]
+            mask = np.loadtxt(out_dir / "mask_000.csv", delimiter=",")
+            assert mask.shape[0] == 257
+            with open(out_dir / "rtf_000.csv") as fh:
+                header = fh.readline().strip().split(",")
+            assert header[0] == "bin"
+            assert "ch1_mag" in header
 
     def test_network_vad_weights(self, sim_dir, tmp_path):
         weights = tmp_path / "net.json"

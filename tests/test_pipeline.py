@@ -1,14 +1,18 @@
+import functools
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
-from blockbeam.beamform import estimate_noise
+from blockbeam.beamform import apply_weights, estimate_noise
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.evalsim import (
     MixtureSpec,
+    decaying_firs,
     delay_firs,
     pink_noise,
     simulate,
@@ -27,8 +31,8 @@ from blockbeam.pipeline import (
     run,
     run_with_diagnostics,
 )
-from blockbeam.postfilter import projected_residual, residual_noise
-from blockbeam.stft import StftConfig, analyze
+from blockbeam.postfilter import projected_residual
+from blockbeam.stft import Spectrogram, StftConfig, analyze, synthesize
 from blockbeam.vad import infer_mask, oracle_ibm, pool_median
 
 
@@ -224,12 +228,10 @@ class TestProcessBlock:
         assert set(result.diagnostics.timings) == set(stage_set("irtf", "none", "none"))
 
     def test_keep_intermediates(self):
+        # every result carries the stages' intermediates; no setting gates them
         sim = gain_mixture(seed=10, duration=1.0)
         block = MultichannelSignal(sim.mixture.samples[:, :13184], 16000)
-        cfg = PipelineConfig(
-            block_frames=100, beamformer="irtf", postfilter="none", vad_mode="none",
-            keep_intermediates=True,
-        )
+        cfg = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="none", vad_mode="none")
         result = process_block(block, cfg)
         assert result.pooled_mask is not None
         assert result.rtf is not None
@@ -440,11 +442,10 @@ def test_stacked_network_masks_match_per_channel_inference(active, ref):
     cfg = PipelineConfig(block_frames=100, vad_mode="network")
     masks = _channel_masks(bins_active, active, ref, cfg, net, None)
     expected_positions = [pos for pos, ch in enumerate(active) if ch != ref]
-    assert sorted(masks) == expected_positions
-    for pos in expected_positions:
-        alone = infer_mask(net, bins_active[:, :, pos]).values
-        assert masks[pos].kind == "network"
-        assert np.allclose(masks[pos].values, alone, rtol=0.0, atol=1e-12)
+    assert masks.shape == bins_active.shape[:2] + (len(expected_positions),)
+    for i, pos in enumerate(expected_positions):
+        alone = infer_mask(net, bins_active[:, :, pos])
+        assert np.allclose(masks[:, :, i], alone, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("duplicate", [False, True])
@@ -462,14 +463,13 @@ def test_wiener_residual_matches_beamformed_noise_estimate(beamformer, duplicate
         beamformer=beamformer,
         postfilter="wiener",
         vad_mode="none",
-        keep_intermediates=True,
     )
     with mock.patch("blockbeam.pipeline.projected_residual", wraps=projected_residual) as spy:
         result = process_block(MultichannelSignal(samples, 16000), cfg)
     assert (result.diagnostics.noise_loaded_bins > 0) == duplicate
     weights, bins, projection = spy.call_args.args
     got = projected_residual(weights, bins, projection)
-    expected = residual_noise(weights, estimate_noise(bins, result.rtf)[0])
+    expected = apply_weights(weights, estimate_noise(bins, result.rtf)[0])
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -490,7 +490,6 @@ def test_oracle_masks_use_the_right_stem_channels():
         postfilter="wiener",
         vad_mode="oracle",
         ref_channel=2,
-        keep_intermediates=True,
     )
     result = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
     assert result.diagnostics.active_channels == [0, 2, 3]
@@ -498,18 +497,89 @@ def test_oracle_masks_use_the_right_stem_channels():
 
     full_clean = analyze(oracle.clean, cfg.stft).bins
     full_noise = analyze(oracle.noise, cfg.stft).bins
-    expected = pool_median(
-        [oracle_ibm(full_clean[:, :, ch], full_noise[:, :, ch], cfg.t_snr) for ch in (0, 3)]
-    )
-    assert np.array_equal(result.pooled_mask.values, expected.values)
+    expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
+    assert np.array_equal(result.pooled_mask, expected)
 
     def full_stem_masks(bins_active, active, ref, cfg_, network, oracle_bins):
-        positions = [pos for pos, ch in enumerate(active) if ch != ref]
-        return {
-            pos: oracle_ibm(full_clean[:, :, active[pos]], full_noise[:, :, active[pos]], cfg_.t_snr)
-            for pos in positions
-        }
+        masked = [ch for ch in active if ch != ref]
+        return oracle_ibm(full_clean[:, :, masked], full_noise[:, :, masked], cfg_.t_snr)
 
     with mock.patch("blockbeam.pipeline._channel_masks", side_effect=full_stem_masks):
         reference = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
     assert np.array_equal(result.enhanced, reference.enhanced)
+
+
+def test_blocks_are_synthesized_once():
+    # the enhanced frames of all blocks are overlap-added as one spectrogram,
+    # so a seam gets the same weighted overlap-add as a block's interior
+    sim = gain_mixture(seed=29, duration=2.0)
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    cfg = PipelineConfig(block_frames=50, beamformer="mvdr", postfilter="wiener", vad_mode="oracle")
+    out, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+    assert len(results) == 5
+    frames = np.concatenate([r.enhanced for r in results], axis=1)
+    assert np.array_equal(out.samples, synthesize(Spectrogram(frames[:, :, None], cfg.stft)).samples)
+
+
+# every beamformer/post-filter pairing with and without oracle masks, each
+# with the RTF estimated from the median mask and from per-channel masks
+SETTINGS = [
+    (bf, pf, vad_mode, pooling)
+    for bf, pf in PAIRINGS
+    for vad_mode in ("none", "oracle")
+    for pooling in ("none", "median")
+]
+PROPERTY_REF = 1
+
+
+@functools.lru_cache(maxsize=None)
+def property_mixture():
+    rng = np.random.default_rng(30)
+    dry = speech_like_source(2.0, 16000, rng)
+    firs = decaying_firs([0, 2, 5, 7], rng, extra_taps=4, decay=0.6)
+    spec = MixtureSpec(channel_count=4, firs=firs[np.newaxis], snr_db=5.0)
+    sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
+    return sim.mixture.samples, sim.clean.samples, sim.noise.samples
+
+
+def enhance_setting(setting, mixture, clean, noise, ref_channel):
+    beamformer, postfilter, vad_mode, pooling = setting
+    cfg = PipelineConfig(
+        block_frames=50,
+        beamformer=beamformer,
+        postfilter=postfilter,
+        vad_mode=vad_mode,
+        pooling=pooling,
+        ref_channel=ref_channel,
+        allow_any_pairing=beamformer == "gev" and vad_mode == "none",
+    )
+    oracle = OracleStems(MultichannelSignal(clean, 16000), MultichannelSignal(noise, 16000))
+    return run(MultichannelSignal(mixture, 16000), cfg, oracle=oracle).samples[0]
+
+
+@functools.lru_cache(maxsize=None)
+def property_reference(setting):
+    return enhance_setting(setting, *property_mixture(), PROPERTY_REF)
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids="-".join)
+@settings(max_examples=3)
+@given(exponent=st.floats(-20.0, 20.0))
+def test_output_is_scale_equivariant(setting, exponent):
+    # y(alpha x) = alpha y(x), with the oracle stems scaled alongside
+    alpha = 10.0**exponent
+    y = property_reference(setting)
+    y_scaled = enhance_setting(setting, *(alpha * a for a in property_mixture()), PROPERTY_REF)
+    assert np.linalg.norm(y_scaled / alpha - y) <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids="-".join)
+@settings(max_examples=3)
+@given(order=st.permutations(range(4)))
+def test_output_is_independent_of_channel_order(setting, order):
+    # channel j of the permuted recording is channel order[j] of the original
+    y = property_reference(setting)
+    y_permuted = enhance_setting(
+        setting, *(a[list(order)] for a in property_mixture()), list(order).index(PROPERTY_REF)
+    )
+    assert np.linalg.norm(y_permuted - y) <= 1e-9 * np.linalg.norm(y)

@@ -10,15 +10,9 @@ from blockbeam.evalsim import (
     true_rtfs,
     white_noise,
 )
-from blockbeam.rtf import (
-    SubblockPsd,
-    build_rtf_set,
-    compute_subblock_psd,
-    estimate_rtf_inverse,
-    reciprocal_rtf,
-)
+from blockbeam.rtf import _closed_form, _subblock_sums, build_rtf_set, reciprocal_rtf
 from blockbeam.stft import StftConfig, analyze
-from blockbeam.vad import Mask, oracle_ibm, unit_mask
+from blockbeam.vad import oracle_ibm
 
 
 def lstsq_inverse_rtf(cross, auto):
@@ -32,6 +26,16 @@ def lstsq_inverse_rtf(cross, auto):
     return out
 
 
+def shared(n_bins, n_frames):
+    """All-ones weights in the (K, L, 1) shared-mask layout of _subblock_sums."""
+    return np.ones((n_bins, n_frames, 1))
+
+
+def inverse_rtf(x, mask):
+    """build_rtf_set's estimate for channel 1 against reference channel 0."""
+    return build_rtf_set(x, mask, ref_channel=0, sub_block_len=10).inv_rtf[:, 1]
+
+
 def random_bins(n_bins, n_frames, n_ch, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_bins, n_frames, n_ch)) + 1j * rng.standard_normal(
@@ -40,55 +44,59 @@ def random_bins(n_bins, n_frames, n_ch, seed):
 
 
 class TestComputeSubblockPsd:
+    """The mask-weighted sub-block PSD sums inside build_rtf_set."""
+
     def test_identical_channels_cross_equals_auto(self):
         bins = random_bins(8, 40, 1, 0)
         x = np.concatenate([bins, bins], axis=2)
-        psd = compute_subblock_psd(x, 0, 1, unit_mask(8, 40), sub_block_len=10)
-        assert np.allclose(psd.cross, psd.auto)
-        assert np.all(psd.auto >= 0)
+        cross, auto = _subblock_sums(x, shared(8, 40), 0, sub_block_len=10)
+        assert np.allclose(cross, auto)
+        assert np.all(auto >= 0)
 
     def test_zero_mask_annihilates(self):
         x = random_bins(8, 40, 2, 1)
-        psd = compute_subblock_psd(x, 0, 1, Mask(np.zeros((8, 40)), "oracle"), 10)
-        assert np.all(psd.cross == 0) and np.all(psd.auto == 0)
+        cross, auto = _subblock_sums(x, np.zeros((8, 40, 1)), 0, 10)
+        assert np.all(cross == 0) and np.all(auto == 0)
 
     def test_sub_block_counts_per_block_length(self):
         # 10-frame sub-blocks over the standard block lengths
         for frames, expected in [(31, 3), (50, 5), (100, 10), (250, 25)]:
             x = random_bins(4, frames, 2, 2)
-            psd = compute_subblock_psd(x, 0, 1, unit_mask(4, frames), 10)
-            assert psd.sub_block_count == expected
+            cross, auto = _subblock_sums(x, shared(4, frames), 0, 10)
+            assert cross.shape == auto.shape == (4, expected, 1)
 
     def test_trailing_frames_discarded(self):
         x = random_bins(4, 47, 2, 3)
-        full = compute_subblock_psd(x, 0, 1, unit_mask(4, 47), 10)
-        trimmed = compute_subblock_psd(x[:, :40], 0, 1, unit_mask(4, 40), 10)
-        assert np.array_equal(full.cross, trimmed.cross)
+        full, _ = _subblock_sums(x, shared(4, 47), 0, 10)
+        trimmed, _ = _subblock_sums(x[:, :40], shared(4, 40), 0, 10)
+        assert np.array_equal(full, trimmed)
+        assert np.array_equal(inverse_rtf(x, np.ones((4, 47))), inverse_rtf(x[:, :40], np.ones((4, 40))))
 
     def test_too_few_frames(self):
         x = random_bins(4, 19, 2, 4)
         with pytest.raises(SizeError):
-            compute_subblock_psd(x, 0, 1, unit_mask(4, 19), 10)
+            build_rtf_set(x, np.ones((4, 19)), ref_channel=0, sub_block_len=10)
 
     def test_unit_mask_matches_plain_sums(self):
         # with weighting disabled the statistics reduce to plain sums
         x = random_bins(6, 30, 2, 5)
-        psd = compute_subblock_psd(x, 0, 1, unit_mask(6, 30), 10)
+        cross, _ = _subblock_sums(x, shared(6, 30), 0, 10)
         plain_cross = np.array(
             [
                 [np.sum(x[k, n * 10 : (n + 1) * 10, 0] * np.conj(x[k, n * 10 : (n + 1) * 10, 1])) for n in range(3)]
                 for k in range(6)
             ]
         )
-        assert np.array_equal(psd.cross, plain_cross)
+        assert np.allclose(cross[:, :, 0], plain_cross, rtol=1e-14, atol=0)
 
 
 class TestEstimateRtfInverse:
+    """The closed-form inverse RTF of build_rtf_set (`_closed_form`)."""
+
     def test_exact_proportionality(self):
         bins = random_bins(16, 60, 1, 6)
         x = np.concatenate([2.0 * bins, bins], axis=2)
-        psd = compute_subblock_psd(x, 0, 1, unit_mask(16, 60), 10)
-        g_inv = estimate_rtf_inverse(psd)
+        g_inv = inverse_rtf(x, np.ones((16, 60)))
         assert np.allclose(g_inv, 2.0, atol=1e-10)
 
     def test_matches_normal_equations_oracle(self):
@@ -97,16 +105,15 @@ class TestEstimateRtfInverse:
             n_sub = int(rng.integers(2, 26))
             cross = rng.standard_normal((12, n_sub)) + 1j * rng.standard_normal((12, n_sub))
             auto = rng.uniform(0.5, 2.0, (12, n_sub))
-            psd = SubblockPsd(cross, auto, 10)
-            closed = estimate_rtf_inverse(psd)
+            closed, _ = _closed_form(cross, auto)
             reference = lstsq_inverse_rtf(cross, auto)
             assert np.allclose(closed, reference, rtol=1e-9, atol=1e-12)
 
     def test_mask_scaling_invariance(self):
         x = random_bins(8, 50, 2, 8)
         mask = np.random.default_rng(9).uniform(0.1, 1.0, (8, 50))
-        a = estimate_rtf_inverse(compute_subblock_psd(x, 0, 1, Mask(mask, "network"), 10))
-        b = estimate_rtf_inverse(compute_subblock_psd(x, 0, 1, Mask(mask / 2, "network"), 10))
+        a = inverse_rtf(x, mask)
+        b = inverse_rtf(x, mask / 2)
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_channel_scaling_covariance(self):
@@ -115,25 +122,30 @@ class TestEstimateRtfInverse:
         c = 0.8 - 1.3j
         scaled = x.copy()
         scaled[:, :, 1] *= c
-        base = estimate_rtf_inverse(compute_subblock_psd(x, 0, 1, unit_mask(8, 50), 10))
-        moved = estimate_rtf_inverse(compute_subblock_psd(scaled, 0, 1, unit_mask(8, 50), 10))
+        base = inverse_rtf(x, np.ones((8, 50)))
+        moved = inverse_rtf(scaled, np.ones((8, 50)))
         assert np.allclose(moved, base / c, rtol=1e-10)
 
     def test_degenerate_variance_falls_back_to_ratio(self):
         # constant auto-PSD across sub-blocks has zero variance
         cross = np.full((3, 5), 2.0 + 0j)
         auto = np.full((3, 5), 4.0)
-        g_inv = estimate_rtf_inverse(SubblockPsd(cross, auto, 10))
+        g_inv, fallback = _closed_form(cross, auto)
         assert np.allclose(g_inv, 0.5)
+        assert np.all(fallback)
 
     def test_all_silent_bin_returns_one(self):
-        psd = SubblockPsd(np.zeros((2, 4), dtype=complex), np.zeros((2, 4)), 10)
-        assert np.allclose(estimate_rtf_inverse(psd), 1.0)
+        g_inv, _ = _closed_form(np.zeros((2, 4), dtype=complex), np.zeros((2, 4)))
+        assert np.allclose(g_inv, 1.0)
+        # an all-zero mask silences every sub-block: each bin falls back to 1
+        rtf = build_rtf_set(random_bins(2, 40, 3, 1), np.zeros((2, 40)), ref_channel=0)
+        assert np.array_equal(rtf.inv_rtf, np.ones((2, 3)))
+        assert rtf.fallback_bins == {1: 2, 2: 2}
 
     def test_needs_two_sub_blocks(self):
-        psd = SubblockPsd(np.zeros((2, 1), dtype=complex), np.ones((2, 1)), 10)
+        # 10 frames of 10-frame sub-blocks make one sub-block
         with pytest.raises(SizeError):
-            estimate_rtf_inverse(psd)
+            build_rtf_set(random_bins(2, 10, 2, 0), np.ones((2, 10)), ref_channel=0, sub_block_len=10)
 
 
 class TestDelaySimulation:
@@ -152,8 +164,7 @@ class TestDelaySimulation:
         clean_spec = analyze(sim.clean, StftConfig())
         noise_spec = analyze(sim.noise, StftConfig())
         mask = oracle_ibm(clean_spec.bins[:, :100, 1], noise_spec.bins[:, :100, 1], 5.0)
-        psd = compute_subblock_psd(spec.bins[:, :100], 0, 1, mask, 10)
-        g_inv = estimate_rtf_inverse(psd)
+        g_inv = inverse_rtf(spec.bins[:, :100], mask)
 
         k = np.arange(257)
         truth = np.exp(1j * 2 * np.pi * k * 3 / 512)
@@ -166,30 +177,39 @@ class TestBuildRtfSet:
     def test_identical_channels(self):
         bins = random_bins(8, 40, 1, 12)
         x = np.concatenate([bins, bins, bins], axis=2)
-        rtf = build_rtf_set(x, unit_mask(8, 40), ref_channel=0, sub_block_len=10)
+        rtf = build_rtf_set(x, np.ones((8, 40)), ref_channel=0, sub_block_len=10)
         assert np.allclose(rtf.inv_rtf, 1.0, atol=1e-10)
         assert np.all(rtf.inv_rtf[:, 0] == 1.0)
-        assert rtf.channels == (0, 1, 2)
+        assert rtf.n_channels == 3
 
     def test_inactive_channel_excluded(self):
+        # the pipeline passes only the active channels; each keeps the
+        # estimate it has in the full set
         x = random_bins(8, 40, 4, 13)
-        rtf = build_rtf_set(x, unit_mask(8, 40), ref_channel=0, active=[0, 1, 3])
-        assert rtf.channels == (0, 1, 3)
+        rtf = build_rtf_set(x[:, :, [0, 1, 3]], np.ones((8, 40)), ref_channel=0)
+        full = build_rtf_set(x, np.ones((8, 40)), ref_channel=0)
+        assert rtf.n_channels == 3
         assert rtf.inv_rtf.shape == (8, 3)
         assert rtf.ref == 0
+        assert np.allclose(rtf.inv_rtf, full.inv_rtf[:, [0, 1, 3]], rtol=1e-12, atol=0)
 
     def test_ref_must_be_active(self):
-        x = random_bins(8, 40, 3, 14)
+        x = random_bins(8, 40, 2, 14)
         with pytest.raises(SizeError):
-            build_rtf_set(x, unit_mask(8, 40), ref_channel=2, active=[0, 1])
+            build_rtf_set(x, np.ones((8, 40)), ref_channel=2)
 
     def test_per_channel_masks(self):
+        # a (K, L, M-1) stack weights each non-reference channel by its own
+        # mask, as a shared mask equal to that channel's would
         x = random_bins(8, 40, 3, 15)
-        rng = np.random.default_rng(16)
-        masks = [None] + [Mask(rng.uniform(0, 1, (8, 40)), "network") for _ in range(2)]
-        rtf = build_rtf_set(x, masks, ref_channel=0)
-        single = estimate_rtf_inverse(compute_subblock_psd(x, 0, 1, masks[1], 10))
-        assert np.allclose(rtf.inv_rtf[:, 1], single)
+        masks = np.random.default_rng(16).uniform(0, 1, (8, 40, 2))
+        for ref in range(3):
+            rtf = build_rtf_set(x, masks, ref_channel=ref)
+            others = [c for c in range(3) if c != ref]
+            for col, ch in enumerate(others):
+                single = build_rtf_set(x, masks[:, :, col], ref_channel=ref).inv_rtf[:, ch]
+                assert np.allclose(rtf.inv_rtf[:, ch], single, rtol=1e-12, atol=0)
+            assert np.all(rtf.inv_rtf[:, ref] == 1.0)
 
     def test_reciprocal_regularization(self):
         g_inv = np.array([[1.0 + 0j, 0.0 + 0j, 2.0 + 0j]])
@@ -210,7 +230,7 @@ class TestBuildRtfSet:
             white_noise(3, dry.shape[0], rng),
         )
         spec = analyze(sim.mixture, StftConfig())
-        rtf = build_rtf_set(spec.bins[:, :100], unit_mask(257, 100), ref_channel=0)
+        rtf = build_rtf_set(spec.bins[:, :100], np.ones((257, 100)), ref_channel=0)
         _, inv_truth = true_rtfs(firs)
         for col, ch in [(1, 1), (2, 2)]:
             err = np.abs(np.angle(rtf.inv_rtf[4:101, col] * np.conj(inv_truth[4:101, ch])))

@@ -4,8 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockbeam.audio_io import NetworkLayer, NetworkWeights
+from blockbeam.beamform import gev_weights, masked_covariances
 from blockbeam.errors import DataError, SizeError
-from blockbeam.vad import Mask, infer_mask, oracle_ibm, pool_median, unit_mask
+from blockbeam.pipeline import PipelineConfig, _channel_masks
+from blockbeam.postfilter import PostfilterConfig, wiener_mask
+from blockbeam.rtf import build_rtf_set
+from blockbeam.vad import checked_mask, infer_mask, oracle_ibm, pool_median
 
 
 def make_net(dims, acts, seed=0, mean=None, std=None):
@@ -23,25 +27,25 @@ class TestOracleIbm:
     def test_zero_db_below_threshold(self):
         s = np.full((4, 3), 1.0 + 0j)
         y = np.full((4, 3), 1.0 + 0j)
-        assert np.all(oracle_ibm(s, y, 5.0).values == 0.0)
+        assert np.all(oracle_ibm(s, y, 5.0) == 0.0)
 
     def test_ten_db_above_threshold(self):
         s = np.full((4, 3), np.sqrt(10.0) + 0j)
         y = np.full((4, 3), 1.0 + 0j)
-        assert np.all(oracle_ibm(s, y, 5.0).values == 1.0)
+        assert np.all(oracle_ibm(s, y, 5.0) == 1.0)
 
     def test_zero_speech_all_zero(self):
         y = np.ones((5, 2), dtype=complex)
-        assert np.all(oracle_ibm(np.zeros((5, 2), dtype=complex), y, 5.0).values == 0.0)
+        assert np.all(oracle_ibm(np.zeros((5, 2), dtype=complex), y, 5.0) == 0.0)
 
     def test_zero_noise_nonzero_speech(self):
         s = np.ones((3, 3), dtype=complex)
         mask = oracle_ibm(s, np.zeros_like(s), 5.0)
-        assert np.all(mask.values == 1.0)
+        assert np.all(mask == 1.0)
 
     def test_both_zero(self):
         z = np.zeros((3, 3), dtype=complex)
-        assert np.all(oracle_ibm(z, z, 5.0).values == 0.0)
+        assert np.all(oracle_ibm(z, z, 5.0) == 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(SizeError):
@@ -51,8 +55,8 @@ class TestOracleIbm:
         rng = np.random.default_rng(0)
         s = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         y = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        base = oracle_ibm(s, y, 5.0).values
-        scaled = oracle_ibm(3.7 * s, 3.7 * y, 5.0).values
+        base = oracle_ibm(s, y, 5.0)
+        scaled = oracle_ibm(3.7 * s, 3.7 * y, 5.0)
         assert np.array_equal(base, scaled)
 
 
@@ -63,8 +67,7 @@ class TestInferMask:
         net.layers[0].bias[:] = 0.0
         bins = np.random.default_rng(1).standard_normal((257, 6)) + 0j
         mask = infer_mask(net, bins)
-        assert np.allclose(mask.values, 0.5)
-        assert mask.kind == "network"
+        assert np.allclose(mask, 0.5)
 
     def test_matches_manual_forward_pass(self):
         # independent oracle: explicit per-frame loop with plain matrix products
@@ -80,7 +83,7 @@ class TestInferMask:
             v = np.maximum(v, 0.0)
             v = net.layers[1].weights @ v + net.layers[1].bias
             expected[:, l] = 1.0 / (1.0 + np.exp(-v))
-        assert np.allclose(infer_mask(net, bins).values, expected, atol=1e-12)
+        assert np.allclose(infer_mask(net, bins), expected, atol=1e-12)
 
     def test_dimension_checked(self):
         net = make_net([257, 16, 257], ["relu", "sigmoid"])
@@ -91,45 +94,45 @@ class TestInferMask:
     def test_deterministic(self):
         net = make_net([16, 8, 16], ["relu", "sigmoid"], seed=6)
         bins = np.random.default_rng(7).standard_normal((16, 9)) + 0j
-        a = infer_mask(net, bins).values
-        b = infer_mask(net, bins).values
+        a = infer_mask(net, bins)
+        b = infer_mask(net, bins)
         assert np.array_equal(a, b)
 
     def test_output_bounded(self):
         net = make_net([12, 20, 12], ["relu", "sigmoid"], seed=8)
         bins = 100.0 * np.random.default_rng(9).standard_normal((12, 5)) + 0j
-        values = infer_mask(net, bins).values
+        values = infer_mask(net, bins)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
 
 class TestPoolMedian:
     def test_identical_masks(self):
-        m = Mask(np.random.default_rng(0).uniform(0, 1, (4, 3)), "oracle")
-        pooled = pool_median([m, m, m])
-        assert np.array_equal(pooled.values, m.values)
-        assert pooled.kind == "pooled"
+        m = np.random.default_rng(0).uniform(0, 1, (4, 3))
+        pooled = pool_median(np.stack([m, m, m], axis=2))
+        assert np.array_equal(pooled, m)
 
     def test_odd_count_median(self):
-        masks = [Mask(np.full((2, 2), v), "oracle") for v in (0.1, 0.2, 0.9)]
-        assert np.allclose(pool_median(masks).values, 0.2)
+        masks = np.stack([np.full((2, 2), v) for v in (0.1, 0.2, 0.9)], axis=2)
+        assert np.allclose(pool_median(masks), 0.2)
 
     def test_even_count_mean_of_middles(self):
-        masks = [Mask(np.full((2, 2), v), "oracle") for v in (0.1, 0.2, 0.5, 0.9)]
-        assert np.allclose(pool_median(masks).values, 0.35)
+        masks = np.stack([np.full((2, 2), v) for v in (0.1, 0.2, 0.5, 0.9)], axis=2)
+        assert np.allclose(pool_median(masks), 0.35)
 
     def test_empty_list_rejected(self):
         with pytest.raises(SizeError):
-            pool_median([])
+            pool_median(np.zeros((2, 2, 0)))
 
     def test_shape_mismatch(self):
+        # the channels sit on the last axis of one stack; a single mask is not a stack
         with pytest.raises(SizeError):
-            pool_median([Mask(np.zeros((2, 2)), "oracle"), Mask(np.zeros((2, 3)), "oracle")])
+            pool_median(np.zeros((2, 2)))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        masks = [Mask(rng.uniform(0, 1, (5, 4)), "network") for _ in range(4)]
-        a = pool_median(masks).values
-        b = pool_median(masks[::-1]).values
+        masks = rng.uniform(0, 1, (5, 4, 4))
+        a = pool_median(masks)
+        b = pool_median(masks[:, :, ::-1])
         assert np.array_equal(a, b)
 
 
@@ -147,37 +150,58 @@ def test_pool_median_matches_numpy_median_bitwise(n_masks, shape, data):
     values = st.one_of(_MASK_LEVELS, st.floats(0.0, 1.0))
     flat = data.draw(st.lists(values, min_size=size, max_size=size))
     # abs() folds a -0.0 draw into 0.0, which masks never hold
-    stacked = np.abs(np.array(flat)).reshape(n_masks, *shape)
-    pooled = pool_median([Mask(m, "oracle") for m in stacked]).values
-    expected = np.median(stacked, axis=0)
+    stacked = np.abs(np.array(flat)).reshape(*shape, n_masks)
+    pooled = pool_median(stacked)
+    expected = np.median(stacked, axis=2)
     assert pooled.shape == expected.shape
     assert np.array_equal(pooled.view(np.int64), expected.view(np.int64))
 
 
 def test_pool_median_leaves_inputs_unchanged():
     rng = np.random.default_rng(2)
-    values = [rng.uniform(0, 1, (3, 4)) for _ in range(5)]
-    masks = [Mask(v.copy(), "network") for v in values]
-    pooled = pool_median(masks)
-    assert all(np.array_equal(m.values, v) for m, v in zip(masks, values))
-    assert not np.shares_memory(pool_median(masks[:1]).values, masks[0].values)
-    assert pooled.kind == "pooled"
+    values = rng.uniform(0, 1, (3, 4, 5))
+    masks = values.copy()
+    pool_median(masks)
+    assert np.array_equal(masks, values)
+    assert not np.shares_memory(pool_median(masks[:, :, :1]), masks)
 
 
 class TestMask:
     def test_unit_mask(self):
-        m = unit_mask(7, 3)
-        assert m.kind == "unit"
-        assert np.all(m.values == 1.0)
+        # without a VAD every non-reference channel gets an all-ones mask
+        cfg = PipelineConfig(vad_mode="none", postfilter="none")
+        bins = np.ones((7, 3, 4), dtype=complex)
+        masks = _channel_masks(bins, [0, 1, 2, 3], 0, cfg, None, None)
+        assert masks.shape == (7, 3, 3)
+        assert np.all(masks == 1.0)
 
     def test_range_validated(self):
         with pytest.raises(DataError):
-            Mask(np.array([[1.5]]), "oracle")
+            checked_mask(np.array([[1.5]]), (1, 1))
         with pytest.raises(DataError):
-            Mask(np.array([[-0.1]]), "oracle")
+            checked_mask(np.array([[-0.1]]), (1, 1))
         with pytest.raises(DataError):
-            Mask(np.array([[np.nan]]), "oracle")
+            checked_mask(np.array([[np.nan]]), (1, 1))
+        with pytest.raises(SizeError):
+            checked_mask(np.zeros((2, 2)), (2, 3), (2, 2, 1))
+        assert checked_mask(np.zeros((2, 2), dtype=np.float32), (2, 3), (2, 2)).dtype == np.float64
 
-    def test_kind_validated(self):
-        with pytest.raises(DataError):
-            Mask(np.zeros((2, 2)), "bogus")
+    def test_consumers_check_masks(self):
+        # every function that weights by a mask rejects a bad one
+        x = np.ones((3, 20, 2), dtype=complex)
+        u = np.ones((3, 20), dtype=complex)
+        freqs = np.array([50.0, 1000.0, 4000.0])
+        consumers = (
+            lambda m: masked_covariances(x, m),
+            lambda m: gev_weights(x, m),
+            lambda m: build_rtf_set(x, m),
+            lambda m: wiener_mask(u, u, m, freqs, PostfilterConfig()),
+        )
+        for consume in consumers:
+            consume(np.full((3, 20), 0.5))  # accepted
+            with pytest.raises(DataError):
+                consume(np.full((3, 20), 1.5))
+            with pytest.raises(DataError):
+                consume(np.full((3, 20), np.nan))
+            with pytest.raises(SizeError):
+                consume(np.full((3, 19), 0.5))
