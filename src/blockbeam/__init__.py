@@ -9,9 +9,7 @@ SIR/SDR/SAR metrics for verification.
 from .audio_io import MultichannelSignal, NetworkWeights, load_network, read_wav, write_wav
 from .beamform import (
     BeamWeights,
-    CovarianceSet,
     apply_weights,
-    estimate_noise,
     gev_weights,
     irtf_weights,
     mvdr_weights,
@@ -36,7 +34,7 @@ from .pipeline import (
 )
 from .postfilter import PostfilterConfig, wiener_mask
 from .rtf import RtfSet, build_rtf_set
-from .stft import Spectrogram, StftConfig, analyze, synthesize
+from .stft import StftConfig, analyze, synthesize
 from .vad import infer_mask, oracle_ibm, pool_median
 
 __version__ = "0.1.0"

@@ -14,11 +14,14 @@ rather than a Python loop:
 - the MVDR pseudoinverse and its largest eigenvalue come from one batched
   `eigh` of the noise covariance;
 - the max-SNR problem speech_cov w = lambda noise_cov w is solved as in
-  Warsitz & Haeb-Umbach (IEEE TASLP 2007): one batched `eigvalsh` flags noise
-  covariances that are not positive definite, every other bin is whitened by
-  its batched Cholesky factor L and solved as the Hermitian problem
-  L^-1 speech_cov L^-H. Only flagged bins (and bins whose Cholesky fails)
-  go through the per-bin generalized solver with its diagonal-loading ladder.
+  Warsitz & Haeb-Umbach (IEEE TASLP 2007): every bin is whitened by the
+  Cholesky factor L of its noise covariance and all bins are solved by one
+  batched `eigh` of the Hermitian problem L^-1 speech_cov L^-H. A noise
+  covariance that is not positive definite is first loaded by the lowest
+  rung of one diagonal-loading ladder at which its Cholesky factor exists;
+  the starting rung comes from one batched `eigvalsh`. A bin that no rung
+  helps is whitened by the identity, i.e. it takes the speech covariance's
+  top eigenpair.
 
 A GEV bin whose mask (or complement) sums to zero has no speech/noise
 contrast: both covariances are the sample covariance and the pencil is the
@@ -32,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, SizeError
 from .rtf import RtfSet
@@ -62,16 +64,6 @@ class BeamWeights:
     method: str  # "irtf" | "mvdr" | "gev"
     ban_gain: np.ndarray | None = None  # (bins,) real, GEV only
     fallback_bins: int = 0
-
-
-@dataclass
-class CovarianceSet:
-    """The blocking-matrix noise covariance per bin, shape (bins, channels,
-    channels), with rank <= channels - 1. It is an unnormalized sum over
-    frames; downstream formulas are scale-invariant."""
-
-    noise_est: np.ndarray | None = None
-    loaded_bins: int = 0
 
 
 def sample_covariance(bins) -> np.ndarray:
@@ -104,14 +96,11 @@ def blocking_matrix(inv_rtf: np.ndarray, ref: int) -> np.ndarray:
     n_bins, n_ch = inv_rtf.shape
     if n_ch < 2:
         raise SizeError("blocking matrix needs >= 2 channels")
+    rows = np.arange(n_ch - 1)
+    others = np.delete(np.arange(n_ch), ref)
     bmat = np.zeros((n_bins, n_ch - 1, n_ch), dtype=np.complex128)
-    row = 0
-    for ch in range(n_ch):
-        if ch == ref:
-            continue
-        bmat[:, row, ref] = -1.0
-        bmat[:, row, ch] = inv_rtf[:, ch]
-        row += 1
+    bmat[:, rows, ref] = -1.0
+    bmat[:, rows, others] = inv_rtf[:, others]
     return bmat
 
 
@@ -124,7 +113,10 @@ def noise_projection(bins, rtf: RtfSet):
     of frame x is (P B) x. Ill-conditioned (B Cxx B^H) bins receive diagonal
     loading instead of raising.
 
-    Returns (P B (K, M, M), CovarianceSet).
+    The noise covariance (P B) Cxx per bin has rank <= M - 1. It is an
+    unnormalized sum over frames; downstream formulas are scale-invariant.
+
+    Returns (P B (K, M, M), noise covariance (K, M, M), count of loaded bins).
     """
     x = np.asarray(bins)
     n_bins, _, n_ch = x.shape
@@ -152,21 +144,10 @@ def noise_projection(bins, rtf: RtfSet):
     proj = cxx_bh @ np.linalg.inv(gram)  # Cxx B^H (B Cxx B^H)^{-1}, (K, M, M-1)
     proj_b = proj @ bmat  # (K, M, M)
     noise_cov = _hermitize(proj_b @ cxx)
-    return proj_b, CovarianceSet(noise_est=noise_cov, loaded_bins=n_loaded)
+    return proj_b, noise_cov, n_loaded
 
 
-def estimate_noise(bins, rtf: RtfSet):
-    """Blocked least-squares noise estimate (P B) x of every frame and its
-    covariance; see `noise_projection`.
-
-    Returns (noise estimate (K, L, M), CovarianceSet).
-    """
-    x = np.asarray(bins)
-    proj_b, cov = noise_projection(x, rtf)
-    return x @ proj_b.transpose(0, 2, 1), cov
-
-
-def mvdr_weights(cov: CovarianceSet, rtf: RtfSet) -> BeamWeights:
+def mvdr_weights(noise_cov: np.ndarray, rtf: RtfSet) -> BeamWeights:
     """Distortionless minimum-variance weights from the rank-deficient noise covariance.
 
     w = (C+ g) / (g^H C+ g) with C+ the Moore-Penrose pseudoinverse, so
@@ -177,10 +158,13 @@ def mvdr_weights(cov: CovarianceSet, rtf: RtfSet) -> BeamWeights:
     an all-zero covariance) fall back to inverse-RTF weights and are counted
     in fallback_bins.
     """
-    if cov.noise_est is None:
-        raise SizeError("covariance set lacks the blocking-based noise covariance")
     steer = rtf.rtf
-    lam, vecs = np.linalg.eigh(cov.noise_est)
+    n_bins, n_ch = steer.shape
+    if np.shape(noise_cov) != (n_bins, n_ch, n_ch):
+        raise SizeError(
+            f"noise covariance {np.shape(noise_cov)} does not match {n_bins} bins x {n_ch} channels"
+        )
+    lam, vecs = np.linalg.eigh(noise_cov)
     mag = np.abs(lam)
     keep = mag > PINV_RCOND * mag.max(axis=1, keepdims=True)
     inv_lam = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
@@ -243,74 +227,45 @@ def masked_covariances(bins, mask):
     return _hermitize(speech), _hermitize(noise), degenerate
 
 
-# Loading ladder applied to the noise covariance when the generalized
-# eigensolver rejects it as indefinite.
-_GEV_LOADINGS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
-
-
-def _solve_max_snr_loaded(a: np.ndarray, b: np.ndarray):
-    """Maximal generalized eigenpair of one bin, loading b until it is
-    positive definite; the speech covariance's own top eigenpair if no
-    loading helps."""
-    n_ch = a.shape[0]
-    try:
-        w, v = scipy.linalg.eigh(a, b)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        scale = max(np.trace(b).real / n_ch, 1.0)
-        for eps in _GEV_LOADINGS:
-            try:
-                w, v = scipy.linalg.eigh(a, b + eps * scale * np.eye(n_ch))
-                break
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                continue
-        else:
-            w, v = np.linalg.eigh(a)
-    return v[:, -1], w[-1]
-
-
-def _batched_cholesky(mats: np.ndarray):
-    """Lower Cholesky factors of a stack of matrices, and a flag for each
-    matrix whose factorization fails (its factor is left zero)."""
-    try:
-        return np.linalg.cholesky(mats), np.zeros(len(mats), dtype=bool)
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(mats)
-        failed = np.zeros(len(mats), dtype=bool)
-        for i, mat in enumerate(mats):
-            try:
-                chol[i] = np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                failed[i] = True
-        return chol, failed
+# Diagonal loadings of the noise covariance, relative to max(trace / M, 1),
+# tried from the lowest rung up until its Cholesky factor exists.
+_GEV_LADDER = np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])
 
 
 def solve_max_snr(speech_cov: np.ndarray, noise_cov: np.ndarray):
     """Maximal generalized eigenpair of (speech cov, noise cov) per bin.
 
     Returns (eigvectors (K, M) with unit norm, eigenvalues (K,)).
-    Positive definite noise matrices are whitened by their Cholesky factor
-    L and the Hermitian problems L^-1 speech_cov L^-H of all such bins are
-    solved by one batched eigh. Bins that eigvalsh finds not positive
-    definite, or whose Cholesky factorization fails, are solved one at a
-    time with escalating diagonal loading.
+    Each noise matrix is loaded by the first rung of the loading ladder at
+    which its Cholesky factor L exists, and the Hermitian problems
+    L^-1 speech_cov L^-H of all bins are solved by one batched eigh. A bin
+    starts at the first rung that lifts its smallest eigenvalue above zero;
+    if the batched factorization fails, each bin is factored alone and moves
+    up the ladder until it succeeds. A bin that no rung helps keeps L = I,
+    so it takes the speech covariance's top eigenpair.
     """
-    n_bins, n_ch, _ = speech_cov.shape
-    vecs = np.empty((n_bins, n_ch), dtype=np.complex128)
-    vals = np.empty(n_bins)
-    ladder = np.linalg.eigvalsh(noise_cov)[:, 0] <= 0.0
-    ok = np.flatnonzero(~ladder)
-    chol, failed = _batched_cholesky(noise_cov[ok])
-    ladder[ok[failed]] = True
-    ok, chol = ok[~failed], chol[~failed]
+    n_ch = noise_cov.shape[1]
+    eye = np.eye(n_ch)
+    loads = np.maximum(np.einsum("kii->k", noise_cov).real / n_ch, 1.0)[:, None] * _GEV_LADDER
+    rung = np.count_nonzero(np.linalg.eigvalsh(noise_cov)[:, :1] + loads <= 0.0, axis=1)
+    chol = np.broadcast_to(eye, noise_cov.shape).astype(noise_cov.dtype)
+    todo = np.flatnonzero(rung < len(_GEV_LADDER))
+    try:
+        chol[todo] = np.linalg.cholesky(noise_cov[todo] + loads[todo, rung[todo], None, None] * eye)
+    except np.linalg.LinAlgError:
+        for k in todo:
+            for load in loads[k, rung[k] :]:
+                try:
+                    chol[k] = np.linalg.cholesky(noise_cov[k] + load * eye)
+                    break
+                except np.linalg.LinAlgError:
+                    continue
     inv_chol = np.linalg.inv(chol)
     inv_chol_h = np.conj(inv_chol.transpose(0, 2, 1))
-    w, v = np.linalg.eigh(_hermitize(inv_chol @ speech_cov[ok] @ inv_chol_h))
-    vecs[ok] = (inv_chol_h @ v[:, :, -1:])[:, :, 0]
-    vals[ok] = w[:, -1]
-    for k in np.flatnonzero(ladder):
-        vecs[k], vals[k] = _solve_max_snr_loaded(speech_cov[k], noise_cov[k])
+    w, v = np.linalg.eigh(_hermitize(inv_chol @ speech_cov @ inv_chol_h))
+    vecs = (inv_chol_h @ v[:, :, -1:])[:, :, 0]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs, vals
+    return vecs, w[:, -1]
 
 
 def _fix_phase(vecs: np.ndarray, component: int) -> np.ndarray:

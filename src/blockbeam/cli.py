@@ -55,8 +55,8 @@ def _block_frames(block_ms: str, stft_cfg: StftConfig):
         ms = float(block_ms)
     except ValueError:
         raise ConfigError(f"--block-ms must be a millisecond count or 'batch', got {block_ms!r}")
-    if ms <= 0:
-        raise ConfigError(f"--block-ms must be positive, got {ms}")
+    if not 0 < ms < np.inf:
+        raise ConfigError(f"--block-ms must be positive and finite, got {ms}")
     return frames_for_duration_ms(ms, stft_cfg)
 
 

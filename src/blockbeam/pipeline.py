@@ -5,6 +5,7 @@ resynthesis of the concatenated enhanced frames."""
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
 from .postfilter import PostfilterConfig, projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, RtfSet, build_rtf_set
-from .stft import Spectrogram, StftConfig, analyze, frame_count, synthesize
+from .stft import StftConfig, analyze, frame_count, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -79,6 +80,8 @@ class PipelineConfig:
             raise ConfigError(f"ref_channel must be >= 0, got {self.ref_channel}")
         if not 0 <= self.t_mu <= 1:
             raise ConfigError(f"t_mu must be in [0, 1], got {self.t_mu}")
+        if not np.isfinite(self.t_snr):
+            raise ConfigError(f"t_snr must be finite, got {self.t_snr}")
         if not self.allow_any_pairing and self.postfilter not in VALID_PAIRINGS[self.beamformer]:
             raise ConfigError(
                 f"postfilter {self.postfilter!r} is not paired with beamformer "
@@ -142,17 +145,14 @@ class BlockResult:
     rtf: RtfSet | None = None
 
 
-class _StageTimer:
-    def __init__(self, timings: dict, name: str):
-        self.timings = timings
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.timings[self.name] = self.timings.get(self.name, 0.0) + time.perf_counter() - self.start
-        return False
+@contextmanager
+def _stage_timer(timings: dict, name: str):
+    """Add the wall time of the enclosed stage to timings[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSignal:
@@ -197,7 +197,7 @@ def process_block(
     diag = BlockDiagnostics()
     timings = diag.timings
 
-    with _StageTimer(timings, "failure_detection"):
+    with _stage_timer(timings, "failure_detection"):
         if block.channel_count >= 2:
             report = detect_failures(block, cfg.t_mu)
             active = report.active_indices
@@ -207,9 +207,9 @@ def process_block(
 
     if len(active) < 2:
         diag.passthrough = True
-        with _StageTimer(timings, "stft"):
-            spec = analyze(_channels(block, [cfg.ref_channel]), cfg.stft)
-        return BlockResult(enhanced=spec.bins[:, :, 0], diagnostics=diag)
+        with _stage_timer(timings, "stft"):
+            bins_ref = analyze(_channels(block, [cfg.ref_channel]), cfg.stft)
+        return BlockResult(enhanced=bins_ref[:, :, 0], diagnostics=diag)
 
     if cfg.ref_channel in active:
         ref = cfg.ref_channel
@@ -218,22 +218,22 @@ def process_block(
         diag.ref_fallback = True
     ref_pos = active.index(ref)
 
-    with _StageTimer(timings, "stft"):
-        bins_active = analyze(_channels(block, active), cfg.stft).bins
+    with _stage_timer(timings, "stft"):
+        bins_active = analyze(_channels(block, active), cfg.stft)
 
     oracle_bins = None
     if cfg.vad_mode == "oracle":
         if oracle is None:
             raise ConfigError("oracle VAD mode needs clean/noise stems")
-        with _StageTimer(timings, "oracle_stft"):
+        with _stage_timer(timings, "oracle_stft"):
             # only the channels that get a mask
             mask_channels = [ch for ch in active if ch != ref]
             oracle_bins = (
-                analyze(_channels(oracle.clean, mask_channels), cfg.stft).bins,
-                analyze(_channels(oracle.noise, mask_channels), cfg.stft).bins,
+                analyze(_channels(oracle.clean, mask_channels), cfg.stft),
+                analyze(_channels(oracle.noise, mask_channels), cfg.stft),
             )
 
-    with _StageTimer(timings, "vad"):
+    with _stage_timer(timings, "vad"):
         if cfg.vad_mode == "network" and network is None:
             raise ConfigError("network VAD mode needs loaded weights")
         masks = _channel_masks(bins_active, active, ref, cfg, network, oracle_bins)
@@ -242,7 +242,7 @@ def process_block(
     rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
     if need_rtf:
-        with _StageTimer(timings, "rtf"):
+        with _stage_timer(timings, "rtf"):
             rtf = build_rtf_set(
                 bins_active,
                 pooled if cfg.pooling == "median" else masks,
@@ -252,24 +252,23 @@ def process_block(
             diag.rtf_fallback_bins = sum(rtf.fallback_bins.values())
 
     if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
-        with _StageTimer(timings, "noise_est"):
+        with _stage_timer(timings, "noise_est"):
             # the projection only: the postfilter folds w into it, so the
             # per-channel noise estimate is never formed
-            noise_proj, cov = noise_projection(bins_active, rtf)
-            diag.noise_loaded_bins = cov.loaded_bins
+            noise_proj, noise_cov, diag.noise_loaded_bins = noise_projection(bins_active, rtf)
 
-    with _StageTimer(timings, "beamform"):
+    with _stage_timer(timings, "beamform"):
         if cfg.beamformer == "irtf":
             weights = irtf_weights(rtf)
         elif cfg.beamformer == "mvdr":
-            weights = mvdr_weights(cov, rtf)
+            weights = mvdr_weights(noise_cov, rtf)
             diag.mvdr_fallback_bins = weights.fallback_bins
         else:
             weights = gev_weights(bins_active, pooled, ref_component=ref_pos)
             diag.gev_degenerate_bins = weights.fallback_bins
         beam_out = apply_weights(weights, bins_active, use_ban=(cfg.postfilter == "ban"))
 
-    with _StageTimer(timings, "postfilter"):
+    with _stage_timer(timings, "postfilter"):
         if cfg.postfilter == "wiener":
             residual = projected_residual(weights, bins_active, noise_proj)
             speech_mask = None if cfg.vad_mode == "none" else pooled
@@ -359,7 +358,7 @@ def run_with_diagnostics(
 
     start = time.perf_counter()
     enhanced = np.concatenate([r.enhanced for r in results], axis=1)
-    out = synthesize(Spectrogram(enhanced[:, :, None], cfg.stft))
+    out = synthesize(enhanced[:, :, None], cfg.stft)
     elapsed = time.perf_counter() - start
     for (_, n_frames), result in zip(blocks, results):
         result.diagnostics.timings["synthesis"] = elapsed * n_frames / enhanced.shape[1]

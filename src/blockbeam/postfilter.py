@@ -44,7 +44,8 @@ class PostfilterConfig:
 def projected_residual(weights: BeamWeights, bins, projection) -> np.ndarray:
     """Residual noise w^H (P B) x at the beamformer output from the noise
     estimator's projection P B (`beamform.noise_projection`), equal to
-    apply_weights(weights, estimate_noise(bins, rtf)[0]) up to rounding.
+    beamforming the per-frame noise estimate (P B) x with the same weights
+    up to rounding.
 
     (P B)^T conj(w) is folded first, so the (K, L, M) per-channel noise
     estimate is never formed.

@@ -53,38 +53,17 @@ def periodic_hamming(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-@dataclass
-class Spectrogram:
-    """One-sided complex STFT, shape (bins, frames, channels)."""
-
-    bins: np.ndarray
-    config: StftConfig
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 3:
-            raise SizeError(f"expected (bins, frames, channels) tensor, got shape {self.bins.shape}")
-        if self.bins.shape[0] != self.config.n_bins:
-            raise SizeError(
-                f"bin count {self.bins.shape[0]} != frame_len/2+1 = {self.config.n_bins}"
-            )
-        if not np.all(np.isfinite(self.bins)):
-            raise DataError("spectrogram contains non-finite entries")
-
-    @property
-    def n_bins(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.bins.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        return self.bins.shape[2]
-
-    def channel(self, i: int) -> np.ndarray:
-        return self.bins[:, :, i]
+def _checked(bins, cfg: StftConfig) -> np.ndarray:
+    """A one-sided complex STFT of shape (bins, frames, channels), checked
+    against cfg and for non-finite entries."""
+    bins = np.asarray(bins, dtype=np.complex128)
+    if bins.ndim != 3:
+        raise SizeError(f"expected (bins, frames, channels) tensor, got shape {bins.shape}")
+    if bins.shape[0] != cfg.n_bins:
+        raise SizeError(f"bin count {bins.shape[0]} != frame_len/2+1 = {cfg.n_bins}")
+    if not np.all(np.isfinite(bins)):
+        raise DataError("spectrogram contains non-finite entries")
+    return bins
 
 
 def frame_count(n_samples: int, cfg: StftConfig) -> int:
@@ -94,8 +73,8 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
     return (n_samples - cfg.frame_len) // cfg.hop + 1
 
 
-def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> Spectrogram:
-    """STFT of every channel.
+def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> np.ndarray:
+    """STFT of every channel, shape (bins, frames, channels).
 
     Frame l covers samples [l*hop, l*hop + frame_len); frames are weighted by
     the periodic Hamming window and transformed with a one-sided FFT. No
@@ -112,11 +91,12 @@ def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> Spectr
     window = periodic_hamming(cfg.frame_len)
     frames = sliding_window_view(signal.samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :]
     frames = frames[:, :n_frames, :].transpose(2, 1, 0) * window[:, None, None]
-    return Spectrogram(scipy.fft.rfft(frames, axis=0), cfg)
+    return _checked(scipy.fft.rfft(frames, axis=0), cfg)
 
 
-def synthesize(spec: Spectrogram) -> MultichannelSignal:
-    """Weighted overlap-add inverse of analyze.
+def synthesize(bins, cfg: StftConfig) -> MultichannelSignal:
+    """Weighted overlap-add inverse of analyze for a (bins, frames, channels)
+    spectrogram analyzed with cfg.
 
     Each frame is inverse-transformed, weighted by the synthesis window and
     accumulated; the result is normalized by the summed squared window, which
@@ -128,14 +108,15 @@ def synthesize(spec: Spectrogram) -> MultichannelSignal:
     from the last to the first, so each sample sums its frames in frame
     order, as a per-frame loop would.
     """
-    cfg = spec.config
-    n_frames, hop, frame_len = spec.n_frames, cfg.hop, cfg.frame_len
+    bins = _checked(bins, cfg)
+    _, n_frames, n_channels = bins.shape
+    hop, frame_len = cfg.hop, cfg.frame_len
     window = periodic_hamming(frame_len)
-    frames = np.fft.irfft(spec.bins.transpose(2, 1, 0), n=frame_len, axis=-1)
+    frames = np.fft.irfft(bins.transpose(2, 1, 0), n=frame_len, axis=-1)
     frames *= window
 
     n_chunks = -(-frame_len // hop)
-    out = np.zeros((spec.n_channels, n_frames + n_chunks - 1, hop))
+    out = np.zeros((n_channels, n_frames + n_chunks - 1, hop))
     win_sum = np.zeros((n_frames + n_chunks - 1, hop))
     win_sq = window * window
     for c in reversed(range(n_chunks)):
@@ -143,6 +124,6 @@ def synthesize(spec: Spectrogram) -> MultichannelSignal:
         out[:, c : c + n_frames, : hi - lo] += frames[:, :, lo:hi]
         win_sum[c : c + n_frames, : hi - lo] += win_sq[lo:hi]
     out_len = frame_len + (n_frames - 1) * hop
-    out = out.reshape(spec.n_channels, -1)[:, :out_len]
+    out = out.reshape(n_channels, -1)[:, :out_len]
     out /= np.maximum(win_sum.reshape(-1)[:out_len], WINDOW_SUM_FLOOR)
     return MultichannelSignal(out, cfg.sample_rate)

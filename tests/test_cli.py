@@ -325,6 +325,25 @@ class TestArgumentValidation:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--block-ms", "nan"),
+            ("--block-ms", "inf"),
+            ("--block-ms", "-inf"),
+            ("--t-snr", "nan"),
+            ("--t-snr", "inf"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, sim_dir, tmp_path, capsys, option, value):
+        out = tmp_path / "o.wav"
+        argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(out), "--vad", "oracle"]
+        code = main([*argv, *_stem_args(sim_dir), f"{option}={value}"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTooShortInput:
     """Input shorter than one block, or stems shorter than the estimate, is a
     configuration error (exit 2): the block length or the stem choice does

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
-from blockbeam.beamform import apply_weights, estimate_noise
+from blockbeam.beamform import apply_weights
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.evalsim import (
     MixtureSpec,
@@ -32,8 +32,9 @@ from blockbeam.pipeline import (
     run_with_diagnostics,
 )
 from blockbeam.postfilter import projected_residual
-from blockbeam.stft import Spectrogram, StftConfig, analyze, synthesize
+from blockbeam.stft import StftConfig, analyze, synthesize
 from blockbeam.vad import infer_mask, oracle_ibm, pool_median
+from reference import estimate_noise
 
 
 def gain_mixture(seed=0, duration=1.0, gains=(1.0, 0.8, 1.2, 0.9), snr_db=5.0, noise_fn=white_noise):
@@ -84,6 +85,11 @@ class TestPipelineConfig:
         PipelineConfig(beamformer="gev", postfilter="ban")
         PipelineConfig(beamformer="irtf", postfilter="wiener")
         PipelineConfig(beamformer="mvdr", postfilter="none")
+
+    @pytest.mark.parametrize("t_snr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_snr_rejected(self, t_snr):
+        with pytest.raises(ConfigError, match="t_snr"):
+            PipelineConfig(t_snr=t_snr)
 
     def test_block_shorter_than_two_sub_blocks_rejected(self):
         with pytest.raises(ConfigError):
@@ -155,7 +161,7 @@ class TestProcessBlock:
             noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
         )
         result = process_block(block, cfg, oracle=block_oracle)
-        reference = analyze(block_oracle.clean, cfg.stft).bins[:, :, 0]
+        reference = analyze(block_oracle.clean, cfg.stft)[:, :, 0]
         err = np.linalg.norm(result.enhanced - reference)
         ref = np.linalg.norm(reference)
         assert 20 * np.log10(err / ref) < -60
@@ -437,7 +443,7 @@ def test_stacked_network_masks_match_per_channel_inference(active, ref):
         input_std=rng.uniform(0.5, 2.0, 257),
     )
     sim = gain_mixture(seed=26, duration=1.0)
-    bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000), StftConfig()).bins
+    bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000), StftConfig())
     bins_active = bins[:, :, active]
     cfg = PipelineConfig(block_frames=100, vad_mode="network")
     masks = _channel_masks(bins_active, active, ref, cfg, net, None)
@@ -495,8 +501,8 @@ def test_oracle_masks_use_the_right_stem_channels():
     assert result.diagnostics.active_channels == [0, 2, 3]
     assert not result.diagnostics.ref_fallback
 
-    full_clean = analyze(oracle.clean, cfg.stft).bins
-    full_noise = analyze(oracle.noise, cfg.stft).bins
+    full_clean = analyze(oracle.clean, cfg.stft)
+    full_noise = analyze(oracle.noise, cfg.stft)
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
@@ -518,7 +524,7 @@ def test_blocks_are_synthesized_once():
     out, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     assert len(results) == 5
     frames = np.concatenate([r.enhanced for r in results], axis=1)
-    assert np.array_equal(out.samples, synthesize(Spectrogram(frames[:, :, None], cfg.stft)).samples)
+    assert np.array_equal(out.samples, synthesize(frames[:, :, None], cfg.stft).samples)
 
 
 # every beamformer/post-filter pairing with and without oracle masks, each
@@ -583,3 +589,62 @@ def test_output_is_independent_of_channel_order(setting, order):
         setting, *(a[list(order)] for a in property_mixture()), list(order).index(PROPERTY_REF)
     )
     assert np.linalg.norm(y_permuted - y) <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids="-".join)
+@settings(max_examples=2)
+@given(order=st.permutations(range(4)))
+def test_dead_and_duplicate_channels_give_finite_output(setting, order):
+    # channel order[0] is silent and channel order[1] is a copy of channel
+    # order[2], in the mixture and in both stems
+    dead, copy, source = order[:3]
+    arrays = [a.copy() for a in property_mixture()]
+    for a in arrays:
+        a[dead] = 0.0
+        a[copy] = a[source]
+    mixture, clean, noise = arrays
+    beamformer, postfilter, vad_mode, pooling = setting
+    cfg = PipelineConfig(
+        block_frames=50,
+        beamformer=beamformer,
+        postfilter=postfilter,
+        vad_mode=vad_mode,
+        pooling=pooling,
+        ref_channel=PROPERTY_REF,
+        allow_any_pairing=beamformer == "gev" and vad_mode == "none",
+    )
+    oracle = OracleStems(MultichannelSignal(clean, 16000), MultichannelSignal(noise, 16000))
+    out, results = run_with_diagnostics(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
+    assert np.all(np.isfinite(out.samples))
+    for result in results:
+        assert dead not in result.diagnostics.active_channels
+        assert np.all(np.isfinite(result.enhanced))
+
+
+@pytest.mark.parametrize("beamformer,postfilter", PAIRINGS)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_block_changes_only_its_own_span(beamformer, postfilter, data):
+    # noise added to the samples that only block j reads, [hi_{j-1}, lo_{j+1}),
+    # leaves every output sample outside block j's span [lo_j, hi_j) as it was
+    mixture, clean, noise = property_mixture()
+    cfg = PipelineConfig(block_frames=50, beamformer=beamformer, postfilter=postfilter, vad_mode="oracle")
+    blocks = partition_frames(mixture.shape[1], cfg)
+    spans = [block_sample_range(start, count, cfg.stft) for start, count in blocks]
+    j = data.draw(st.integers(0, len(spans) - 1), label="block")
+    lo, hi = spans[j]
+    own_lo = spans[j - 1][1] if j > 0 else 0
+    own_hi = spans[j + 1][0] if j + 1 < len(spans) else mixture.shape[1]
+    bump = np.zeros_like(mixture)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bump[:, own_lo:own_hi] = 0.1 * rng.standard_normal((mixture.shape[0], own_hi - own_lo))
+
+    def enhance(mix, noi):
+        oracle = OracleStems(MultichannelSignal(clean, 16000), MultichannelSignal(noi, 16000))
+        return run(MultichannelSignal(mix, 16000), cfg, oracle=oracle).samples[0]
+
+    y = enhance(mixture, noise)
+    y_bumped = enhance(mixture + bump, noise + bump)
+    assert np.array_equal(y_bumped[:lo], y[:lo])
+    assert np.array_equal(y_bumped[hi:], y[hi:])
+    assert not np.array_equal(y_bumped[lo:hi], y[lo:hi])

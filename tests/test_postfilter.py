@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from blockbeam.beamform import BeamWeights, apply_weights, estimate_noise, mvdr_weights
+from blockbeam.beamform import BeamWeights, apply_weights, mvdr_weights
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.postfilter import PostfilterConfig, wiener_mask
 from blockbeam.rtf import RtfSet
 from blockbeam.stft import StftConfig
+from reference import estimate_noise
 
 CFG = PostfilterConfig()
 BIN_FREQS = StftConfig().bin_frequencies()
@@ -44,8 +45,8 @@ class TestResidualNoise:
         s = rng.standard_normal((n_bins, n_frames)) + 1j * rng.standard_normal((n_bins, n_frames))
         noise = 0.3 * random_bins(n_bins, n_frames, n_ch, 2)
         x = s[:, :, None] + noise
-        noise_est, cov = estimate_noise(x, rtf)
-        w = mvdr_weights(cov, rtf)
+        noise_est, noise_cov, _ = estimate_noise(x, rtf)
+        w = mvdr_weights(noise_cov, rtf)
         r = apply_weights(w, noise_est)
         assert np.sum(np.abs(r) ** 2) <= np.sum(np.abs(noise) ** 2)
 

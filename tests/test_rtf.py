@@ -163,8 +163,8 @@ class TestDelaySimulation:
         spec = analyze(sim.mixture, StftConfig())
         clean_spec = analyze(sim.clean, StftConfig())
         noise_spec = analyze(sim.noise, StftConfig())
-        mask = oracle_ibm(clean_spec.bins[:, :100, 1], noise_spec.bins[:, :100, 1], 5.0)
-        g_inv = inverse_rtf(spec.bins[:, :100], mask)
+        mask = oracle_ibm(clean_spec[:, :100, 1], noise_spec[:, :100, 1], 5.0)
+        g_inv = inverse_rtf(spec[:, :100], mask)
 
         k = np.arange(257)
         truth = np.exp(1j * 2 * np.pi * k * 3 / 512)
@@ -230,7 +230,7 @@ class TestBuildRtfSet:
             white_noise(3, dry.shape[0], rng),
         )
         spec = analyze(sim.mixture, StftConfig())
-        rtf = build_rtf_set(spec.bins[:, :100], np.ones((257, 100)), ref_channel=0)
+        rtf = build_rtf_set(spec[:, :100], np.ones((257, 100)), ref_channel=0)
         _, inv_truth = true_rtfs(firs)
         for col, ch in [(1, 1), (2, 2)]:
             err = np.abs(np.angle(rtf.inv_rtf[4:101, col] * np.conj(inv_truth[4:101, ch])))

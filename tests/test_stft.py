@@ -3,10 +3,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from blockbeam.audio_io import MultichannelSignal
-from blockbeam.errors import ConfigError, SizeError
+from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.stft import (
     WINDOW_SUM_FLOOR,
-    Spectrogram,
     StftConfig,
     analyze,
     frame_count,
@@ -49,13 +48,13 @@ def reference_synthesize(bins, cfg):
 class TestAnalyze:
     def test_zero_in_zero_out(self):
         spec = analyze(MultichannelSignal(np.zeros((2, 2048)), 16000), CFG)
-        assert np.all(spec.bins == 0)
+        assert np.all(spec == 0)
 
     def test_frame_count_one_second(self):
         # (16000 - 512) // 128 + 1
         assert frame_count(16000, CFG) == 122
         spec = analyze(random_signal(1, 16000), CFG)
-        assert spec.n_frames == 122
+        assert spec.shape[1] == 122
 
     def test_bin_centered_sinusoid(self):
         # closed-form DFT: the periodic Hamming window has exactly three
@@ -65,7 +64,7 @@ class TestAnalyze:
         n = np.arange(4096)
         x = np.cos(2 * np.pi * k0 * n / 512 + 0.7)
         spec = analyze(MultichannelSignal(x[np.newaxis, :], 16000), CFG)
-        mags = np.abs(spec.bins[:, :, 0])
+        mags = np.abs(spec[:, :, 0])
         assert np.all(np.argmax(mags, axis=0) == k0)
         expected = 0.54 * 512 / 2
         assert np.allclose(mags[k0, :], expected, rtol=1e-10)
@@ -79,8 +78,8 @@ class TestAnalyze:
         y = random_signal(2, 3000, seed=2)
         a, b = 2.5, -0.7
         combined = MultichannelSignal(a * x.samples + b * y.samples, 16000)
-        lhs = analyze(combined, CFG).bins
-        rhs = a * analyze(x, CFG).bins + b * analyze(y, CFG).bins
+        lhs = analyze(combined, CFG)
+        rhs = a * analyze(x, CFG) + b * analyze(y, CFG)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_frame_placement(self):
@@ -90,16 +89,16 @@ class TestAnalyze:
         window = periodic_hamming(512)
         l = 2
         manual = np.fft.rfft(x.samples[0, l * 128 : l * 128 + 512] * window)
-        assert np.allclose(spec.bins[:, l, 0], manual, atol=1e-12)
+        assert np.allclose(spec[:, l, 0], manual, atol=1e-12)
 
     def test_parseval_per_frame(self):
         x = random_signal(1, 4000, seed=4)
         spec = analyze(x, CFG)
         window = periodic_hamming(512)
-        for l in range(spec.n_frames):
+        for l in range(spec.shape[1]):
             frame = x.samples[0, l * 128 : l * 128 + 512] * window
             e_time = np.sum(frame**2)
-            coeffs = spec.bins[:, l, 0]
+            coeffs = spec[:, l, 0]
             e_freq = (np.abs(coeffs[0]) ** 2 + 2 * np.sum(np.abs(coeffs[1:-1]) ** 2) + np.abs(coeffs[-1]) ** 2) / 512
             assert abs(e_time - e_freq) <= 1e-9 * max(e_time, 1e-30)
 
@@ -107,7 +106,7 @@ class TestAnalyze:
 class TestSynthesize:
     def test_round_trip_interior(self):
         x = random_signal(2, 32000, seed=5)
-        rec = synthesize(analyze(x, CFG))
+        rec = synthesize(analyze(x, CFG), CFG)
         n = rec.n_samples
         interior = slice(512, n - 512)
         err = np.linalg.norm(rec.samples[:, interior] - x.samples[:, interior])
@@ -115,13 +114,12 @@ class TestSynthesize:
         assert err / ref < 1e-10
 
     def test_zero_spectrogram(self):
-        spec = Spectrogram(np.zeros((257, 4, 1), dtype=complex), CFG)
-        out = synthesize(spec)
+        out = synthesize(np.zeros((257, 4, 1), dtype=complex), CFG)
         assert np.all(out.samples == 0)
 
     def test_single_frame(self):
         x = random_signal(1, 512, seed=6)
-        rec = synthesize(analyze(x, CFG))
+        rec = synthesize(analyze(x, CFG), CFG)
         # periodic Hamming never reaches zero, so the lone frame normalizes
         # back to the original samples everywhere
         assert np.allclose(rec.samples, x.samples, atol=1e-12)
@@ -129,8 +127,8 @@ class TestSynthesize:
     def test_output_length(self):
         x = random_signal(1, 2000, seed=7)
         spec = analyze(x, CFG)
-        rec = synthesize(spec)
-        assert rec.n_samples == 512 + (spec.n_frames - 1) * 128
+        rec = synthesize(spec, CFG)
+        assert rec.n_samples == 512 + (spec.shape[1] - 1) * 128
 
 
 class TestConfig:
@@ -153,7 +151,17 @@ class TestConfig:
 
     def test_spectrogram_bin_count_checked(self):
         with pytest.raises(SizeError):
-            Spectrogram(np.zeros((256, 4, 1), dtype=complex), CFG)
+            synthesize(np.zeros((256, 4, 1), dtype=complex), CFG)
+
+    def test_spectrogram_layout_and_values_checked(self):
+        with pytest.raises(SizeError):
+            synthesize(np.zeros((257, 4), dtype=complex), CFG)
+        bins = np.zeros((257, 4, 1), dtype=complex)
+        bins[3, 2, 0] = np.nan
+        with pytest.raises(DataError):
+            synthesize(bins, CFG)
+        with pytest.raises(DataError):
+            analyze(MultichannelSignal(np.full((1, 512), np.inf), 16000), CFG)
 
 
 class TestWindow:
@@ -169,7 +177,7 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("n_channels,n_samples", [(1, 512), (4, 16000), (3, 5000)])
     def test_analyze_layout_and_values(self, n_channels, n_samples):
         sig = random_signal(n_channels, n_samples, seed=n_samples)
-        bins = analyze(sig, CFG).bins
+        bins = analyze(sig, CFG)
         assert bins.shape == (CFG.n_bins, frame_count(n_samples, CFG), n_channels)
         assert bins.flags["C_CONTIGUOUS"]
         assert np.array_equal(bins, reference_analyze(sig.samples, CFG))
@@ -177,8 +185,8 @@ class TestKernelsMatchReference:
     def test_analyze_channel_subset_is_bitwise_slice(self):
         sig = random_signal(6, 8000, seed=7)
         subset = [1, 4, 5]
-        part = analyze(MultichannelSignal(sig.samples[subset], 16000), CFG).bins
-        assert np.array_equal(part, analyze(sig, CFG).bins[:, :, subset])
+        part = analyze(MultichannelSignal(sig.samples[subset], 16000), CFG)
+        assert np.array_equal(part, analyze(sig, CFG)[:, :, subset])
 
     @pytest.mark.parametrize("frame_len,hop", [(512, 128), (512, 96), (512, 512), (64, 7)])
     @pytest.mark.parametrize("n_channels,n_frames", [(1, 40), (3, 1), (2, 9)])
@@ -187,5 +195,5 @@ class TestKernelsMatchReference:
         rng = np.random.default_rng(frame_len + hop + n_frames)
         shape = (cfg.n_bins, n_frames, n_channels)
         bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = synthesize(Spectrogram(bins, cfg)).samples
+        out = synthesize(bins, cfg).samples
         assert np.array_equal(out, reference_synthesize(bins, cfg))
