@@ -95,9 +95,18 @@ def write_wav(signal: MultichannelSignal, path, encoding: str = "float32") -> No
 
 @dataclass
 class NetworkLayer:
+    """One fully-connected layer, stored in float32: the precision in which
+    `vad.infer_mask` runs the forward pass."""
+
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
     activation: str  # "relu" | "sigmoid"
+
+    def __post_init__(self):
+        # values beyond float32 become inf; load_network rejects them
+        with np.errstate(over="ignore"):
+            self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
+            self.bias = np.asarray(self.bias, dtype=np.float32)
 
 
 @dataclass
@@ -134,7 +143,10 @@ def load_network(path) -> NetworkWeights:
         {"layers": [{"w": [[...]], "b": [...], "act": "relu"|"sigmoid"}, ...],
          "mean": [...], "std": [...]}
 
-    Validates the layer dimension chain and the normalization vectors.
+    Validates the layer dimension chain and the normalization vectors. Every
+    mean/std entry must be finite, and every weight and bias finite after the
+    cast to float32 (so 1e39, which overflows float32, is rejected too);
+    Python's json reads the tokens NaN and Infinity, so this is not implied.
     """
     try:
         with open(path) as fh:
@@ -170,7 +182,10 @@ def load_network(path) -> NetworkWeights:
                 f"{path}: layer {idx} input dim {w.shape[1]} breaks the chain "
                 f"(previous output dim {layers[-1].weights.shape[0]})"
             )
-        layers.append(NetworkLayer(w, b, act))
+        layer = NetworkLayer(w, b, act)
+        if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+            raise FormatError(f"{path}: layer {idx} has non-finite weights or bias in float32")
+        layers.append(layer)
 
     mean = _array(raw_mean, "mean", ndim=1)
     std = _array(raw_std, "std", ndim=1)
@@ -179,6 +194,8 @@ def load_network(path) -> NetworkWeights:
         raise FormatError(
             f"{path}: normalization length ({mean.shape[0]}, {std.shape[0]}) != input dim {in_dim}"
         )
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise FormatError(f"{path}: input mean and std must be finite")
     if np.any(std <= 0):
         raise FormatError(f"{path}: input std must be elementwise positive")
     return NetworkWeights(layers, mean, std)

@@ -64,6 +64,7 @@ class BeamWeights:
     method: str  # "irtf" | "mvdr" | "gev"
     ban_gain: np.ndarray | None = None  # (bins,) real, GEV only
     fallback_bins: int = 0
+    loaded_bins: int = 0  # GEV only: bins whose noise covariance was loaded
 
 
 def sample_covariance(bins) -> np.ndarray:
@@ -235,9 +236,10 @@ _GEV_LADDER = np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])
 def solve_max_snr(speech_cov: np.ndarray, noise_cov: np.ndarray):
     """Maximal generalized eigenpair of (speech cov, noise cov) per bin.
 
-    Returns (eigvectors (K, M) with unit norm, eigenvalues (K,)).
-    Each noise matrix is loaded by the first rung of the loading ladder at
-    which its Cholesky factor L exists, and the Hermitian problems
+    Returns (eigvectors (K, M) with unit norm, eigenvalues (K,), count of
+    bins whose noise matrix was loaded or replaced by I). Each noise matrix
+    is loaded by the first rung of the loading ladder at which its Cholesky
+    factor L exists, and the Hermitian problems
     L^-1 speech_cov L^-H of all bins are solved by one batched eigh. A bin
     starts at the first rung that lifts its smallest eigenvalue above zero;
     if the batched factorization fails, each bin is factored alone and moves
@@ -254,18 +256,18 @@ def solve_max_snr(speech_cov: np.ndarray, noise_cov: np.ndarray):
         chol[todo] = np.linalg.cholesky(noise_cov[todo] + loads[todo, rung[todo], None, None] * eye)
     except np.linalg.LinAlgError:
         for k in todo:
-            for load in loads[k, rung[k] :]:
+            while rung[k] < len(_GEV_LADDER):
                 try:
-                    chol[k] = np.linalg.cholesky(noise_cov[k] + load * eye)
+                    chol[k] = np.linalg.cholesky(noise_cov[k] + loads[k, rung[k]] * eye)
                     break
                 except np.linalg.LinAlgError:
-                    continue
+                    rung[k] += 1
     inv_chol = np.linalg.inv(chol)
     inv_chol_h = np.conj(inv_chol.transpose(0, 2, 1))
     w, v = np.linalg.eigh(_hermitize(inv_chol @ speech_cov @ inv_chol_h))
     vecs = (inv_chol_h @ v[:, :, -1:])[:, :, 0]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs, w[:, -1]
+    return vecs, w[:, -1], int(np.count_nonzero(rung))
 
 
 def _fix_phase(vecs: np.ndarray, component: int) -> np.ndarray:
@@ -287,14 +289,15 @@ def gev_weights(bins, mask, ref_component: int = 0) -> BeamWeights:
     bin from mask-weighted covariance estimates, normalizes ||w|| = 1, and
     fixes the arbitrary phase by making the reference component real
     nonnegative. A bin with a degenerate mask takes the principal
-    eigenvector of its sample covariance; fallback_bins counts those bins.
+    eigenvector of its sample covariance; fallback_bins counts those bins,
+    and loaded_bins counts the others whose noise covariance was loaded.
     """
     x = np.asarray(bins)
     if x.shape[2] < 2:
         raise SizeError("the max-SNR beamformer needs >= 2 channels")
     speech_cov, noise_cov, degenerate = masked_covariances(x, mask)
     vecs = np.empty(speech_cov.shape[:2], dtype=np.complex128)
-    vecs[~degenerate], _ = solve_max_snr(speech_cov[~degenerate], noise_cov[~degenerate])
+    vecs[~degenerate], _, n_loaded = solve_max_snr(speech_cov[~degenerate], noise_cov[~degenerate])
     if np.any(degenerate):
         # both covariances are the sample covariance: take its principal axis
         vecs[degenerate] = np.linalg.eigh(speech_cov[degenerate])[1][:, :, -1]
@@ -313,6 +316,7 @@ def gev_weights(bins, mask, ref_component: int = 0) -> BeamWeights:
         method="gev",
         ban_gain=ban,
         fallback_bins=int(np.count_nonzero(degenerate)),
+        loaded_bins=n_loaded,
     )
 
 

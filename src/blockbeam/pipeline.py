@@ -115,6 +115,7 @@ class BlockDiagnostics:
     rtf_fallback_bins: int = 0
     mvdr_fallback_bins: int = 0
     gev_degenerate_bins: int = 0
+    gev_noise_loaded_bins: int = 0
     noise_loaded_bins: int = 0
     timings: dict = field(default_factory=dict)
 
@@ -127,6 +128,7 @@ class BlockDiagnostics:
                 "rtf_variance_guard_bins": self.rtf_fallback_bins,
                 "mvdr_fallback_bins": self.mvdr_fallback_bins,
                 "gev_degenerate_bins": self.gev_degenerate_bins,
+                "gev_noise_loaded_bins": self.gev_noise_loaded_bins,
                 "noise_cov_loaded_bins": self.noise_loaded_bins,
             },
             "timings_s": {k: round(v, 6) for k, v in self.timings.items()},
@@ -266,6 +268,7 @@ def process_block(
         else:
             weights = gev_weights(bins_active, pooled, ref_component=ref_pos)
             diag.gev_degenerate_bins = weights.fallback_bins
+            diag.gev_noise_loaded_bins = weights.loaded_bins
         beam_out = apply_weights(weights, bins_active, use_ban=(cfg.postfilter == "ban"))
 
     with _stage_timer(timings, "postfilter"):

@@ -4,6 +4,12 @@ A mask is a plain float array of speech-presence weights in [0, 1], one per
 (bin, frame), or a (bins, frames, channels) stack of them with one mask per
 channel. Every function that weights statistics by a mask checks it at its
 boundary with `checked_mask`.
+
+The network VAD runs its forward pass in float32 (weights are stored in
+float32 on load) and returns float64 masks; they agree with a float64
+forward pass to about 1e-5. Inputs whose normalized magnitudes overflow
+float32 inside the network (around 1e38) are rejected with a DataError.
+Weight files with non-finite entries are rejected on load.
 """
 
 from __future__ import annotations
@@ -54,11 +60,15 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> np.ndarray:
     """Forward pass of the loaded network on one channel's spectral magnitudes.
 
     Each frame is processed independently (no context): the magnitude vector
-    is normalized by the stored global mean/std and propagated through the
-    layers. Output is clipped to [0, 1]; with a sigmoid output layer the clip
-    is a no-op. Because frames are independent, several channels can share
-    one call with their frames side by side on the frame axis; each layer is
+    is normalized in float64 by the stored global mean/std, cast to float32
+    once and propagated through the float32 layers. Output is clipped to
+    [0, 1] and returned as float64; with a sigmoid output layer the clip is a
+    no-op. Because frames are independent, several channels can share one
+    call with their frames side by side on the frame axis; each layer is
     then one matrix product for all of them.
+
+    Raises DataError when the output is not finite, i.e. the input is out of
+    the range the float32 network can represent.
     """
     channel_bins = np.asarray(channel_bins)
     if channel_bins.ndim != 2:
@@ -67,15 +77,22 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> np.ndarray:
         raise SizeError(
             f"spectrogram has {channel_bins.shape[0]} bins but network expects {net.input_dim}"
         )
-    h = (np.abs(channel_bins) - net.input_mean[:, None]) / net.input_std[:, None]
-    for layer in net.layers:
-        h = layer.weights @ h
-        h += layer.bias[:, None]
-        if layer.activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        else:
-            expit(h, out=h)
-    return np.clip(h, 0.0, 1.0, out=h)
+    features = (np.abs(channel_bins) - net.input_mean[:, None]) / net.input_std[:, None]
+    # overflow is detected once, on the output
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = features.astype(np.float32)
+        for layer in net.layers:
+            h = layer.weights @ h
+            h += layer.bias[:, None]
+            if layer.activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            else:
+                expit(h, out=h)
+    if not np.all(np.isfinite(h)):
+        raise DataError(
+            "network VAD output is not finite: the network input is out of the float32 range"
+        )
+    return np.clip(h, 0.0, 1.0, out=h).astype(np.float64)
 
 
 def pool_median(masks) -> np.ndarray:

@@ -216,7 +216,7 @@ def test_criterion_06_gev_residual_and_optimality():
         speech = (a @ a.conj().T)[None]
         b = rng.standard_normal((n_ch, n_ch)) + 1j * rng.standard_normal((n_ch, n_ch))
         noise = (b @ b.conj().T + 0.05 * np.eye(n_ch))[None]
-        vecs, vals = solve_max_snr(speech, noise)
+        vecs, vals, _ = solve_max_snr(speech, noise)
         w = vecs[0]
         resid = np.linalg.norm(speech[0] @ w - vals[0] * (noise[0] @ w))
         worst_resid = max(worst_resid, resid / np.linalg.norm(speech[0]))

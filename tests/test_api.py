@@ -77,6 +77,7 @@ def test_diagnostics_keys_and_result_fields():
             "rtf_variance_guard_bins",
             "mvdr_fallback_bins",
             "gev_degenerate_bins",
+            "gev_noise_loaded_bins",
             "noise_cov_loaded_bins",
         }
         assert {"rtf", "noise_est", "beamform"} <= set(record["timings_s"])

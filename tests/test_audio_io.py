@@ -173,6 +173,35 @@ class TestLoadNetwork:
         with pytest.raises(FormatError):
             load_network(path)
 
+    @pytest.mark.parametrize(
+        "field,index,value",
+        [
+            ("std", 1, float("nan")),
+            ("std", 0, float("inf")),
+            ("mean", 2, float("nan")),
+            ("mean", 3, float("-inf")),
+            ("w", (0, 1), float("nan")),
+            ("w", (2, 3), float("inf")),
+            ("w", (1, 0), 1e39),  # finite in JSON, inf in float32
+            ("b", 0, float("nan")),
+            ("b", 2, float("-inf")),
+            ("b", 1, -1e39),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, tmp_path, field, index, value):
+        # json reads the tokens NaN, Infinity and -Infinity that dumps writes
+        d = network_dict([4, 3], ["sigmoid"])
+        if field in ("mean", "std"):
+            d[field][index] = value
+        elif field == "w":
+            d["layers"][0]["w"][index[0]][index[1]] = value
+        else:
+            d["layers"][0]["b"][index] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(FormatError, match="finite"):
+            load_network(path)
+
     def test_unknown_activation(self, tmp_path):
         d = network_dict([4, 3], ["tanh"])
         path = tmp_path / "act.json"

@@ -239,7 +239,7 @@ class TestGevWeights:
         n_bins, n_ch = 16, 3
         speech = hermitian_psd(n_bins, n_ch, 22)
         noise = np.broadcast_to(np.eye(n_ch), (n_bins, n_ch, n_ch)).copy().astype(complex)
-        vecs, vals = solve_max_snr(speech, noise)
+        vecs, vals, _ = solve_max_snr(speech, noise)
         for k in range(n_bins):
             evals, evecs = np.linalg.eigh(speech[k])
             principal = evecs[:, -1]
@@ -252,7 +252,7 @@ class TestGevWeights:
         n_bins, n_ch = 24, 4
         speech = hermitian_psd(n_bins, n_ch, 23)
         noise = hermitian_psd(n_bins, n_ch, 24) + 0.1 * np.eye(n_ch)
-        vecs, vals = solve_max_snr(speech, noise)
+        vecs, vals, _ = solve_max_snr(speech, noise)
         for k in range(n_bins):
             mat = np.linalg.inv(noise[k] + 1e-12 * np.eye(n_ch)) @ speech[k]
             evals, evecs = np.linalg.eig(mat)
@@ -265,7 +265,7 @@ class TestGevWeights:
     def test_generalized_eigen_residual(self):
         speech = hermitian_psd(32, 4, 25)
         noise = hermitian_psd(32, 4, 26) + 0.05 * np.eye(4)
-        vecs, vals = solve_max_snr(speech, noise)
+        vecs, vals, _ = solve_max_snr(speech, noise)
         residual = np.einsum("kmn,kn->km", speech, vecs) - vals[:, None] * np.einsum(
             "kmn,kn->km", noise, vecs
         )
@@ -275,7 +275,7 @@ class TestGevWeights:
     def test_output_snr_beats_canonical_vectors(self):
         speech = hermitian_psd(16, 3, 27)
         noise = hermitian_psd(16, 3, 28) + 0.05 * np.eye(3)
-        vecs, _ = solve_max_snr(speech, noise)
+        vecs, _, _ = solve_max_snr(speech, noise)
         snr_w = np.einsum("km,kmn,kn->k", np.conj(vecs), speech, vecs).real / np.einsum(
             "km,kmn,kn->k", np.conj(vecs), noise, vecs
         ).real
@@ -286,8 +286,8 @@ class TestGevWeights:
     def test_noise_scaling_leaves_direction(self):
         speech = hermitian_psd(8, 3, 29)
         noise = hermitian_psd(8, 3, 30) + 0.05 * np.eye(3)
-        v1, l1 = solve_max_snr(speech, noise)
-        v2, l2 = solve_max_snr(speech, 4.0 * noise)
+        v1, l1, _ = solve_max_snr(speech, noise)
+        v2, l2, _ = solve_max_snr(speech, 4.0 * noise)
         align = np.abs(np.einsum("km,km->k", np.conj(v1), v2))
         assert np.allclose(align, 1.0, atol=1e-9)
         assert np.allclose(l2, l1 / 4.0, rtol=1e-9)
@@ -531,11 +531,13 @@ class TestBatchedKernels:
         speech = hermitian_psd(len(kinds), n_ch, rng.integers(2**32))
         noise = np.stack([noise_bin(kind, n_ch, rng) for kind in kinds])
 
-        vecs, vals = solve_max_snr(speech, noise)
+        vecs, vals, n_loaded = solve_max_snr(speech, noise)
         ref_vecs, ref_vals = reference_solve_max_snr(speech, noise)
 
-        # the dead and the indefinite bin at least have no Cholesky factor
+        # the dead and the indefinite bin at least have no Cholesky factor,
+        # and exactly the bins without one are loaded
         assert sum(not has_cholesky(mat) for mat in noise) >= 2
+        assert n_loaded == sum(not has_cholesky(mat) for mat in noise)
         alignment = np.abs(np.einsum("km,km->k", np.conj(ref_vecs), vecs))
         assert np.all(alignment >= 1.0 - 1e-9)
         assert np.all(np.abs(vals - ref_vals) <= 1e-9 * np.abs(ref_vals))

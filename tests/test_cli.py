@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blockbeam.audio_io import MultichannelSignal, read_wav, write_wav
-from blockbeam.cli import main
+from blockbeam.cli import EXIT_IO, main
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,35 @@ class TestEnhanceCommand:
         )
         assert code == 0
         assert read_wav(out).channel_count == 1
+
+    def test_non_finite_network_weights_are_io_error(self, sim_dir, tmp_path, capsys):
+        # 1e39 is a finite JSON number that overflows the float32 weights
+        w = np.zeros((257, 257))
+        w[0, 0] = 1e39
+        weights = tmp_path / "overflow.json"
+        weights.write_text(
+            json.dumps(
+                {
+                    "layers": [{"w": w.tolist(), "b": [4.0] * 257, "act": "sigmoid"}],
+                    "mean": [0.0] * 257,
+                    "std": [1.0] * 257,
+                }
+            )
+        )
+        out = tmp_path / "o.wav"
+        code = main(
+            [
+                "enhance",
+                "--input", str(sim_dir / "mixture.wav"),
+                "--output", str(out),
+                "--vad", "network",
+                "--vad-weights", str(weights),
+            ]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "non-finite weights" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_network_vad_without_weights_is_config_error(self, sim_dir, tmp_path):
         code = main(

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockbeam.audio_io import NetworkLayer, NetworkWeights
+from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
 from blockbeam.beamform import gev_weights, masked_covariances
 from blockbeam.errors import DataError, SizeError
-from blockbeam.pipeline import PipelineConfig, _channel_masks
+from blockbeam.evalsim import MixtureSpec, delay_firs, pink_noise, simulate, speech_like_source
+from blockbeam.pipeline import PipelineConfig, _channel_masks, run
 from blockbeam.postfilter import PostfilterConfig, wiener_mask
 from blockbeam.rtf import build_rtf_set
+from blockbeam.stft import StftConfig, analyze
 from blockbeam.vad import checked_mask, infer_mask, oracle_ibm, pool_median
 
 
@@ -103,6 +107,67 @@ class TestInferMask:
         bins = 100.0 * np.random.default_rng(9).standard_normal((12, 5)) + 0j
         values = infer_mask(net, bins)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
+
+
+def speech_block(seed=10):
+    """One 100-frame block (13184 samples) of a 4-channel speech-like mixture."""
+    rng = np.random.default_rng(seed)
+    dry = speech_like_source(13184 / 16000, 16000, rng)
+    spec = MixtureSpec(channel_count=4, firs=delay_firs([0, 2, 5, 7])[np.newaxis], snr_db=5.0)
+    sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
+    return MultichannelSignal(sim.mixture.samples[:, :13184], 16000)
+
+
+def he_network(block, dims=(257, 1024, 1024, 257), seed=11):
+    """(float64 layer list, network) of a He-scaled ReLU/ReLU/sigmoid
+    network normalized by the block's own magnitude statistics."""
+    rng = np.random.default_rng(seed)
+    layers64 = [
+        (rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in), 0.1 * rng.standard_normal(n_out), act)
+        for n_in, n_out, act in zip(dims[:-1], dims[1:], ("relu", "relu", "sigmoid"))
+    ]
+    mags = np.abs(analyze(block, StftConfig())).reshape(dims[0], -1)
+    net = NetworkWeights(
+        [NetworkLayer(w, b, act) for w, b, act in layers64],
+        input_mean=mags.mean(axis=1),
+        input_std=mags.std(axis=1) + 1e-3,
+    )
+    return layers64, net
+
+
+def test_float32_forward_pass_matches_float64_reference():
+    block = speech_block()
+    layers64, net = he_network(block)
+    for layer in net.layers:
+        for arr in (layer.weights, layer.bias):
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous
+    assert net.input_mean.dtype == net.input_std.dtype == np.float64
+
+    bins = analyze(block, StftConfig()).reshape(257, -1)  # 4 channels side by side
+    h = (np.abs(bins) - net.input_mean[:, None]) / net.input_std[:, None]
+    for w, b, act in layers64:
+        h = w @ h + b[:, None]
+        h = np.maximum(h, 0.0) if act == "relu" else 1.0 / (1.0 + np.exp(-h))
+    mask = infer_mask(net, bins)
+    assert mask.dtype == np.float64
+    assert 0.05 < mask.mean() < 0.95  # not saturated, so the comparison is informative
+    assert np.max(np.abs(mask - h)) <= 1e-5
+
+
+@pytest.mark.parametrize("beamformer,postfilter", [("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban")])
+def test_network_input_beyond_float32_range_is_data_error(beamformer, postfilter):
+    # 1e40 lifts the normalized magnitudes past float32's ~3.4e38: the VAD
+    # rejects the block itself instead of passing a NaN mask downstream
+    block = speech_block(seed=12)
+    _, net = he_network(block, dims=(257, 64, 64, 257))
+    cfg = PipelineConfig(block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode="network")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="float32 range"):
+            run(MultichannelSignal(1e40 * block.samples, 16000), cfg, network=net)
+        out = run(MultichannelSignal(1e30 * block.samples, 16000), cfg, network=net)
+    assert np.all(np.isfinite(out.samples))
+    assert np.max(np.abs(out.samples)) > 0
 
 
 class TestPoolMedian:
