@@ -8,13 +8,12 @@ SIR/SDR/SAR metrics for verification.
 
 from .audio_io import MultichannelSignal, NetworkWeights, load_network, read_wav, write_wav
 from .beamform import (
-    BeamWeights,
     apply_weights,
     gev_weights,
     irtf_weights,
     mvdr_weights,
 )
-from .channel_health import ChannelReport, detect_failures
+from .channel_health import detect_failures
 from .errors import (
     BlockbeamError,
     ConfigError,
@@ -33,7 +32,7 @@ from .pipeline import (
     run_with_diagnostics,
 )
 from .postfilter import PostfilterConfig, wiener_mask
-from .rtf import RtfSet, build_rtf_set
+from .rtf import build_rtf_set
 from .stft import StftConfig, analyze, synthesize
 from .vad import infer_mask, oracle_ibm, pool_median
 

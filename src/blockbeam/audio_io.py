@@ -43,9 +43,6 @@ class MultichannelSignal:
     def duration(self) -> float:
         return self.n_samples / self.sample_rate
 
-    def channel(self, i: int) -> np.ndarray:
-        return self.samples[i]
-
 
 def read_wav(path) -> MultichannelSignal:
     """Read a RIFF/WAVE file holding 16 bit PCM or 32 bit float samples.

@@ -27,17 +27,14 @@ A GEV bin whose mask (or complement) sums to zero has no speech/noise
 contrast: both covariances are the sample covariance and the pencil is the
 identity. Such a bin takes the principal eigenvector of its sample
 covariance, which makes the beam independent of the input scale, and is
-counted in `fallback_bins`.
+counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, SizeError
-from .rtf import RtfSet
+from .errors import SizeError
 from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
@@ -56,17 +53,6 @@ MVDR_DEN_GUARD = 1e-12
 MASK_SUM_FLOOR = np.finfo(np.float64).tiny
 
 
-@dataclass
-class BeamWeights:
-    """Per-frequency steering vectors; the output is u = w^H x."""
-
-    weights: np.ndarray  # (bins, channels) complex
-    method: str  # "irtf" | "mvdr" | "gev"
-    ban_gain: np.ndarray | None = None  # (bins,) real, GEV only
-    fallback_bins: int = 0
-    loaded_bins: int = 0  # GEV only: bins whose noise covariance was loaded
-
-
 def sample_covariance(bins) -> np.ndarray:
     """Unnormalized per-bin sum of outer products, (K, M, M)."""
     x = np.asarray(bins)
@@ -77,14 +63,14 @@ def _hermitize(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + np.conj(mats.transpose(0, 2, 1)))
 
 
-def irtf_weights(rtf: RtfSet) -> BeamWeights:
+def irtf_weights(inv_rtf: np.ndarray) -> np.ndarray:
     """Average of inverse-RTF-aligned channels: u = (1/M) sum_i g_i^{-1} x_i.
 
-    Weights are stored conjugated so the u = w^H x application contract
-    realizes that sum. For a single active channel this is the identity.
+    Returns (K, M) weights, stored conjugated so the u = w^H x application
+    contract realizes that sum. For a single active channel this is the
+    identity.
     """
-    m_active = rtf.n_channels
-    return BeamWeights(weights=np.conj(rtf.inv_rtf) / m_active, method="irtf")
+    return np.conj(inv_rtf) / inv_rtf.shape[1]
 
 
 def blocking_matrix(inv_rtf: np.ndarray, ref: int) -> np.ndarray:
@@ -105,7 +91,7 @@ def blocking_matrix(inv_rtf: np.ndarray, ref: int) -> np.ndarray:
     return bmat
 
 
-def noise_projection(bins, rtf: RtfSet):
+def noise_projection(bins, inv_rtf: np.ndarray, ref: int):
     """Per-bin map from the microphones to their blocked least-squares noise.
 
     The blocking matrix output v = B x contains only noise; the noise as
@@ -117,17 +103,22 @@ def noise_projection(bins, rtf: RtfSet):
     The noise covariance (P B) Cxx per bin has rank <= M - 1. It is an
     unnormalized sum over frames; downstream formulas are scale-invariant.
 
+    Arguments:
+        bins: complex STFT tensor (K, L, M)
+        inv_rtf: (K, M) inverse RTFs, as `rtf.build_rtf_set` returns them
+        ref: column of the reference channel
+
     Returns (P B (K, M, M), noise covariance (K, M, M), count of loaded bins).
     """
     x = np.asarray(bins)
     n_bins, _, n_ch = x.shape
     if n_ch < 2:
         raise SizeError("noise estimation needs >= 2 channels")
-    if rtf.n_channels != n_ch:
-        raise SizeError(f"RTF set has {rtf.n_channels} channels, spectrogram has {n_ch}")
+    if inv_rtf.shape[1] != n_ch:
+        raise SizeError(f"inverse RTFs have {inv_rtf.shape[1]} channels, spectrogram has {n_ch}")
 
     cxx = sample_covariance(x)
-    bmat = blocking_matrix(rtf.inv_rtf, rtf.ref)
+    bmat = blocking_matrix(inv_rtf, ref)
     bh = np.conj(bmat.transpose(0, 2, 1))  # (K, M, M-1)
     cxx_bh = cxx @ bh  # (K, M, M-1)
     gram = bmat @ cxx_bh  # B Cxx B^H, (K, M-1, M-1)
@@ -148,19 +139,20 @@ def noise_projection(bins, rtf: RtfSet):
     return proj_b, noise_cov, n_loaded
 
 
-def mvdr_weights(noise_cov: np.ndarray, rtf: RtfSet) -> BeamWeights:
+def mvdr_weights(noise_cov: np.ndarray, rtf: np.ndarray, inv_rtf: np.ndarray):
     """Distortionless minimum-variance weights from the rank-deficient noise covariance.
 
     w = (C+ g) / (g^H C+ g) with C+ the Moore-Penrose pseudoinverse, so
     w^H g = 1 per bin. C+ is applied through one eigendecomposition
     C = V diag(lam) V^H: eigenvalues with |lam| <= PINV_RCOND * max |lam|
     are dropped, and the largest eigenvalue of C+ is the largest kept 1/lam.
-    Bins whose denominator vanishes (steering vector in the null space, or
-    an all-zero covariance) fall back to inverse-RTF weights and are counted
-    in fallback_bins.
+    The steering vectors g are the (K, M) RTFs. Bins whose denominator
+    vanishes (steering vector in the null space, or an all-zero covariance)
+    fall back to the inverse-RTF weights of `inv_rtf`.
+
+    Returns ((K, M) weights, count of fallback bins).
     """
-    steer = rtf.rtf
-    n_bins, n_ch = steer.shape
+    n_bins, n_ch = rtf.shape
     if np.shape(noise_cov) != (n_bins, n_ch, n_ch):
         raise SizeError(
             f"noise covariance {np.shape(noise_cov)} does not match {n_bins} bins x {n_ch} channels"
@@ -169,22 +161,20 @@ def mvdr_weights(noise_cov: np.ndarray, rtf: RtfSet) -> BeamWeights:
     mag = np.abs(lam)
     keep = mag > PINV_RCOND * mag.max(axis=1, keepdims=True)
     inv_lam = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    coef = inv_lam * (np.conj(vecs.transpose(0, 2, 1)) @ steer[:, :, None])[:, :, 0]
+    coef = inv_lam * (np.conj(vecs.transpose(0, 2, 1)) @ rtf[:, :, None])[:, :, 0]
     num = (vecs @ coef[:, :, None])[:, :, 0]  # C+ g
-    den = (np.conj(steer) * num).sum(axis=1).real
+    den = (np.conj(rtf) * num).sum(axis=1).real
 
     eig_max = inv_lam.max(axis=1)
-    floor = MVDR_DEN_GUARD * eig_max * (np.conj(steer) * steer).sum(axis=1).real
+    floor = MVDR_DEN_GUARD * eig_max * (np.conj(rtf) * rtf).sum(axis=1).real
     degenerate = den <= floor
 
     weights = np.empty_like(num)
     ok = ~degenerate
     weights[ok] = num[ok] / den[ok, None]
     if np.any(degenerate):
-        weights[degenerate] = np.conj(rtf.inv_rtf[degenerate]) / rtf.n_channels
-    return BeamWeights(
-        weights=weights, method="mvdr", fallback_bins=int(np.count_nonzero(degenerate))
-    )
+        weights[degenerate] = irtf_weights(inv_rtf[degenerate])
+    return weights, int(np.count_nonzero(degenerate))
 
 
 def masked_covariances(bins, mask):
@@ -282,15 +272,17 @@ def _fix_phase(vecs: np.ndarray, component: int) -> np.ndarray:
     return vecs * np.conj(phase)[:, None]
 
 
-def gev_weights(bins, mask, ref_component: int = 0) -> BeamWeights:
+def gev_weights(bins, mask, ref_component: int = 0):
     """Max-SNR weights with the blind analytic normalization gain.
 
     Solves speech_cov w = lambda noise_cov w for the maximal eigenvalue per
     bin from mask-weighted covariance estimates, normalizes ||w|| = 1, and
     fixes the arbitrary phase by making the reference component real
     nonnegative. A bin with a degenerate mask takes the principal
-    eigenvector of its sample covariance; fallback_bins counts those bins,
-    and loaded_bins counts the others whose noise covariance was loaded.
+    eigenvector of its sample covariance.
+
+    Returns ((K, M) weights, (K,) BAN gain, count of degenerate bins, count
+    of the other bins whose noise covariance was loaded).
     """
     x = np.asarray(bins)
     if x.shape[2] < 2:
@@ -311,28 +303,15 @@ def gev_weights(bins, mask, ref_component: int = 0) -> BeamWeights:
     ok = den > 0
     ban[ok] = np.sqrt(num[ok] / n_ch) / den[ok]
 
-    return BeamWeights(
-        weights=vecs,
-        method="gev",
-        ban_gain=ban,
-        fallback_bins=int(np.count_nonzero(degenerate)),
-        loaded_bins=n_loaded,
-    )
+    return vecs, ban, int(np.count_nonzero(degenerate)), n_loaded
 
 
-def apply_weights(weights: BeamWeights, bins, use_ban: bool = False) -> np.ndarray:
-    """Beamformer output u(k, l) = w(k)^H x(k, l), optionally BAN-scaled.
+def apply_weights(weights: np.ndarray, bins) -> np.ndarray:
+    """Beamformer output u(k, l) = w(k)^H x(k, l) for (K, M) weights.
 
     Returns a single-channel complex spectrogram (K, L).
     """
     x = np.asarray(bins)
-    if x.ndim != 3 or x.shape[0] != weights.weights.shape[0] or x.shape[2] != weights.weights.shape[1]:
-        raise SizeError(
-            f"weights {weights.weights.shape} do not match spectrogram {x.shape}"
-        )
-    out = (x @ np.conj(weights.weights)[:, :, None])[:, :, 0]
-    if use_ban:
-        if weights.ban_gain is None:
-            raise ConfigError(f"{weights.method} weights carry no BAN gain")
-        out = out * weights.ban_gain[:, None]
-    return out
+    if x.ndim != 3 or x.shape[0] != weights.shape[0] or x.shape[2] != weights.shape[1]:
+        raise SizeError(f"weights {weights.shape} do not match spectrogram {x.shape}")
+    return (x @ np.conj(weights)[:, :, None])[:, :, 0]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio_io import MultichannelSignal
@@ -14,28 +12,14 @@ T_MU_SIMULATED = 0.05
 T_MU_REAL = 0.40
 
 
-@dataclass
-class ChannelReport:
-    """Per-channel max |correlation| against the other channels."""
-
-    mu: np.ndarray  # (channels,) in [0, 1]
-    active: np.ndarray  # (channels,) bool, mu >= threshold
-    threshold: float
-
-    @property
-    def active_indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.active)]
-
-    @property
-    def n_active(self) -> int:
-        return int(np.count_nonzero(self.active))
-
-
-def detect_failures(block: MultichannelSignal, threshold: float) -> ChannelReport:
-    """Flag channels whose best zero-lag Pearson correlation falls below threshold.
+def detect_failures(block: MultichannelSignal) -> np.ndarray:
+    """Per-channel best zero-lag Pearson correlation mu against the other
+    channels, (channels,) in [0, 1].
 
     A failed microphone (disconnected, saturated to constant, pure local noise)
-    decorrelates from every healthy channel. Zero-variance channels get mu = 0.
+    decorrelates from every healthy channel, so a channel counts as active
+    when mu >= the threshold (T_MU_SIMULATED or T_MU_REAL). Zero-variance
+    channels get mu = 0.
     """
     x = block.samples
     n_ch, n_samples = x.shape
@@ -57,4 +41,4 @@ def detect_failures(block: MultichannelSignal, threshold: float) -> ChannelRepor
     # correlation is mathematically <= 1; values within rounding of 1 come
     # from exact-copy channels and must stay active even at threshold 1
     mu[mu >= 1.0 - 1e-12] = 1.0
-    return ChannelReport(mu=mu, active=mu >= threshold, threshold=float(threshold))
+    return mu

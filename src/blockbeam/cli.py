@@ -17,6 +17,7 @@ import numpy as np
 
 from . import evalsim
 from .audio_io import load_network, read_wav, write_wav
+from .channel_health import T_MU_SIMULATED
 from .errors import ConfigError, DataError, FormatError, SizeError
 from .pipeline import (
     BEAMFORMERS,
@@ -28,9 +29,9 @@ from .pipeline import (
     frames_for_duration_ms,
     run_with_diagnostics,
 )
-from .rtf import dump_rtf_csv
+from .rtf import SUB_BLOCK_LEN_DEFAULT, dump_rtf_csv
 from .stft import StftConfig
-from .vad import dump_mask_csv
+from .vad import T_SNR_DEFAULT, dump_mask_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -303,9 +304,9 @@ def _add_enhance_options(p: argparse.ArgumentParser):
     p.add_argument("--vad-weights", default=None, help="weight file for --vad network")
     p.add_argument("--pooling", choices=POOLING_MODES, default="median")
     p.add_argument("--ref-channel", type=_positive_int, default=1, help="1-based reference channel")
-    p.add_argument("--t-mu", type=float, default=0.05, help="mic-failure correlation threshold")
-    p.add_argument("--t-snr", type=float, default=5.0, help="oracle mask SNR threshold in dB")
-    p.add_argument("--sub-block-len", type=int, default=10, help="RTF sub-block length in frames")
+    p.add_argument("--t-mu", type=float, default=T_MU_SIMULATED, help="mic-failure correlation threshold")
+    p.add_argument("--t-snr", type=float, default=T_SNR_DEFAULT, help="oracle mask SNR threshold in dB")
+    p.add_argument("--sub-block-len", type=int, default=SUB_BLOCK_LEN_DEFAULT, help="RTF sub-block length in frames")
     p.add_argument("--clean", default=None, help="clean stems for --vad oracle")
     p.add_argument("--noise", default=None, help="noise stems for --vad oracle")
 

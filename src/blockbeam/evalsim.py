@@ -375,16 +375,24 @@ def _ratio_db(num: float, den: float) -> tuple[float, bool]:
     return float(value), False
 
 
-def metrics(decomp: Decomposition) -> MetricReport:
-    """Interference/distortion/artifact ratios of a decomposition, in dB."""
-    p_target = float(np.sum(decomp.target**2))
-    p_interf = float(np.sum(decomp.interference**2))
-    p_artif = float(np.sum(decomp.artifact**2))
+def _energies(decomp: Decomposition) -> np.ndarray:
+    """Energies of target, interference, artifact and target + interference."""
+    parts = (decomp.target, decomp.interference, decomp.artifact, decomp.target + decomp.interference)
+    return np.array([float(np.sum(part**2)) for part in parts])
 
+
+def _report(energies) -> MetricReport:
+    """SIR, SDR and SAR from the four energies that `_energies` lists."""
+    p_target, p_interf, p_artif, p_signal = energies
     sir, c1 = _ratio_db(p_target, p_interf)
     sdr, c2 = _ratio_db(p_target, p_interf + p_artif)
-    sar, c3 = _ratio_db(float(np.sum((decomp.target + decomp.interference) ** 2)), p_artif)
+    sar, c3 = _ratio_db(p_signal, p_artif)
     return MetricReport(sir_db=sir, sdr_db=sdr, sar_db=sar, capped=c1 or c2 or c3)
+
+
+def metrics(decomp: Decomposition) -> MetricReport:
+    """Interference/distortion/artifact ratios of a decomposition, in dB."""
+    return _report(_energies(decomp))
 
 
 def evaluate_estimate(estimate, target_stem, noise_stems, filter_len: int = DEFAULT_FILTER_LEN) -> MetricReport:
@@ -411,7 +419,9 @@ def evaluate_blockwise(
     which a single time-invariant projection would misclassify as artifacts.
     The trailing remainder merges into the last window.
 
-    Returns (energy-aggregated report, per-window reports).
+    Returns (energy-aggregated report, per-window reports). The aggregate
+    sums each energy that `metrics` uses over the windows, so a single
+    window gives exactly the report of `evaluate_estimate`.
     """
     est = np.asarray(estimate, dtype=np.float64).ravel()
     target = np.asarray(target_stem, dtype=np.float64).ravel()[: est.shape[0]]
@@ -426,16 +436,9 @@ def evaluate_blockwise(
     edges[-1] = (edges[-1][0], est.shape[0])  # last window absorbs the remainder
 
     per_window = []
-    e_target = e_interf = e_artif = 0.0
+    total = np.zeros(4)
     for lo, hi in edges:
-        d = decompose(est[lo:hi], target[lo:hi], noises[:, lo:hi], filter_len)
-        per_window.append(metrics(d))
-        e_target += float(np.sum(d.target**2))
-        e_interf += float(np.sum(d.interference**2))
-        e_artif += float(np.sum(d.artifact**2))
-
-    sir, c1 = _ratio_db(e_target, e_interf)
-    sdr, c2 = _ratio_db(e_target, e_interf + e_artif)
-    sar, c3 = _ratio_db(e_target + e_interf, e_artif)
-    aggregate = MetricReport(sir_db=sir, sdr_db=sdr, sar_db=sar, capped=c1 or c2 or c3)
-    return aggregate, per_window
+        energies = _energies(decompose(est[lo:hi], target[lo:hi], noises[:, lo:hi], filter_len))
+        per_window.append(_report(energies))
+        total += energies
+    return _report(total), per_window

@@ -15,7 +15,7 @@ from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, no
 from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
 from .postfilter import PostfilterConfig, projected_residual, wiener_mask
-from .rtf import SUB_BLOCK_LEN_DEFAULT, RtfSet, build_rtf_set
+from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set, reciprocal_rtf
 from .stft import StftConfig, analyze, frame_count, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
@@ -41,7 +41,9 @@ class PipelineConfig:
     blocks. allow_any_pairing lifts two checks: the beamformer/post-filter
     pairing, and the rejection of beamformer "gev" with vad_mode "none"
     (without masks every GEV bin is degenerate and takes the principal
-    eigenvector of its sample covariance, not the max-SNR beam).
+    eigenvector of its sample covariance, not the max-SNR beam). It does not
+    lift the rejection of post-filter "ban" with any beamformer but "gev",
+    the only one whose weights come with a BAN gain.
     """
 
     block_frames: int | str = 100
@@ -82,6 +84,11 @@ class PipelineConfig:
             raise ConfigError(f"t_mu must be in [0, 1], got {self.t_mu}")
         if not np.isfinite(self.t_snr):
             raise ConfigError(f"t_snr must be finite, got {self.t_snr}")
+        if self.postfilter == "ban" and self.beamformer != "gev":
+            raise ConfigError(
+                f"postfilter 'ban' needs beamformer 'gev'; {self.beamformer!r} weights "
+                "carry no BAN gain"
+            )
         if not self.allow_any_pairing and self.postfilter not in VALID_PAIRINGS[self.beamformer]:
             raise ConfigError(
                 f"postfilter {self.postfilter!r} is not paired with beamformer "
@@ -139,12 +146,13 @@ class BlockDiagnostics:
 class BlockResult:
     """One block's enhanced spectrum and intermediates; an intermediate is
     None when its stage did not run (a passthrough block has neither, and
-    the RTF set exists only where a beamformer or post-filter uses it)."""
+    the inverse RTFs exist only where a beamformer or post-filter uses
+    them)."""
 
     enhanced: np.ndarray  # (bins, frames) complex
     diagnostics: BlockDiagnostics
     pooled_mask: np.ndarray | None = None  # (bins, frames) in [0, 1]
-    rtf: RtfSet | None = None
+    rtf: np.ndarray | None = None  # (bins, active channels) inverse RTFs
 
 
 @contextmanager
@@ -201,8 +209,7 @@ def process_block(
 
     with _stage_timer(timings, "failure_detection"):
         if block.channel_count >= 2:
-            report = detect_failures(block, cfg.t_mu)
-            active = report.active_indices
+            active = [int(i) for i in np.flatnonzero(detect_failures(block) >= cfg.t_mu)]
         else:
             active = [0]
     diag.active_channels = active
@@ -241,35 +248,36 @@ def process_block(
         masks = _channel_masks(bins_active, active, ref, cfg, network, oracle_bins)
         pooled = pool_median(masks)
 
-    rtf = None
+    inv_rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
     if need_rtf:
         with _stage_timer(timings, "rtf"):
-            rtf = build_rtf_set(
+            inv_rtf, guarded = build_rtf_set(
                 bins_active,
                 pooled if cfg.pooling == "median" else masks,
                 ref_channel=ref_pos,
                 sub_block_len=cfg.sub_block_len,
             )
-            diag.rtf_fallback_bins = sum(rtf.fallback_bins.values())
+            diag.rtf_fallback_bins = int(guarded.sum())
 
     if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
         with _stage_timer(timings, "noise_est"):
             # the projection only: the postfilter folds w into it, so the
             # per-channel noise estimate is never formed
-            noise_proj, noise_cov, diag.noise_loaded_bins = noise_projection(bins_active, rtf)
+            noise_proj, noise_cov, diag.noise_loaded_bins = noise_projection(bins_active, inv_rtf, ref_pos)
 
     with _stage_timer(timings, "beamform"):
         if cfg.beamformer == "irtf":
-            weights = irtf_weights(rtf)
+            weights = irtf_weights(inv_rtf)
         elif cfg.beamformer == "mvdr":
-            weights = mvdr_weights(noise_cov, rtf)
-            diag.mvdr_fallback_bins = weights.fallback_bins
+            weights, diag.mvdr_fallback_bins = mvdr_weights(noise_cov, reciprocal_rtf(inv_rtf), inv_rtf)
         else:
-            weights = gev_weights(bins_active, pooled, ref_component=ref_pos)
-            diag.gev_degenerate_bins = weights.fallback_bins
-            diag.gev_noise_loaded_bins = weights.loaded_bins
-        beam_out = apply_weights(weights, bins_active, use_ban=(cfg.postfilter == "ban"))
+            weights, ban_gain, diag.gev_degenerate_bins, diag.gev_noise_loaded_bins = gev_weights(
+                bins_active, pooled, ref_component=ref_pos
+            )
+        beam_out = apply_weights(weights, bins_active)
+        if cfg.postfilter == "ban":
+            beam_out = beam_out * ban_gain[:, None]
 
     with _stage_timer(timings, "postfilter"):
         if cfg.postfilter == "wiener":
@@ -280,7 +288,7 @@ def process_block(
         else:
             enhanced = beam_out
 
-    return BlockResult(enhanced=enhanced, diagnostics=diag, pooled_mask=pooled, rtf=rtf)
+    return BlockResult(enhanced=enhanced, diagnostics=diag, pooled_mask=pooled, rtf=inv_rtf)
 
 
 def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int]]:

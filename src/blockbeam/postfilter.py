@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import BeamWeights
 from .errors import ConfigError, SizeError
 from .vad import checked_mask
 
@@ -41,8 +40,9 @@ class PostfilterConfig:
             raise ConfigError(f"vad_threshold must be in [0, 1], got {self.vad_threshold}")
 
 
-def projected_residual(weights: BeamWeights, bins, projection) -> np.ndarray:
-    """Residual noise w^H (P B) x at the beamformer output from the noise
+def projected_residual(weights: np.ndarray, bins, projection) -> np.ndarray:
+    """Residual noise w^H (P B) x at the beamformer output, for (K, M)
+    weights w, from the noise
     estimator's projection P B (`beamform.noise_projection`), equal to
     beamforming the per-frame noise estimate (P B) x with the same weights
     up to rounding.
@@ -50,7 +50,7 @@ def projected_residual(weights: BeamWeights, bins, projection) -> np.ndarray:
     (P B)^T conj(w) is folded first, so the (K, L, M) per-channel noise
     estimate is never formed.
     """
-    folded = np.asarray(projection).transpose(0, 2, 1) @ np.conj(weights.weights)[:, :, None]
+    folded = np.asarray(projection).transpose(0, 2, 1) @ np.conj(weights)[:, :, None]
     return (np.asarray(bins) @ folded)[:, :, 0]
 
 

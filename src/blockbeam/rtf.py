@@ -12,8 +12,6 @@ computed for every non-reference channel at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SizeError
@@ -94,28 +92,12 @@ def reciprocal_rtf(inv_rtf: np.ndarray, reg: float = RECIPROCAL_REG) -> np.ndarr
     return np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + reg)
 
 
-@dataclass
-class RtfSet:
-    """Per-frequency inverse RTFs and regularized RTFs, one column per
-    channel of the estimator's input; the reference column of inv_rtf is
-    exactly 1."""
-
-    inv_rtf: np.ndarray  # (bins, channels) complex
-    rtf: np.ndarray  # (bins, channels) complex
-    ref: int  # column index of the reference channel
-    fallback_bins: dict = field(default_factory=dict)  # channel -> guarded bin count
-
-    @property
-    def n_channels(self) -> int:
-        return self.inv_rtf.shape[1]
-
-    @property
-    def n_bins(self) -> int:
-        return self.inv_rtf.shape[0]
-
-
-def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT) -> RtfSet:
+def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
     """Estimate the inverse RTF of every non-reference channel.
+
+    Returns (inverse RTFs (K, M) complex, whose reference column is exactly
+    1; per-channel count (M,) of bins that took the variance-guard fallback,
+    0 for the reference channel).
 
     Arguments:
         bins: complex STFT tensor (K, L, M)
@@ -144,22 +126,18 @@ def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BL
     others = [c for c in range(n_ch) if c != ref_channel]
     inv_rtf = np.ones((n_bins, n_ch), dtype=np.complex128)
     inv_rtf[:, others], fallback = _closed_form(*_subblock_sums(x, weights, ref_channel, sub_block_len))
-    counts = np.count_nonzero(fallback, axis=0)
-    return RtfSet(
-        inv_rtf=inv_rtf,
-        rtf=reciprocal_rtf(inv_rtf),
-        ref=ref_channel,
-        fallback_bins={ch: int(n) for ch, n in zip(others, counts) if n},
-    )
+    counts = np.zeros(n_ch, dtype=np.int64)
+    counts[others] = np.count_nonzero(fallback, axis=0)
+    return inv_rtf, counts
 
 
-def dump_rtf_csv(rtf: RtfSet, path) -> None:
+def dump_rtf_csv(inv_rtf: np.ndarray, path) -> None:
     """Debug dump: per bin, magnitude and phase of each channel's inverse RTF."""
-    cols = [np.arange(rtf.n_bins)]
+    cols = [np.arange(inv_rtf.shape[0])]
     header = ["bin"]
-    for ch in range(rtf.n_channels):
-        cols.append(np.abs(rtf.inv_rtf[:, ch]))
-        cols.append(np.angle(rtf.inv_rtf[:, ch]))
+    for ch in range(inv_rtf.shape[1]):
+        cols.append(np.abs(inv_rtf[:, ch]))
+        cols.append(np.angle(inv_rtf[:, ch]))
         header.append(f"ch{ch}_mag")
         header.append(f"ch{ch}_phase")
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=",".join(header), comments="")

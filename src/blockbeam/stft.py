@@ -25,9 +25,11 @@ WINDOW_SUM_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class StftConfig:
+    """Framing of the analysis; every frame is weighted by the periodic
+    Hamming window of frame_len samples."""
+
     frame_len: int = 512
     hop: int = 128
-    window: str = "hamming"
     sample_rate: int = 16000
 
     def __post_init__(self):
@@ -35,8 +37,6 @@ class StftConfig:
             raise ConfigError(f"frame_len must be positive and even, got {self.frame_len}")
         if not 0 < self.hop <= self.frame_len:
             raise ConfigError(f"hop must be in (0, frame_len], got {self.hop}")
-        if self.window != "hamming":
-            raise ConfigError(f"unsupported window {self.window!r}")
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
 

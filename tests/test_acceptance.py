@@ -131,7 +131,7 @@ def _pooled_phase_error(seed, snr_db, n_blocks=6, delay=12):
     for b in range(n_blocks):
         frames = slice(b * 100, b * 100 + 100)
         mask = oracle_ibm(clean_spec[:, frames, 1], noise_spec[:, frames, 1], 5.0)
-        g_inv = build_rtf_set(spec[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
+        g_inv = build_rtf_set(spec[:, frames], mask, ref_channel=0)[0][:, 1]
         errs.append(np.abs(np.angle(g_inv[4:101] * np.conj(truth[4:101]))))
     return float(np.median(np.concatenate(errs)))
 
@@ -188,12 +188,9 @@ def test_criterion_05_blocking_matrix():
     bmat = blocking_matrix(inv_rtf, ref=0)
     residual = np.max(np.abs(np.einsum("krm,km->kr", bmat, g_exact)))
 
-    from blockbeam.rtf import RtfSet
-
-    rtf = RtfSet(inv_rtf=inv_rtf, rtf=g_exact, ref=0)
     s = rng.standard_normal((257, 30)) + 1j * rng.standard_normal((257, 30))
     x = g_exact[:, None, :] * s[:, :, None]  # noise-free target block
-    noise_est, _, _ = estimate_noise(x, rtf)
+    noise_est, _, _ = estimate_noise(x, inv_rtf)
     v = np.einsum("krm,klm->klr", bmat, x)
     ok = residual < 1e-12 and np.max(np.abs(v)) < 1e-12 * np.max(np.abs(x)) and np.max(
         np.abs(noise_est)
@@ -374,7 +371,7 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
                     mask = oracle_ibm(clean_spec[:, frames, 1], noise_spec[:, frames, 1], 5.0)
                 else:
                     mask = np.ones((257, 100))
-                g = build_rtf_set(mix_spec[:, frames], mask, ref_channel=0).inv_rtf[:, 1]
+                g = build_rtf_set(mix_spec[:, frames], mask, ref_channel=0)[0][:, 1]
                 per_block.append(np.abs(np.angle(g[4:101] * np.conj(truth[4:101]))))
             errs[name] = float(np.median(np.concatenate(per_block)))
         ratios.append(errs["unit"] / errs["oracle"])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from blockbeam.beamform import (
     PINV_RCOND,
-    BeamWeights,
     apply_weights,
     blocking_matrix,
     gev_weights,
@@ -16,8 +15,7 @@ from blockbeam.beamform import (
     sample_covariance,
     solve_max_snr,
 )
-from blockbeam.errors import ConfigError, SizeError
-from blockbeam.rtf import RtfSet
+from blockbeam.errors import SizeError
 from reference import estimate_noise
 
 
@@ -28,10 +26,9 @@ def random_bins(n_bins, n_frames, n_ch, seed):
     )
 
 
-def rtf_from_inverse(inv_rtf, ref=0, exact=False):
-    """RtfSet fixture; exact=True uses the exact reciprocal (no regularizer)."""
-    rtf = 1.0 / inv_rtf if exact else np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + 1e-6)
-    return RtfSet(inv_rtf=inv_rtf, rtf=rtf, ref=ref)
+def rtf_from_inverse(inv_rtf):
+    """RTFs from inverse RTFs by the regularized reciprocal."""
+    return np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + 1e-6)
 
 
 def random_inverse_rtf(n_bins, n_ch, seed, ref=0):
@@ -64,8 +61,7 @@ class TestIrtfWeights:
     def test_identical_channels_pass_through(self):
         bins = random_bins(8, 10, 1, 0)
         x = np.concatenate([bins, bins, bins], axis=2)
-        rtf = rtf_from_inverse(np.ones((8, 3), dtype=complex), exact=True)
-        out = apply_weights(irtf_weights(rtf), x)
+        out = apply_weights(irtf_weights(np.ones((8, 3), dtype=complex)), x)
         assert np.allclose(out, bins[:, :, 0], atol=1e-12)
 
     def test_anechoic_target_recovered_exactly(self):
@@ -77,8 +73,7 @@ class TestIrtfWeights:
         g = 1.0 / inv_rtf
         noise = 0.1 * random_bins(n_bins, n_frames, 2, 3)
         x = g[:, None, :] * s[:, :, None] + noise
-        rtf = rtf_from_inverse(inv_rtf, exact=True)
-        out = apply_weights(irtf_weights(rtf), x)
+        out = apply_weights(irtf_weights(inv_rtf), x)
         noise_part = np.mean(inv_rtf[:, None, :] * noise, axis=2)
         assert np.allclose(out, s + noise_part, atol=1e-10)
 
@@ -89,7 +84,7 @@ class TestIrtfWeights:
         k = np.arange(n_bins)[:, None]
         inv_rtf = np.exp(1j * 2 * np.pi * k * delays[None, :] / 512)
         x = random_bins(n_bins, n_frames, n_ch, 4)
-        out = apply_weights(irtf_weights(rtf_from_inverse(inv_rtf, exact=True)), x)
+        out = apply_weights(irtf_weights(inv_rtf), x)
 
         dsb = np.zeros((n_bins, n_frames), dtype=complex)
         for ch in range(n_ch):
@@ -100,8 +95,7 @@ class TestIrtfWeights:
 
     def test_single_channel_identity(self):
         x = random_bins(8, 5, 1, 5)
-        rtf = rtf_from_inverse(np.ones((8, 1), dtype=complex), exact=True)
-        out = apply_weights(irtf_weights(rtf), x)
+        out = apply_weights(irtf_weights(np.ones((8, 1), dtype=complex)), x)
         assert np.allclose(out, x[:, :, 0])
 
 
@@ -133,10 +127,9 @@ class TestEstimateNoise:
         rng = np.random.default_rng(8)
         n_bins, n_frames = 16, 20
         inv_rtf = random_inverse_rtf(n_bins, 3, 9)
-        rtf = rtf_from_inverse(inv_rtf, exact=True)
         s = rng.standard_normal((n_bins, n_frames)) + 1j * rng.standard_normal((n_bins, n_frames))
         x = (1.0 / inv_rtf)[:, None, :] * s[:, :, None]
-        noise_est, _, _ = estimate_noise(x, rtf)
+        noise_est, _, _ = estimate_noise(x, inv_rtf)
         assert np.max(np.abs(noise_est)) < 1e-10 * np.max(np.abs(x))
 
     def test_matches_least_squares_oracle(self):
@@ -145,8 +138,7 @@ class TestEstimateNoise:
         n_bins, n_frames, n_ch = 8, 50, 3
         x = random_bins(n_bins, n_frames, n_ch, 10)
         inv_rtf = random_inverse_rtf(n_bins, n_ch, 11)
-        rtf = rtf_from_inverse(inv_rtf, exact=True)
-        noise_est, _, n_loaded = estimate_noise(x, rtf)
+        noise_est, _, n_loaded = estimate_noise(x, inv_rtf)
         assert n_loaded == 0
 
         bmat = blocking_matrix(inv_rtf, ref=0)
@@ -161,8 +153,7 @@ class TestEstimateNoise:
 
     def test_noise_cov_hermitian_rank_deficient(self):
         x = random_bins(16, 60, 4, 12)
-        rtf = rtf_from_inverse(random_inverse_rtf(16, 4, 13), exact=True)
-        _, c, _ = estimate_noise(x, rtf)
+        _, c, _ = estimate_noise(x, random_inverse_rtf(16, 4, 13))
         assert np.allclose(c, np.conj(c.transpose(0, 2, 1)), atol=1e-10)
         eigs = np.linalg.eigvalsh(c)
         assert np.all(eigs[:, 0] <= 1e-8 * eigs[:, -1])  # rank <= M-1
@@ -170,26 +161,25 @@ class TestEstimateNoise:
 
     def test_silent_block_does_not_raise(self):
         x = np.zeros((4, 30, 3), dtype=complex)
-        rtf = rtf_from_inverse(np.ones((4, 3), dtype=complex), exact=True)
-        noise_est, _, _ = estimate_noise(x, rtf)
+        noise_est, _, _ = estimate_noise(x, np.ones((4, 3), dtype=complex))
         assert np.all(noise_est == 0)
 
     def test_needs_two_channels(self):
         x = random_bins(4, 10, 1, 14)
-        rtf = rtf_from_inverse(np.ones((4, 1), dtype=complex), exact=True)
         with pytest.raises(SizeError):
-            estimate_noise(x, rtf)
+            estimate_noise(x, np.ones((4, 1), dtype=complex))
 
 
 class TestMvdrWeights:
     def test_distortionless_on_random_rank_deficient(self):
         n_bins, n_ch = 64, 4
         cov = hermitian_psd(n_bins, n_ch, 15, rank=n_ch - 1)
-        rtf = rtf_from_inverse(random_inverse_rtf(n_bins, n_ch, 16))
-        w = mvdr_weights(cov, rtf)
-        gains = np.einsum("km,km->k", np.conj(w.weights), rtf.rtf)
+        inv_rtf = random_inverse_rtf(n_bins, n_ch, 16)
+        rtf = rtf_from_inverse(inv_rtf)
+        w, n_fallback = mvdr_weights(cov, rtf, inv_rtf)
+        gains = np.einsum("km,km->k", np.conj(w), rtf)
         assert np.max(np.abs(gains - 1.0)) < 1e-8
-        assert w.fallback_bins == 0
+        assert n_fallback == 0
 
     def test_pseudoinverse_matches_svd_oracle(self):
         mats = hermitian_psd(32, 4, 17, rank=3)
@@ -205,14 +195,15 @@ class TestMvdrWeights:
         # of classic (C + eps I)^{-1}-based weights as the loading vanishes
         n_bins, n_ch = 16, 3
         cov_mat = hermitian_psd(n_bins, n_ch, 18)
-        rtf = rtf_from_inverse(random_inverse_rtf(n_bins, n_ch, 19))
-        w = mvdr_weights(cov_mat, rtf).weights
+        inv_rtf = random_inverse_rtf(n_bins, n_ch, 19)
+        rtf = rtf_from_inverse(inv_rtf)
+        w, _ = mvdr_weights(cov_mat, rtf, inv_rtf)
 
         errs = []
         for eps in (1e-4, 1e-6, 1e-8):
             loaded = cov_mat + eps * np.eye(n_ch)
-            num = np.linalg.solve(loaded, rtf.rtf[..., None])[..., 0]
-            den = np.einsum("km,km->k", np.conj(rtf.rtf), num)
+            num = np.linalg.solve(loaded, rtf[..., None])[..., 0]
+            den = np.einsum("km,km->k", np.conj(rtf), num)
             w_loaded = num / den[:, None]
             errs.append(np.max(np.abs(w_loaded - w)) / np.max(np.abs(w)))
         assert errs[0] > errs[1] > errs[2]
@@ -222,16 +213,16 @@ class TestMvdrWeights:
         n_bins, n_ch = 4, 3
         cov_mat = hermitian_psd(n_bins, n_ch, 20, rank=2)
         cov_mat[2] = 0.0  # zero covariance: denominator vanishes
-        rtf = rtf_from_inverse(random_inverse_rtf(n_bins, n_ch, 21))
-        w = mvdr_weights(cov_mat, rtf)
-        assert w.fallback_bins == 1
-        assert np.allclose(w.weights[2], np.conj(rtf.inv_rtf[2]) / n_ch)
+        inv_rtf = random_inverse_rtf(n_bins, n_ch, 21)
+        w, n_fallback = mvdr_weights(cov_mat, rtf_from_inverse(inv_rtf), inv_rtf)
+        assert n_fallback == 1
+        assert np.allclose(w[2], np.conj(inv_rtf[2]) / n_ch)
 
     def test_wrong_shape_noise_cov_rejected(self):
-        rtf = rtf_from_inverse(np.ones((4, 2), dtype=complex))
+        inv_rtf = np.ones((4, 2), dtype=complex)
         for shape in [(4, 3, 3), (5, 2, 2), (4, 2)]:
             with pytest.raises(SizeError):
-                mvdr_weights(np.zeros(shape, dtype=complex), rtf)
+                mvdr_weights(np.zeros(shape, dtype=complex), rtf_from_inverse(inv_rtf), inv_rtf)
 
 
 class TestGevWeights:
@@ -310,25 +301,25 @@ class TestGevWeights:
         assert degen[1] and not degen[0]
         expected = sample_covariance(x)[1] / 6
         assert np.allclose(noise[1], expected)
-        w = gev_weights(x, values)
-        assert w.fallback_bins == 1
+        _, _, n_degenerate, _ = gev_weights(x, values)
+        assert n_degenerate == 1
 
     def test_ban_gain_formula(self):
         x = random_bins(8, 24, 3, 35)
         mask = np.random.default_rng(36).uniform(0.05, 0.95, (8, 24))
-        w = gev_weights(x, mask)
+        w, ban_gain, _, _ = gev_weights(x, mask)
         _, noise, _ = masked_covariances(x, mask)
         for k in range(8):
-            vec = w.weights[k]
+            vec = w[k]
             num = np.sqrt((np.conj(vec) @ noise[k] @ noise[k].conj().T @ vec).real / 3)
             den = (np.conj(vec) @ noise[k] @ vec).real
-            assert w.ban_gain[k] == pytest.approx(num / den, rel=1e-9)
+            assert ban_gain[k] == pytest.approx(num / den, rel=1e-9)
 
     def test_phase_fixed_reference_component(self):
         x = random_bins(8, 24, 3, 37)
         mask = np.random.default_rng(38).uniform(0.05, 0.95, (8, 24))
-        w = gev_weights(x, mask, ref_component=1)
-        anchor = w.weights[:, 1]
+        w, _, _, _ = gev_weights(x, mask, ref_component=1)
+        anchor = w[:, 1]
         assert np.all(anchor.real >= -1e-12)
         assert np.allclose(anchor.imag, 0.0, atol=1e-10)
 
@@ -342,12 +333,12 @@ class TestApplyWeights:
         x = random_bins(8, 5, 3, 40)
         w = np.zeros((8, 3), dtype=complex)
         w[:, 1] = 1.0
-        out = apply_weights(BeamWeights(weights=w, method="irtf"), x)
+        out = apply_weights(w, x)
         assert np.array_equal(out, x[:, :, 1])
 
     def test_linearity(self):
         x = random_bins(8, 5, 3, 41)
-        w = BeamWeights(weights=random_bins(8, 1, 3, 42)[:, 0, :], method="irtf")
+        w = random_bins(8, 1, 3, 42)[:, 0, :]
         assert np.allclose(apply_weights(w, 2.5j * x), 2.5j * apply_weights(w, x), atol=1e-12)
 
     def test_mvdr_distortionless_on_synthetic_mixture(self):
@@ -359,31 +350,18 @@ class TestApplyWeights:
         rtf = rtf_from_inverse(inv_rtf)
         s = rng.standard_normal((n_bins, n_frames)) + 1j * rng.standard_normal((n_bins, n_frames))
         noise = 0.3 * random_bins(n_bins, n_frames, n_ch, 45)
-        x = rtf.rtf[:, None, :] * s[:, :, None] + noise
+        x = rtf[:, None, :] * s[:, :, None] + noise
 
-        _, noise_cov, _ = estimate_noise(x, rtf)
-        w = mvdr_weights(noise_cov, rtf)
+        _, noise_cov, _ = estimate_noise(x, inv_rtf)
+        w, _ = mvdr_weights(noise_cov, rtf, inv_rtf)
         out = apply_weights(w, x)
-        target_component = np.einsum("km,km->k", np.conj(w.weights), rtf.rtf)[:, None] * s
+        target_component = np.einsum("km,km->k", np.conj(w), rtf)[:, None] * s
         assert np.allclose(target_component, s, atol=1e-8 * np.abs(s).max())
         noise_component = apply_weights(w, noise)
         assert np.allclose(out, s + noise_component, atol=1e-8)
 
-    def test_ban_applied_when_requested(self):
-        x = random_bins(8, 10, 2, 46)
-        mask = np.random.default_rng(47).uniform(0.2, 0.8, (8, 10))
-        w = gev_weights(x, mask)
-        plain = apply_weights(w, x)
-        scaled = apply_weights(w, x, use_ban=True)
-        assert np.allclose(scaled, w.ban_gain[:, None] * plain)
-
-    def test_ban_without_gain_rejected(self):
-        w = BeamWeights(weights=np.ones((4, 2), dtype=complex), method="irtf")
-        with pytest.raises(ConfigError):
-            apply_weights(w, random_bins(4, 3, 2, 48), use_ban=True)
-
     def test_shape_mismatch(self):
-        w = BeamWeights(weights=np.ones((4, 2), dtype=complex), method="irtf")
+        w = np.ones((4, 2), dtype=complex)
         with pytest.raises(SizeError):
             apply_weights(w, random_bins(4, 3, 3, 49))
 
@@ -489,8 +467,7 @@ class TestBatchedKernels:
         n_bins, n_frames, n_ch = 33, 57, 4
         x = random_bins(n_bins, n_frames, n_ch, 63)
         inv_rtf = random_inverse_rtf(n_bins, n_ch, 64, ref=2)
-        rtf = rtf_from_inverse(inv_rtf, ref=2)
-        noise_est, noise_cov, n_loaded = estimate_noise(x, rtf)
+        noise_est, noise_cov, n_loaded = estimate_noise(x, inv_rtf, ref=2)
 
         cxx = np.einsum("klm,kln->kmn", x, np.conj(x))
         bmat = blocking_matrix(inv_rtf, 2)
@@ -508,16 +485,17 @@ class TestBatchedKernels:
         n_bins, n_ch = 48, 4
         noise_cov = hermitian_psd(n_bins, n_ch, 65 + rank, rank=rank)
         noise_cov[7] = 0.0
-        rtf = rtf_from_inverse(random_inverse_rtf(n_bins, n_ch, 70 + rank))
-        num, den, eig_max = reference_mvdr(noise_cov, rtf.rtf)
-        floor = 1e-12 * eig_max * np.sum(np.abs(rtf.rtf) ** 2, axis=1)
+        inv_rtf = random_inverse_rtf(n_bins, n_ch, 70 + rank)
+        rtf = rtf_from_inverse(inv_rtf)
+        num, den, eig_max = reference_mvdr(noise_cov, rtf)
+        floor = 1e-12 * eig_max * np.sum(np.abs(rtf) ** 2, axis=1)
         degenerate = den <= floor
-        expected = np.conj(rtf.inv_rtf) / n_ch
+        expected = np.conj(inv_rtf) / n_ch
         expected[~degenerate] = num[~degenerate] / den[~degenerate, None]
 
-        w = mvdr_weights(noise_cov, rtf)
-        assert w.fallback_bins == int(np.count_nonzero(degenerate)) >= 1
-        assert relative_error(w.weights, expected) < 1e-9
+        w, n_fallback = mvdr_weights(noise_cov, rtf, inv_rtf)
+        assert n_fallback == int(np.count_nonzero(degenerate)) >= 1
+        assert relative_error(w, expected) < 1e-9
 
     @settings(max_examples=80)
     @given(
@@ -544,8 +522,8 @@ class TestBatchedKernels:
 
     def test_degenerate_gev_bin_takes_principal_eigenvector(self):
         x = random_bins(6, 20, 3, 75)
-        w = gev_weights(x, np.ones((6, 20)))
-        assert w.fallback_bins == 6
+        w, _, n_degenerate, _ = gev_weights(x, np.ones((6, 20)))
+        assert n_degenerate == 6
         for k in range(6):
             principal = np.linalg.eigh(x[k].T @ np.conj(x[k]))[1][:, -1]
-            assert abs(np.vdot(principal, w.weights[k])) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(principal, w[k])) == pytest.approx(1.0, abs=1e-12)

@@ -207,6 +207,25 @@ class TestEnhanceCommand:
         assert main(args + ["--allow-any-pairing"]) == 0
         assert (tmp_path / "o.wav").exists()
 
+    # at --t-mu 1 every block passes through unprocessed, so no beamformer
+    # runs and only the configuration check can reject the pairing
+    @pytest.mark.parametrize("t_mu", ["0.05", "1.0"])
+    @pytest.mark.parametrize("beamformer", ["irtf", "mvdr"])
+    def test_ban_without_gev_is_config_error_even_with_override(self, sim_dir, tmp_path, beamformer, t_mu):
+        code = main(
+            [
+                "enhance",
+                "--input", str(sim_dir / "mixture.wav"),
+                "--output", str(tmp_path / "o.wav"),
+                "--beamformer", beamformer,
+                "--postfilter", "ban",
+                "--allow-any-pairing",
+                "--t-mu", t_mu,
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "o.wav").exists()
+
     def test_oracle_without_stems_is_config_error(self, sim_dir, tmp_path):
         code = main(
             [

@@ -248,6 +248,17 @@ class TestEvaluateBlockwise:
         agg, _ = evaluate_blockwise(est, target, sim.noise.samples, window=16000)
         assert agg.sar_db > single.sar_db + 20
 
+    def test_single_window_aggregate_equals_single_report(self):
+        # the aggregate sums the energies metrics() uses, including the
+        # target/interference cross term inside the SAR numerator
+        sim, _ = make_sim(seed=0, duration=1.0)
+        cfg = PipelineConfig(block_frames=50, beamformer="mvdr", postfilter="wiener", vad_mode="oracle")
+        est = run(sim.mixture, cfg, oracle=OracleStems(clean=sim.clean, noise=sim.noise)).samples[0]
+        single = evaluate_estimate(est, sim.clean.samples[0], sim.noise.samples)
+        agg, per = evaluate_blockwise(est, sim.clean.samples[0], sim.noise.samples, window=est.shape[0])
+        assert per == [single]
+        assert agg == single
+
     def test_remainder_merges_into_last_window(self):
         sim, _ = make_sim(seed=19, duration=1.0)
         est = sim.mixture.samples[0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
-from blockbeam.beamform import apply_weights
+from blockbeam.beamform import apply_weights, gev_weights
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.evalsim import (
     MixtureSpec,
@@ -68,6 +68,11 @@ class TestPipelineConfig:
             PipelineConfig(beamformer="irtf", postfilter="ban")
         with pytest.raises(ConfigError):
             PipelineConfig(beamformer="mvdr", postfilter="ban")
+        # only GEV weights come with a BAN gain, so the override must not
+        # defer this error to the first block that gets enhanced
+        for beamformer in ("irtf", "mvdr"):
+            with pytest.raises(ConfigError, match="ban"):
+                PipelineConfig(beamformer=beamformer, postfilter="ban", allow_any_pairing=True)
 
     def test_pairing_override(self):
         cfg = PipelineConfig(beamformer="gev", postfilter="wiener", allow_any_pairing=True)
@@ -333,6 +338,23 @@ class TestRun:
         out, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
         assert out.n_samples > 0
         assert np.all(np.isfinite(out.samples))
+
+    def test_ban_postfilter_scales_gev_beam_by_its_gain(self):
+        # post-filter "ban" multiplies each bin of the plain GEV beam by the
+        # BAN gain that gev_weights returns with the weights
+        block = MultichannelSignal(gain_mixture(seed=18, duration=1.0).mixture.samples[:, :13184], 16000)
+        net = NetworkWeights(
+            layers=[NetworkLayer(np.zeros((257, 257)), np.linspace(-3.0, 3.0, 257), "sigmoid")],
+            input_mean=np.zeros(257),
+            input_std=np.ones(257),
+        )
+        results = {}
+        for postfilter in ("none", "ban"):
+            cfg = PipelineConfig(block_frames=100, beamformer="gev", postfilter=postfilter, vad_mode="network")
+            results[postfilter] = process_block(block, cfg, net)
+        _, ban_gain, _, _ = gev_weights(analyze(block), results["ban"].pooled_mask)
+        assert not np.allclose(ban_gain, 1.0)
+        assert np.allclose(results["ban"].enhanced, ban_gain[:, None] * results["none"].enhanced)
 
     def test_network_vad_end_to_end(self):
         # a one-layer net whose positive bias saturates the sigmoid acts as

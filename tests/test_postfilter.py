@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from blockbeam.beamform import BeamWeights, apply_weights, mvdr_weights
+from blockbeam.beamform import apply_weights, mvdr_weights
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.postfilter import PostfilterConfig, wiener_mask
-from blockbeam.rtf import RtfSet
 from blockbeam.stft import StftConfig
 from reference import estimate_noise
 
@@ -25,14 +24,14 @@ class TestResidualNoise:
     """The residual noise w^H n: apply_weights on the noise estimate."""
 
     def test_zero_noise_estimate(self):
-        w = BeamWeights(weights=np.ones((4, 2), dtype=complex), method="irtf")
+        w = np.ones((4, 2), dtype=complex)
         assert np.all(apply_weights(w, np.zeros((4, 3, 2), dtype=complex)) == 0)
 
     def test_one_hot_selects_noise_channel(self):
         w = np.zeros((4, 3), dtype=complex)
         w[:, 2] = 1.0
         noise_est = random_bins(4, 5, 3, 0)
-        out = apply_weights(BeamWeights(weights=w, method="mvdr"), noise_est)
+        out = apply_weights(w, noise_est)
         assert np.array_equal(out, noise_est[:, :, 2])
 
     def test_mvdr_residual_not_louder_than_input_noise(self):
@@ -41,17 +40,16 @@ class TestResidualNoise:
         rng = np.random.default_rng(1)
         n_bins, n_frames, n_ch = 32, 60, 4
         inv_rtf = np.ones((n_bins, n_ch), dtype=complex)
-        rtf = RtfSet(inv_rtf=inv_rtf, rtf=1.0 / inv_rtf, ref=0)
         s = rng.standard_normal((n_bins, n_frames)) + 1j * rng.standard_normal((n_bins, n_frames))
         noise = 0.3 * random_bins(n_bins, n_frames, n_ch, 2)
         x = s[:, :, None] + noise
-        noise_est, noise_cov, _ = estimate_noise(x, rtf)
-        w = mvdr_weights(noise_cov, rtf)
+        noise_est, noise_cov, _ = estimate_noise(x, inv_rtf)
+        w, _ = mvdr_weights(noise_cov, 1.0 / inv_rtf, inv_rtf)
         r = apply_weights(w, noise_est)
         assert np.sum(np.abs(r) ** 2) <= np.sum(np.abs(noise) ** 2)
 
     def test_shape_mismatch(self):
-        w = BeamWeights(weights=np.ones((4, 2), dtype=complex), method="irtf")
+        w = np.ones((4, 2), dtype=complex)
         with pytest.raises(SizeError):
             apply_weights(w, np.zeros((4, 3, 3), dtype=complex))
 

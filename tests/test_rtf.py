@@ -33,7 +33,7 @@ def shared(n_bins, n_frames):
 
 def inverse_rtf(x, mask):
     """build_rtf_set's estimate for channel 1 against reference channel 0."""
-    return build_rtf_set(x, mask, ref_channel=0, sub_block_len=10).inv_rtf[:, 1]
+    return build_rtf_set(x, mask, ref_channel=0, sub_block_len=10)[0][:, 1]
 
 
 def random_bins(n_bins, n_frames, n_ch, seed):
@@ -138,9 +138,9 @@ class TestEstimateRtfInverse:
         g_inv, _ = _closed_form(np.zeros((2, 4), dtype=complex), np.zeros((2, 4)))
         assert np.allclose(g_inv, 1.0)
         # an all-zero mask silences every sub-block: each bin falls back to 1
-        rtf = build_rtf_set(random_bins(2, 40, 3, 1), np.zeros((2, 40)), ref_channel=0)
-        assert np.array_equal(rtf.inv_rtf, np.ones((2, 3)))
-        assert rtf.fallback_bins == {1: 2, 2: 2}
+        inv_rtf, guarded = build_rtf_set(random_bins(2, 40, 3, 1), np.zeros((2, 40)), ref_channel=0)
+        assert np.array_equal(inv_rtf, np.ones((2, 3)))
+        assert guarded.tolist() == [0, 2, 2]
 
     def test_needs_two_sub_blocks(self):
         # 10 frames of 10-frame sub-blocks make one sub-block
@@ -177,21 +177,20 @@ class TestBuildRtfSet:
     def test_identical_channels(self):
         bins = random_bins(8, 40, 1, 12)
         x = np.concatenate([bins, bins, bins], axis=2)
-        rtf = build_rtf_set(x, np.ones((8, 40)), ref_channel=0, sub_block_len=10)
-        assert np.allclose(rtf.inv_rtf, 1.0, atol=1e-10)
-        assert np.all(rtf.inv_rtf[:, 0] == 1.0)
-        assert rtf.n_channels == 3
+        inv_rtf, _ = build_rtf_set(x, np.ones((8, 40)), ref_channel=0, sub_block_len=10)
+        assert np.allclose(inv_rtf, 1.0, atol=1e-10)
+        assert np.all(inv_rtf[:, 0] == 1.0)
+        assert inv_rtf.shape[1] == 3
 
     def test_inactive_channel_excluded(self):
         # the pipeline passes only the active channels; each keeps the
         # estimate it has in the full set
         x = random_bins(8, 40, 4, 13)
-        rtf = build_rtf_set(x[:, :, [0, 1, 3]], np.ones((8, 40)), ref_channel=0)
-        full = build_rtf_set(x, np.ones((8, 40)), ref_channel=0)
-        assert rtf.n_channels == 3
-        assert rtf.inv_rtf.shape == (8, 3)
-        assert rtf.ref == 0
-        assert np.allclose(rtf.inv_rtf, full.inv_rtf[:, [0, 1, 3]], rtol=1e-12, atol=0)
+        inv_rtf, _ = build_rtf_set(x[:, :, [0, 1, 3]], np.ones((8, 40)), ref_channel=0)
+        full, _ = build_rtf_set(x, np.ones((8, 40)), ref_channel=0)
+        assert inv_rtf.shape == (8, 3)
+        assert np.all(inv_rtf[:, 0] == 1.0)
+        assert np.allclose(inv_rtf, full[:, [0, 1, 3]], rtol=1e-12, atol=0)
 
     def test_ref_must_be_active(self):
         x = random_bins(8, 40, 2, 14)
@@ -204,12 +203,12 @@ class TestBuildRtfSet:
         x = random_bins(8, 40, 3, 15)
         masks = np.random.default_rng(16).uniform(0, 1, (8, 40, 2))
         for ref in range(3):
-            rtf = build_rtf_set(x, masks, ref_channel=ref)
+            inv_rtf, _ = build_rtf_set(x, masks, ref_channel=ref)
             others = [c for c in range(3) if c != ref]
             for col, ch in enumerate(others):
-                single = build_rtf_set(x, masks[:, :, col], ref_channel=ref).inv_rtf[:, ch]
-                assert np.allclose(rtf.inv_rtf[:, ch], single, rtol=1e-12, atol=0)
-            assert np.all(rtf.inv_rtf[:, ref] == 1.0)
+                single = build_rtf_set(x, masks[:, :, col], ref_channel=ref)[0][:, ch]
+                assert np.allclose(inv_rtf[:, ch], single, rtol=1e-12, atol=0)
+            assert np.all(inv_rtf[:, ref] == 1.0)
 
     def test_reciprocal_regularization(self):
         g_inv = np.array([[1.0 + 0j, 0.0 + 0j, 2.0 + 0j]])
@@ -230,8 +229,8 @@ class TestBuildRtfSet:
             white_noise(3, dry.shape[0], rng),
         )
         spec = analyze(sim.mixture, StftConfig())
-        rtf = build_rtf_set(spec[:, :100], np.ones((257, 100)), ref_channel=0)
+        inv_rtf, _ = build_rtf_set(spec[:, :100], np.ones((257, 100)), ref_channel=0)
         _, inv_truth = true_rtfs(firs)
         for col, ch in [(1, 1), (2, 2)]:
-            err = np.abs(np.angle(rtf.inv_rtf[4:101, col] * np.conj(inv_truth[4:101, ch])))
+            err = np.abs(np.angle(inv_rtf[4:101, col] * np.conj(inv_truth[4:101, ch])))
             assert np.median(err) < 0.1

@@ -146,8 +146,6 @@ class TestConfig:
             StftConfig(hop=0)
         with pytest.raises(ConfigError):
             StftConfig(hop=1024)
-        with pytest.raises(ConfigError):
-            StftConfig(window="hann")
 
     def test_spectrogram_bin_count_checked(self):
         with pytest.raises(SizeError):
