@@ -15,7 +15,8 @@ from blockbeam.beamform import (
     sample_covariance,
     solve_max_snr,
 )
-from blockbeam.errors import SizeError
+from blockbeam.errors import ConfigError, SizeError
+from blockbeam.pipeline import PipelineConfig
 from reference import estimate_noise
 
 
@@ -359,6 +360,13 @@ class TestApplyWeights:
         assert np.allclose(target_component, s, atol=1e-8 * np.abs(s).max())
         noise_component = apply_weights(w, noise)
         assert np.allclose(out, s + noise_component, atol=1e-8)
+
+    def test_ban_without_gain_rejected(self):
+        # only GEV weights come with a BAN gain, so even the pairing override
+        # must not defer this error to the first block that gets enhanced
+        for beamformer in ("irtf", "mvdr"):
+            with pytest.raises(ConfigError, match="ban"):
+                PipelineConfig(beamformer=beamformer, postfilter="ban", allow_any_pairing=True)
 
     def test_shape_mismatch(self):
         w = np.ones((4, 2), dtype=complex)

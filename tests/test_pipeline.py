@@ -68,11 +68,6 @@ class TestPipelineConfig:
             PipelineConfig(beamformer="irtf", postfilter="ban")
         with pytest.raises(ConfigError):
             PipelineConfig(beamformer="mvdr", postfilter="ban")
-        # only GEV weights come with a BAN gain, so the override must not
-        # defer this error to the first block that gets enhanced
-        for beamformer in ("irtf", "mvdr"):
-            with pytest.raises(ConfigError, match="ban"):
-                PipelineConfig(beamformer=beamformer, postfilter="ban", allow_any_pairing=True)
 
     def test_pairing_override(self):
         cfg = PipelineConfig(beamformer="gev", postfilter="wiener", allow_any_pairing=True)
