@@ -31,7 +31,7 @@ from .pipeline import (
     run,
     run_with_diagnostics,
 )
-from .postfilter import PostfilterConfig, wiener_mask
+from .postfilter import wiener_mask
 from .rtf import build_rtf_set
 from .stft import StftConfig, analyze, synthesize
 from .vad import infer_mask, oracle_ibm, pool_median

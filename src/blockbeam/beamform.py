@@ -1,8 +1,8 @@
 """Inverse-RTF, MVDR and max-SNR (GEV) beamformers with BAN normalization.
 
 All per-frequency-bin computations are independent; functions take stacked
-(bins, ...) arrays, are pure, and run as a few batched numpy calls over bins
-rather than a Python loop:
+(bins, ...) arrays whose channel 0 is the reference channel, are pure, and
+run as a few batched numpy calls over bins rather than a Python loop:
 
 - covariances and the blocking-matrix noise estimate are batched `matmul`s
   (the noise estimate is x (P B)^T with P the least-squares projection);
@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeError
+from .rtf import reciprocal_rtf
 from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
@@ -73,25 +74,24 @@ def irtf_weights(inv_rtf: np.ndarray) -> np.ndarray:
     return np.conj(inv_rtf) / inv_rtf.shape[1]
 
 
-def blocking_matrix(inv_rtf: np.ndarray, ref: int) -> np.ndarray:
+def blocking_matrix(inv_rtf: np.ndarray) -> np.ndarray:
     """Target-blocking matrix per bin, shape (K, M-1, M).
 
-    Row r pairs the reference channel (coefficient -1) with one non-reference
-    channel scaled by its inverse RTF, so each row annihilates the target's
-    spatial image when the inverse RTF is exact.
+    Row r pairs the reference channel 0 (coefficient -1) with channel r + 1
+    scaled by its inverse RTF, so each row annihilates the target's spatial
+    image when the inverse RTF is exact.
     """
     n_bins, n_ch = inv_rtf.shape
     if n_ch < 2:
         raise SizeError("blocking matrix needs >= 2 channels")
     rows = np.arange(n_ch - 1)
-    others = np.delete(np.arange(n_ch), ref)
     bmat = np.zeros((n_bins, n_ch - 1, n_ch), dtype=np.complex128)
-    bmat[:, rows, ref] = -1.0
-    bmat[:, rows, others] = inv_rtf[:, others]
+    bmat[:, rows, 0] = -1.0
+    bmat[:, rows, rows + 1] = inv_rtf[:, 1:]
     return bmat
 
 
-def noise_projection(bins, inv_rtf: np.ndarray, ref: int):
+def noise_projection(bins, inv_rtf: np.ndarray):
     """Per-bin map from the microphones to their blocked least-squares noise.
 
     The blocking matrix output v = B x contains only noise; the noise as
@@ -106,7 +106,6 @@ def noise_projection(bins, inv_rtf: np.ndarray, ref: int):
     Arguments:
         bins: complex STFT tensor (K, L, M)
         inv_rtf: (K, M) inverse RTFs, as `rtf.build_rtf_set` returns them
-        ref: column of the reference channel
 
     Returns (P B (K, M, M), noise covariance (K, M, M), count of loaded bins).
     """
@@ -118,7 +117,7 @@ def noise_projection(bins, inv_rtf: np.ndarray, ref: int):
         raise SizeError(f"inverse RTFs have {inv_rtf.shape[1]} channels, spectrogram has {n_ch}")
 
     cxx = sample_covariance(x)
-    bmat = blocking_matrix(inv_rtf, ref)
+    bmat = blocking_matrix(inv_rtf)
     bh = np.conj(bmat.transpose(0, 2, 1))  # (K, M, M-1)
     cxx_bh = cxx @ bh  # (K, M, M-1)
     gram = bmat @ cxx_bh  # B Cxx B^H, (K, M-1, M-1)
@@ -139,19 +138,21 @@ def noise_projection(bins, inv_rtf: np.ndarray, ref: int):
     return proj_b, noise_cov, n_loaded
 
 
-def mvdr_weights(noise_cov: np.ndarray, rtf: np.ndarray, inv_rtf: np.ndarray):
+def mvdr_weights(noise_cov: np.ndarray, inv_rtf: np.ndarray):
     """Distortionless minimum-variance weights from the rank-deficient noise covariance.
 
     w = (C+ g) / (g^H C+ g) with C+ the Moore-Penrose pseudoinverse, so
     w^H g = 1 per bin. C+ is applied through one eigendecomposition
     C = V diag(lam) V^H: eigenvalues with |lam| <= PINV_RCOND * max |lam|
     are dropped, and the largest eigenvalue of C+ is the largest kept 1/lam.
-    The steering vectors g are the (K, M) RTFs. Bins whose denominator
-    vanishes (steering vector in the null space, or an all-zero covariance)
-    fall back to the inverse-RTF weights of `inv_rtf`.
+    The steering vectors g are the (K, M) RTFs, the regularized reciprocals
+    of `inv_rtf` (`rtf.reciprocal_rtf`). Bins whose denominator vanishes
+    (steering vector in the null space, or an all-zero covariance) fall back
+    to the inverse-RTF weights.
 
     Returns ((K, M) weights, count of fallback bins).
     """
+    rtf = reciprocal_rtf(inv_rtf)
     n_bins, n_ch = rtf.shape
     if np.shape(noise_cov) != (n_bins, n_ch, n_ch):
         raise SizeError(
@@ -260,9 +261,9 @@ def solve_max_snr(speech_cov: np.ndarray, noise_cov: np.ndarray):
     return vecs, w[:, -1], int(np.count_nonzero(rung))
 
 
-def _fix_phase(vecs: np.ndarray, component: int) -> np.ndarray:
-    """Rotate each vector so the chosen component is real nonnegative."""
-    anchor = vecs[:, component].copy()
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each vector so its reference component 0 is real nonnegative."""
+    anchor = vecs[:, 0].copy()
     tiny = anchor == 0
     if np.any(tiny):
         alt = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)[:, 0]
@@ -272,7 +273,7 @@ def _fix_phase(vecs: np.ndarray, component: int) -> np.ndarray:
     return vecs * np.conj(phase)[:, None]
 
 
-def gev_weights(bins, mask, ref_component: int = 0):
+def gev_weights(bins, mask):
     """Max-SNR weights with the blind analytic normalization gain.
 
     Solves speech_cov w = lambda noise_cov w for the maximal eigenvalue per
@@ -293,7 +294,7 @@ def gev_weights(bins, mask, ref_component: int = 0):
     if np.any(degenerate):
         # both covariances are the sample covariance: take its principal axis
         vecs[degenerate] = np.linalg.eigh(speech_cov[degenerate])[1][:, :, -1]
-    vecs = _fix_phase(vecs, ref_component)
+    vecs = _fix_phase(vecs)
 
     n_ch = x.shape[2]
     noise_w = np.einsum("kmn,kn->km", noise_cov, vecs)

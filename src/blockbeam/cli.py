@@ -124,7 +124,8 @@ def _cmd_enhance(args) -> int:
         base = Path(args.dump_rtf)
         for i, r in enumerate(results):
             if r.rtf is not None:
-                dump_rtf_csv(r.rtf, base.with_name(f"{base.stem}_{i:03d}{base.suffix}"))
+                path = base.with_name(f"{base.stem}_{i:03d}{base.suffix}")
+                dump_rtf_csv(r.rtf, r.diagnostics.active_channels, path)
     return EXIT_OK
 
 
@@ -194,7 +195,9 @@ def _cmd_simulate(args) -> int:
     else:
         noise = read_wav(spec.noise_path).samples
 
-    sim = evalsim.simulate(spec, dry, noise, sample_rate=sample_rate)
+    # true RTFs on the bin grid that enhance analyses with
+    n_fft = StftConfig().frame_len
+    sim = evalsim.simulate(spec, dry, noise, sample_rate=sample_rate, n_fft=n_fft)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(sim.mixture, out_dir / "mixture.wav")
@@ -202,7 +205,7 @@ def _cmd_simulate(args) -> int:
     write_wav(sim.noise, out_dir / "noise.wav")
     rtf_payload = {
         "sample_rate": sample_rate,
-        "n_fft": 512,
+        "n_fft": n_fft,
         "segments": [
             {
                 "start_sample": seg.start_sample,

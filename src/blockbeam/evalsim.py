@@ -155,6 +155,16 @@ def pink_noise(n_channels: int, n_samples: int, rng) -> np.ndarray:
     return out / np.std(out)
 
 
+def _gated_envelope(n: int, sample_rate: int, rng, pause_prob: float, low: float) -> np.ndarray:
+    """Gain that changes every 80 ms: 0 with probability pause_prob, else
+    uniform in [low, 1)."""
+    seg = int(round(0.08 * sample_rate))
+    env = np.zeros(n)
+    for pos in range(0, n, seg):
+        env[pos : pos + seg] = 0.0 if rng.random() < pause_prob else rng.uniform(low, 1.0)
+    return env
+
+
 def band_limited_source(
     duration_s: float,
     sample_rate: int,
@@ -169,12 +179,7 @@ def band_limited_source(
     which makes estimator accuracy comparable between frequency bins.
     """
     n = int(round(duration_s * sample_rate))
-    seg = int(round(0.08 * sample_rate))
-    env = np.zeros(n)
-    pos = 0
-    while pos < n:
-        env[pos : pos + seg] = 0.0 if rng.random() < pause_prob else rng.uniform(0.05, 1.0)
-        pos += seg
+    env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.05)
     sos = scipy.signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
     x = scipy.signal.sosfilt(sos, rng.standard_normal(n)) * env
     peak = np.max(np.abs(x))
@@ -190,13 +195,7 @@ def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: flo
     neighboring channels correlated under small relative delays.
     """
     n = int(round(duration_s * sample_rate))
-    seg = int(round(0.08 * sample_rate))
-    env = np.zeros(n)
-    pos = 0
-    while pos < n:
-        gain = 0.0 if rng.random() < pause_prob else rng.uniform(0.3, 1.0)
-        env[pos : pos + seg] = gain
-        pos += seg
+    env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.3)
     # short raised-cosine smoothing to avoid clicks at gain steps
     ramp = int(round(0.004 * sample_rate))
     if ramp > 1:

@@ -14,8 +14,8 @@ from .audio_io import MultichannelSignal, NetworkWeights
 from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
-from .postfilter import PostfilterConfig, projected_residual, wiener_mask
-from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set, reciprocal_rtf
+from .postfilter import projected_residual, wiener_mask
+from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
 from .stft import StftConfig, analyze, frame_count, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
@@ -56,7 +56,6 @@ class PipelineConfig:
     t_snr: float = T_SNR_DEFAULT
     sub_block_len: int = SUB_BLOCK_LEN_DEFAULT
     stft: StftConfig = field(default_factory=StftConfig)
-    post: PostfilterConfig = field(default_factory=PostfilterConfig)
     allow_any_pairing: bool = False
 
     def __post_init__(self):
@@ -169,20 +168,19 @@ def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSi
     return MultichannelSignal(signal.samples[channels], signal.sample_rate)
 
 
-def _channel_masks(bins_active, active, ref, cfg, network, oracle_bins):
-    """(K, L, C) masks of the C non-reference active channels, in
-    active-channel order. oracle_bins holds the clean and noise spectrograms
-    of those channels only, in the same order."""
-    n_bins, n_frames, _ = bins_active.shape
-    positions = [pos for pos, ch in enumerate(active) if ch != ref]
+def _channel_masks(bins, cfg, network, oracle_bins):
+    """(K, L, M-1) masks of the non-reference channels 1..M-1 of the
+    reference-first spectrogram bins. oracle_bins holds the clean and noise
+    spectrograms of those channels only, in the same order."""
+    n_bins, n_frames, n_ch = bins.shape
     if cfg.vad_mode == "network":
         # one forward pass for all channels: frame l of channel i is column
-        # l * len(positions) + i of the stacked input
-        stacked = infer_mask(network, bins_active[:, :, positions].reshape(n_bins, -1))
-        return stacked.reshape(n_bins, n_frames, len(positions))
+        # l * (M - 1) + i of the stacked input
+        stacked = infer_mask(network, bins[:, :, 1:].reshape(n_bins, -1))
+        return stacked.reshape(n_bins, n_frames, n_ch - 1)
     if cfg.vad_mode == "oracle":
         return oracle_ibm(*oracle_bins, cfg.t_snr)
-    return np.ones((n_bins, n_frames, len(positions)))
+    return np.ones((n_bins, n_frames, n_ch - 1))
 
 
 def process_block(
@@ -199,6 +197,10 @@ def process_block(
     post-filtering. Returns the enhanced block in the frequency domain plus
     diagnostics. If fewer than two channels survive failure detection, the
     reference channel passes through unprocessed and the block is flagged.
+
+    The stages see the active channels reference-first, the reference
+    followed by the others in channel order; BlockResult.rtf is returned in
+    active-channel order.
     """
     if cfg.ref_channel >= block.channel_count:
         raise ConfigError(
@@ -225,10 +227,10 @@ def process_block(
     else:
         ref = active[0]
         diag.ref_fallback = True
-    ref_pos = active.index(ref)
+    order = [ref] + [ch for ch in active if ch != ref]
 
     with _stage_timer(timings, "stft"):
-        bins_active = analyze(_channels(block, active), cfg.stft)
+        bins = analyze(_channels(block, order), cfg.stft)
 
     oracle_bins = None
     if cfg.vad_mode == "oracle":
@@ -236,16 +238,15 @@ def process_block(
             raise ConfigError("oracle VAD mode needs clean/noise stems")
         with _stage_timer(timings, "oracle_stft"):
             # only the channels that get a mask
-            mask_channels = [ch for ch in active if ch != ref]
             oracle_bins = (
-                analyze(_channels(oracle.clean, mask_channels), cfg.stft),
-                analyze(_channels(oracle.noise, mask_channels), cfg.stft),
+                analyze(_channels(oracle.clean, order[1:]), cfg.stft),
+                analyze(_channels(oracle.noise, order[1:]), cfg.stft),
             )
 
     with _stage_timer(timings, "vad"):
         if cfg.vad_mode == "network" and network is None:
             raise ConfigError("network VAD mode needs loaded weights")
-        masks = _channel_masks(bins_active, active, ref, cfg, network, oracle_bins)
+        masks = _channel_masks(bins, cfg, network, oracle_bins)
         pooled = pool_median(masks)
 
     inv_rtf = None
@@ -253,10 +254,7 @@ def process_block(
     if need_rtf:
         with _stage_timer(timings, "rtf"):
             inv_rtf, guarded = build_rtf_set(
-                bins_active,
-                pooled if cfg.pooling == "median" else masks,
-                ref_channel=ref_pos,
-                sub_block_len=cfg.sub_block_len,
+                bins, pooled if cfg.pooling == "median" else masks, sub_block_len=cfg.sub_block_len
             )
             diag.rtf_fallback_bins = int(guarded.sum())
 
@@ -264,30 +262,30 @@ def process_block(
         with _stage_timer(timings, "noise_est"):
             # the projection only: the postfilter folds w into it, so the
             # per-channel noise estimate is never formed
-            noise_proj, noise_cov, diag.noise_loaded_bins = noise_projection(bins_active, inv_rtf, ref_pos)
+            noise_proj, noise_cov, diag.noise_loaded_bins = noise_projection(bins, inv_rtf)
 
     with _stage_timer(timings, "beamform"):
         if cfg.beamformer == "irtf":
             weights = irtf_weights(inv_rtf)
         elif cfg.beamformer == "mvdr":
-            weights, diag.mvdr_fallback_bins = mvdr_weights(noise_cov, reciprocal_rtf(inv_rtf), inv_rtf)
+            weights, diag.mvdr_fallback_bins = mvdr_weights(noise_cov, inv_rtf)
         else:
-            weights, ban_gain, diag.gev_degenerate_bins, diag.gev_noise_loaded_bins = gev_weights(
-                bins_active, pooled, ref_component=ref_pos
-            )
-        beam_out = apply_weights(weights, bins_active)
+            weights, ban_gain, diag.gev_degenerate_bins, diag.gev_noise_loaded_bins = gev_weights(bins, pooled)
+        beam_out = apply_weights(weights, bins)
         if cfg.postfilter == "ban":
             beam_out = beam_out * ban_gain[:, None]
 
     with _stage_timer(timings, "postfilter"):
         if cfg.postfilter == "wiener":
-            residual = projected_residual(weights, bins_active, noise_proj)
+            residual = projected_residual(weights, bins, noise_proj)
             speech_mask = None if cfg.vad_mode == "none" else pooled
-            gain = wiener_mask(beam_out, residual, speech_mask, cfg.stft.bin_frequencies(), cfg.post)
+            gain = wiener_mask(beam_out, residual, speech_mask, cfg.stft.bin_frequencies())
             enhanced = beam_out * gain
         else:
             enhanced = beam_out
 
+    if inv_rtf is not None:
+        inv_rtf = inv_rtf[:, np.argsort(order)]
     return BlockResult(enhanced=enhanced, diagnostics=diag, pooled_mask=pooled, rtf=inv_rtf)
 
 

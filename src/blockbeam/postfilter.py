@@ -2,42 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, SizeError
 from .vad import checked_mask
 
-
-@dataclass(frozen=True)
-class PostfilterConfig:
-    """Wiener-mask parameters.
-
-    noise_floor is relative: the division guard is noise_floor times the
-    block's mean beamformer output power. Frequency cutoffs use strict
-    inequalities on the bin center frequency: bins below low_cutoff_hz get
-    low_gain, bins above high_cutoff_hz pass unfiltered.
-    """
-
-    noise_floor: float = 1e-6
-    low_cutoff_hz: float = 100.0
-    high_cutoff_hz: float = 3125.0
-    vad_threshold: float = 0.3
-    low_gain: float = 0.01
-
-    def __post_init__(self):
-        if self.noise_floor <= 0:
-            raise ConfigError(f"noise_floor must be positive, got {self.noise_floor}")
-        if not 0 <= self.low_cutoff_hz < self.high_cutoff_hz:
-            raise ConfigError(
-                f"need 0 <= low_cutoff_hz < high_cutoff_hz, got "
-                f"{self.low_cutoff_hz}, {self.high_cutoff_hz}"
-            )
-        if not 0 < self.low_gain <= 1:
-            raise ConfigError(f"low_gain must be in (0, 1], got {self.low_gain}")
-        if not 0 <= self.vad_threshold <= 1:
-            raise ConfigError(f"vad_threshold must be in [0, 1], got {self.vad_threshold}")
+# Division guard, relative to the block's mean beamformer output power.
+NOISE_FLOOR = 1e-6
+# Frequency overrides, strict inequalities on the bin center frequency: bins
+# below LOW_CUTOFF_HZ get LOW_GAIN, bins above HIGH_CUTOFF_HZ pass unfiltered.
+LOW_CUTOFF_HZ = 100.0
+HIGH_CUTOFF_HZ = 3125.0
+LOW_GAIN = 0.01
+# Bins whose speech mask exceeds this pass unfiltered.
+VAD_THRESHOLD = 0.3
 
 
 def projected_residual(weights: np.ndarray, bins, projection) -> np.ndarray:
@@ -54,13 +32,14 @@ def projected_residual(weights: np.ndarray, bins, projection) -> np.ndarray:
     return (np.asarray(bins) @ folded)[:, :, 0]
 
 
-def wiener_mask(beam_out, residual, speech_mask, bin_freqs, cfg: PostfilterConfig) -> np.ndarray:
+def wiener_mask(beam_out, residual, speech_mask, bin_freqs) -> np.ndarray:
     """Per-bin Wiener gain with the three practical overrides.
 
-    Base gain: max(|u|^2 - |r|^2, delta) / (|u|^2 + delta). Overrides apply
-    in order: low-frequency bins are forced to low_gain, high-frequency bins
-    to 1, and bins where the speech mask exceeds vad_threshold to 1 (skipped
-    when speech_mask is None). The result is clamped into (0, 1].
+    Base gain: max(|u|^2 - |r|^2, delta) / (|u|^2 + delta) with delta
+    NOISE_FLOOR times the mean |u|^2. Overrides apply in order: bins below
+    LOW_CUTOFF_HZ are forced to LOW_GAIN, bins above HIGH_CUTOFF_HZ to 1,
+    and bins where the speech mask exceeds VAD_THRESHOLD to 1 (skipped when
+    speech_mask is None). The result is clamped into (0, 1].
 
     Arguments:
         beam_out, residual: complex spectrograms (K, L)
@@ -74,18 +53,16 @@ def wiener_mask(beam_out, residual, speech_mask, bin_freqs, cfg: PostfilterConfi
     freqs = np.asarray(bin_freqs, dtype=np.float64)
     if freqs.shape != (u.shape[0],):
         raise SizeError(f"bin frequency vector {freqs.shape} != bin count {u.shape[0]}")
-    if cfg.high_cutoff_hz > freqs[-1]:
-        raise ConfigError(
-            f"high_cutoff_hz {cfg.high_cutoff_hz} exceeds the Nyquist bin {freqs[-1]}"
-        )
+    if HIGH_CUTOFF_HZ > freqs[-1]:
+        raise ConfigError(f"the {HIGH_CUTOFF_HZ} Hz cutoff exceeds the Nyquist bin {freqs[-1]}")
 
     u_pow = u.real**2 + u.imag**2
     r_pow = r.real**2 + r.imag**2
-    delta = max(cfg.noise_floor * float(u_pow.mean()), np.finfo(np.float64).tiny)
+    delta = max(NOISE_FLOOR * float(u_pow.mean()), np.finfo(np.float64).tiny)
 
     gain = np.maximum(u_pow - r_pow, delta) / (u_pow + delta)
-    gain[freqs < cfg.low_cutoff_hz, :] = cfg.low_gain
-    gain[freqs > cfg.high_cutoff_hz, :] = 1.0
+    gain[freqs < LOW_CUTOFF_HZ, :] = LOW_GAIN
+    gain[freqs > HIGH_CUTOFF_HZ, :] = 1.0
     if speech_mask is not None:
-        gain[checked_mask(speech_mask, u.shape) > cfg.vad_threshold] = 1.0
+        gain[checked_mask(speech_mask, u.shape) > VAD_THRESHOLD] = 1.0
     return np.clip(gain, np.finfo(np.float64).tiny, 1.0)

@@ -7,7 +7,8 @@ gives N linear equations per frequency with two unknowns (the inverse RTF and
 that constant); the least-squares solution has a closed form in the first and
 second moments of the mask-weighted sub-block PSDs. This is the
 nonstationarity estimator of Gannot, Burshtein & Weinstein (IEEE TSP 2001),
-computed for every non-reference channel at once.
+computed for every non-reference channel at once. Channel 0 of every input
+is the reference; the pipeline orders each block's channels reference-first.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ VARIANCE_GUARD = 1e-12
 RECIPROCAL_REG = 1e-6
 
 
-def _subblock_sums(x: np.ndarray, weights: np.ndarray, ref: int, sub_block_len: int):
+def _subblock_sums(x: np.ndarray, weights: np.ndarray, sub_block_len: int):
     """PSD sums weighted by the mask, per bin, sub-block and non-reference
     channel.
 
-    Returns (cross, auto), each (K, N, M-1): cross sums w x_ref conj(x_i)
-    and auto sums w |x_i|^2 over the frames of each sub-block. weights is
-    (K, L, 1), one mask shared by all channels, or (K, L, M-1), one mask per
-    non-reference channel in channel order. Trailing frames that do not fill
-    a sub-block are discarded.
+    Returns (cross, auto), each (K, N, M-1): cross sums w x_0 conj(x_i)
+    and auto sums w |x_i|^2 over the frames of each sub-block, for channels
+    i = 1..M-1. weights is (K, L, 1), one mask shared by all channels, or
+    (K, L, M-1), one mask per non-reference channel in channel order.
+    Trailing frames that do not fill a sub-block are discarded.
 
     Both sums pair each weight row with every channel over the sub-block's
     frames, (K, N, W, S) with (K, N, S, M): the cross sums as a batched
@@ -48,13 +49,13 @@ def _subblock_sums(x: np.ndarray, weights: np.ndarray, ref: int, sub_block_len: 
     n_bins, n_frames, n_ch = x.shape
     n_sub = n_frames // sub_block_len
     used = n_sub * sub_block_len
-    others = [c for c in range(n_ch) if c != ref]
+    others = np.arange(1, n_ch)
     w = weights[:, :used].reshape(n_bins, n_sub, sub_block_len, -1).swapaxes(2, 3)
     xs = x[:, :used].reshape(n_bins, n_sub, sub_block_len, n_ch)
     rows = np.arange(len(others)) % w.shape[2]
 
     # sum w conj(x_ref) x_i is the conjugate of the cross sum
-    weighted_ref = w * xs[:, :, None, :, ref]
+    weighted_ref = w * xs[:, :, None, :, 0]
     np.conjugate(weighted_ref, out=weighted_ref)
     cross = np.conj((weighted_ref @ xs)[:, :, rows, others])
     del weighted_ref
@@ -87,24 +88,23 @@ def _closed_form(cross: np.ndarray, auto: np.ndarray):
     return g_inv, fallback
 
 
-def reciprocal_rtf(inv_rtf: np.ndarray, reg: float = RECIPROCAL_REG) -> np.ndarray:
-    """Regularized reciprocal: conj(g)/(|g|^2 + reg), finite even at g = 0."""
-    return np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + reg)
+def reciprocal_rtf(inv_rtf: np.ndarray) -> np.ndarray:
+    """Regularized reciprocal: conj(g)/(|g|^2 + RECIPROCAL_REG), finite even at g = 0."""
+    return np.conj(inv_rtf) / (np.abs(inv_rtf) ** 2 + RECIPROCAL_REG)
 
 
-def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
-    """Estimate the inverse RTF of every non-reference channel.
+def build_rtf_set(bins, masks, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
+    """Estimate the inverse RTF of every channel relative to channel 0.
 
-    Returns (inverse RTFs (K, M) complex, whose reference column is exactly
-    1; per-channel count (M,) of bins that took the variance-guard fallback,
+    Returns (inverse RTFs (K, M) complex, whose column 0 is exactly 1;
+    per-channel count (M,) of bins that took the variance-guard fallback,
     0 for the reference channel).
 
     Arguments:
-        bins: complex STFT tensor (K, L, M)
+        bins: complex STFT tensor (K, L, M), reference channel first
         masks: speech-presence weights in [0, 1], applied to both PSD sums:
             one (K, L) mask shared by all channels, or a (K, L, M-1) stack
-            with one mask per non-reference channel in channel order
-        ref_channel: index of the reference channel on the last axis
+            with one mask per channel 1..M-1
         sub_block_len: frames per sub-block; needs L >= 2 * sub_block_len so
             the estimator sees variation across sub-blocks
     """
@@ -113,8 +113,6 @@ def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BL
     if x.ndim != 3:
         raise SizeError(f"expected (bins, frames, channels) tensor, got shape {x.shape}")
     n_bins, n_frames, n_ch = x.shape
-    if not 0 <= ref_channel < n_ch:
-        raise SizeError(f"reference channel {ref_channel} out of range for {n_ch} channels")
     if n_frames < 2 * sub_block_len:
         raise SizeError(
             f"block has {n_frames} frames; needs >= 2 sub-blocks of {sub_block_len}"
@@ -123,21 +121,24 @@ def build_rtf_set(bins, masks, ref_channel: int = 0, sub_block_len: int = SUB_BL
     if weights.ndim == 2:
         weights = weights[:, :, None]
 
-    others = [c for c in range(n_ch) if c != ref_channel]
     inv_rtf = np.ones((n_bins, n_ch), dtype=np.complex128)
-    inv_rtf[:, others], fallback = _closed_form(*_subblock_sums(x, weights, ref_channel, sub_block_len))
+    inv_rtf[:, 1:], fallback = _closed_form(*_subblock_sums(x, weights, sub_block_len))
     counts = np.zeros(n_ch, dtype=np.int64)
-    counts[others] = np.count_nonzero(fallback, axis=0)
+    counts[1:] = np.count_nonzero(fallback, axis=0)
     return inv_rtf, counts
 
 
-def dump_rtf_csv(inv_rtf: np.ndarray, path) -> None:
-    """Debug dump: per bin, magnitude and phase of each channel's inverse RTF."""
+def dump_rtf_csv(inv_rtf: np.ndarray, channels, path) -> None:
+    """Debug dump: per bin, magnitude and phase of each channel's inverse RTF.
+
+    Column i of inv_rtf belongs to microphone channels[i] (0-based), which
+    names its CSV columns.
+    """
     cols = [np.arange(inv_rtf.shape[0])]
     header = ["bin"]
-    for ch in range(inv_rtf.shape[1]):
-        cols.append(np.abs(inv_rtf[:, ch]))
-        cols.append(np.angle(inv_rtf[:, ch]))
+    for col, ch in enumerate(channels):
+        cols.append(np.abs(inv_rtf[:, col]))
+        cols.append(np.angle(inv_rtf[:, col]))
         header.append(f"ch{ch}_mag")
         header.append(f"ch{ch}_phase")
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=",".join(header), comments="")

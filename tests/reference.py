@@ -5,7 +5,7 @@ import numpy as np
 from blockbeam.beamform import noise_projection
 
 
-def estimate_noise(bins, inv_rtf, ref=0):
+def estimate_noise(bins, inv_rtf):
     """Blocked least-squares noise estimate (P B) x of every frame, formed
     explicitly from the library's projection; see `noise_projection`.
 
@@ -13,5 +13,5 @@ def estimate_noise(bins, inv_rtf, ref=0):
     loaded bins).
     """
     x = np.asarray(bins)
-    proj_b, noise_cov, n_loaded = noise_projection(x, inv_rtf, ref)
+    proj_b, noise_cov, n_loaded = noise_projection(x, inv_rtf)
     return x @ proj_b.transpose(0, 2, 1), noise_cov, n_loaded

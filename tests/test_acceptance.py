@@ -30,7 +30,7 @@ from blockbeam.pipeline import (
     run,
     run_with_diagnostics,
 )
-from blockbeam.postfilter import PostfilterConfig, wiener_mask
+from blockbeam.postfilter import LOW_GAIN, VAD_THRESHOLD, wiener_mask
 from blockbeam.rtf import _closed_form, build_rtf_set
 from blockbeam.stft import StftConfig, analyze, synthesize
 from blockbeam.vad import oracle_ibm
@@ -131,7 +131,7 @@ def _pooled_phase_error(seed, snr_db, n_blocks=6, delay=12):
     for b in range(n_blocks):
         frames = slice(b * 100, b * 100 + 100)
         mask = oracle_ibm(clean_spec[:, frames, 1], noise_spec[:, frames, 1], 5.0)
-        g_inv = build_rtf_set(spec[:, frames], mask, ref_channel=0)[0][:, 1]
+        g_inv = build_rtf_set(spec[:, frames], mask)[0][:, 1]
         errs.append(np.abs(np.angle(g_inv[4:101] * np.conj(truth[4:101]))))
     return float(np.median(np.concatenate(errs)))
 
@@ -185,7 +185,7 @@ def test_criterion_05_blocking_matrix():
     inv_rtf += np.sign(inv_rtf.real) * 0.5
     inv_rtf[:, 0] = 1.0
     g_exact = 1.0 / inv_rtf
-    bmat = blocking_matrix(inv_rtf, ref=0)
+    bmat = blocking_matrix(inv_rtf)
     residual = np.max(np.abs(np.einsum("krm,km->kr", bmat, g_exact)))
 
     s = rng.standard_normal((257, 30)) + 1j * rng.standard_normal((257, 30))
@@ -231,7 +231,6 @@ def test_criterion_06_gev_residual_and_optimality():
 
 
 def test_criterion_07_wiener_mask_bounds_and_precedence():
-    cfg = PostfilterConfig()
     freqs = np.array([50.0, 1000.0, 4000.0])  # below f_min, in band, above f_max
     ok = True
     for u2 in (0.0, 1e-9, 1.0, 100.0):
@@ -240,10 +239,10 @@ def test_criterion_07_wiener_mask_bounds_and_precedence():
                 u = np.full((3, 1), np.sqrt(u2), dtype=complex)
                 r = np.full((3, 1), np.sqrt(r2), dtype=complex)
                 mask = np.full((3, 1), mask_val)
-                gain = wiener_mask(u, r, mask, freqs, cfg)
+                gain = wiener_mask(u, r, mask, freqs)
                 base = np.maximum(u2 - r2, 1e-30) / max(u2, 1e-30)
-                vad_hit = mask_val > cfg.vad_threshold
-                expected_low = 1.0 if vad_hit else cfg.low_gain
+                vad_hit = mask_val > VAD_THRESHOLD
+                expected_low = 1.0 if vad_hit else LOW_GAIN
                 expected_high = 1.0
                 ok &= bool(np.all(gain > 0.0) and np.all(gain <= 1.0))
                 ok &= gain[0, 0] == expected_low
@@ -371,7 +370,7 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
                     mask = oracle_ibm(clean_spec[:, frames, 1], noise_spec[:, frames, 1], 5.0)
                 else:
                     mask = np.ones((257, 100))
-                g = build_rtf_set(mix_spec[:, frames], mask, ref_channel=0)[0][:, 1]
+                g = build_rtf_set(mix_spec[:, frames], mask)[0][:, 1]
                 per_block.append(np.abs(np.angle(g[4:101] * np.conj(truth[4:101]))))
             errs[name] = float(np.median(np.concatenate(per_block)))
         ratios.append(errs["unit"] / errs["oracle"])

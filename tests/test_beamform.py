@@ -103,7 +103,7 @@ class TestIrtfWeights:
 class TestBlockingMatrix:
     def test_two_channel_structure(self):
         inv_rtf = np.ones((4, 2), dtype=complex)
-        bmat = blocking_matrix(inv_rtf, ref=0)
+        bmat = blocking_matrix(inv_rtf)
         assert bmat.shape == (4, 1, 2)
         assert np.allclose(bmat[:, 0, 0], -1.0)
         assert np.allclose(bmat[:, 0, 1], 1.0)
@@ -111,14 +111,15 @@ class TestBlockingMatrix:
     def test_blocks_exact_reciprocal_steering(self):
         inv_rtf = random_inverse_rtf(32, 4, 6)
         g = 1.0 / inv_rtf
-        bmat = blocking_matrix(inv_rtf, ref=0)
+        bmat = blocking_matrix(inv_rtf)
         residual = np.einsum("krm,km->kr", bmat, g)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_nonzero_ref_column(self):
-        inv_rtf = random_inverse_rtf(8, 3, 7, ref=1)
-        bmat = blocking_matrix(inv_rtf, ref=1)
-        assert np.allclose(bmat[:, :, 1], -1.0)
+        # microphone 1 as the reference, ordered first
+        inv_rtf = random_inverse_rtf(8, 3, 7, ref=1)[:, [1, 0, 2]]
+        bmat = blocking_matrix(inv_rtf)
+        assert np.allclose(bmat[:, :, 0], -1.0)
         g = 1.0 / inv_rtf
         assert np.max(np.abs(np.einsum("krm,km->kr", bmat, g))) < 1e-12
 
@@ -142,7 +143,7 @@ class TestEstimateNoise:
         noise_est, _, n_loaded = estimate_noise(x, inv_rtf)
         assert n_loaded == 0
 
-        bmat = blocking_matrix(inv_rtf, ref=0)
+        bmat = blocking_matrix(inv_rtf)
         for k in range(n_bins):
             cxx = x[k].T @ np.conj(x[k])
             gram = bmat[k] @ cxx @ bmat[k].conj().T
@@ -177,7 +178,7 @@ class TestMvdrWeights:
         cov = hermitian_psd(n_bins, n_ch, 15, rank=n_ch - 1)
         inv_rtf = random_inverse_rtf(n_bins, n_ch, 16)
         rtf = rtf_from_inverse(inv_rtf)
-        w, n_fallback = mvdr_weights(cov, rtf, inv_rtf)
+        w, n_fallback = mvdr_weights(cov, inv_rtf)
         gains = np.einsum("km,km->k", np.conj(w), rtf)
         assert np.max(np.abs(gains - 1.0)) < 1e-8
         assert n_fallback == 0
@@ -198,7 +199,7 @@ class TestMvdrWeights:
         cov_mat = hermitian_psd(n_bins, n_ch, 18)
         inv_rtf = random_inverse_rtf(n_bins, n_ch, 19)
         rtf = rtf_from_inverse(inv_rtf)
-        w, _ = mvdr_weights(cov_mat, rtf, inv_rtf)
+        w, _ = mvdr_weights(cov_mat, inv_rtf)
 
         errs = []
         for eps in (1e-4, 1e-6, 1e-8):
@@ -215,7 +216,7 @@ class TestMvdrWeights:
         cov_mat = hermitian_psd(n_bins, n_ch, 20, rank=2)
         cov_mat[2] = 0.0  # zero covariance: denominator vanishes
         inv_rtf = random_inverse_rtf(n_bins, n_ch, 21)
-        w, n_fallback = mvdr_weights(cov_mat, rtf_from_inverse(inv_rtf), inv_rtf)
+        w, n_fallback = mvdr_weights(cov_mat, inv_rtf)
         assert n_fallback == 1
         assert np.allclose(w[2], np.conj(inv_rtf[2]) / n_ch)
 
@@ -223,7 +224,7 @@ class TestMvdrWeights:
         inv_rtf = np.ones((4, 2), dtype=complex)
         for shape in [(4, 3, 3), (5, 2, 2), (4, 2)]:
             with pytest.raises(SizeError):
-                mvdr_weights(np.zeros(shape, dtype=complex), rtf_from_inverse(inv_rtf), inv_rtf)
+                mvdr_weights(np.zeros(shape, dtype=complex), inv_rtf)
 
 
 class TestGevWeights:
@@ -317,10 +318,11 @@ class TestGevWeights:
             assert ban_gain[k] == pytest.approx(num / den, rel=1e-9)
 
     def test_phase_fixed_reference_component(self):
-        x = random_bins(8, 24, 3, 37)
+        # microphone 1 as the reference, ordered first
+        x = random_bins(8, 24, 3, 37)[:, :, [1, 0, 2]]
         mask = np.random.default_rng(38).uniform(0.05, 0.95, (8, 24))
-        w, _, _, _ = gev_weights(x, mask, ref_component=1)
-        anchor = w[:, 1]
+        w, _, _, _ = gev_weights(x, mask)
+        anchor = w[:, 0]
         assert np.all(anchor.real >= -1e-12)
         assert np.allclose(anchor.imag, 0.0, atol=1e-10)
 
@@ -354,7 +356,7 @@ class TestApplyWeights:
         x = rtf[:, None, :] * s[:, :, None] + noise
 
         _, noise_cov, _ = estimate_noise(x, inv_rtf)
-        w, _ = mvdr_weights(noise_cov, rtf, inv_rtf)
+        w, _ = mvdr_weights(noise_cov, inv_rtf)
         out = apply_weights(w, x)
         target_component = np.einsum("km,km->k", np.conj(w), rtf)[:, None] * s
         assert np.allclose(target_component, s, atol=1e-8 * np.abs(s).max())
@@ -473,12 +475,14 @@ class TestBatchedKernels:
 
     def test_estimate_noise_matches_einsum(self):
         n_bins, n_frames, n_ch = 33, 57, 4
-        x = random_bins(n_bins, n_frames, n_ch, 63)
-        inv_rtf = random_inverse_rtf(n_bins, n_ch, 64, ref=2)
-        noise_est, noise_cov, n_loaded = estimate_noise(x, inv_rtf, ref=2)
+        # microphone 2 as the reference, ordered first
+        order = [2, 0, 1, 3]
+        x = random_bins(n_bins, n_frames, n_ch, 63)[:, :, order]
+        inv_rtf = random_inverse_rtf(n_bins, n_ch, 64, ref=2)[:, order]
+        noise_est, noise_cov, n_loaded = estimate_noise(x, inv_rtf)
 
         cxx = np.einsum("klm,kln->kmn", x, np.conj(x))
-        bmat = blocking_matrix(inv_rtf, 2)
+        bmat = blocking_matrix(inv_rtf)
         cxx_bh = cxx @ np.conj(bmat.transpose(0, 2, 1))
         proj = cxx_bh @ np.linalg.inv(bmat @ cxx_bh)
         expected = np.einsum("kmp,kpn,kln->klm", proj, bmat, x)
@@ -501,7 +505,7 @@ class TestBatchedKernels:
         expected = np.conj(inv_rtf) / n_ch
         expected[~degenerate] = num[~degenerate] / den[~degenerate, None]
 
-        w, n_fallback = mvdr_weights(noise_cov, rtf, inv_rtf)
+        w, n_fallback = mvdr_weights(noise_cov, inv_rtf)
         assert n_fallback == int(np.count_nonzero(degenerate)) >= 1
         assert relative_error(w, expected) < 1e-9
 

@@ -108,6 +108,32 @@ class TestEnhanceCommand:
             assert header[0] == "bin"
             assert "ch1_mag" in header
 
+    def test_dump_rtf_columns_named_by_microphone(self, sim_dir, tmp_path):
+        # channel 1 is dead, so the RTF columns belong to channels 0, 2 and 3
+        mixture = read_wav(sim_dir / "mixture.wav")
+        samples = mixture.samples.copy()
+        samples[1] = 0.0
+        write_wav(MultichannelSignal(samples, mixture.sample_rate), tmp_path / "dead.wav")
+        code = main(
+            [
+                "enhance",
+                "--input", str(tmp_path / "dead.wav"),
+                "--output", str(tmp_path / "enh.wav"),
+                "--beamformer", "mvdr",
+                "--postfilter", "wiener",
+                "--block-ms", "batch",
+                "--vad", "none",
+                "--dump-diagnostics", str(tmp_path / "diag.json"),
+                "--dump-rtf", str(tmp_path / "rtf.csv"),
+            ]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "diag.json").read_text())
+        assert payload["blocks"][0]["active_channels"] == [0, 2, 3]
+        with open(tmp_path / "rtf_000.csv") as fh:
+            header = fh.readline().strip()
+        assert header == "bin,ch0_mag,ch0_phase,ch2_mag,ch2_phase,ch3_mag,ch3_phase"
+
     def test_network_vad_weights(self, sim_dir, tmp_path):
         weights = tmp_path / "net.json"
         weights.write_text(

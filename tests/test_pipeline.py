@@ -32,6 +32,7 @@ from blockbeam.pipeline import (
     run_with_diagnostics,
 )
 from blockbeam.postfilter import projected_residual
+from blockbeam.rtf import build_rtf_set
 from blockbeam.stft import StftConfig, analyze, synthesize
 from blockbeam.vad import infer_mask, oracle_ibm, pool_median
 from reference import estimate_noise
@@ -461,18 +462,18 @@ def test_stacked_network_masks_match_per_channel_inference(active, ref):
     )
     sim = gain_mixture(seed=26, duration=1.0)
     bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000), StftConfig())
-    bins_active = bins[:, :, active]
+    # the pipeline's reference-first order of the active channels
+    order = [ref] + [ch for ch in active if ch != ref]
     cfg = PipelineConfig(block_frames=100, vad_mode="network")
-    masks = _channel_masks(bins_active, active, ref, cfg, net, None)
-    expected_positions = [pos for pos, ch in enumerate(active) if ch != ref]
-    assert masks.shape == bins_active.shape[:2] + (len(expected_positions),)
+    masks = _channel_masks(bins[:, :, order], cfg, net, None)
+    assert masks.shape == bins.shape[:2] + (len(order) - 1,)
     # the forward pass runs in float32, and the BLAS may sum the stacked
     # (3 x 100 columns) and per-channel (100 columns) products in different
     # orders: that moves a mask value by a few float32 ulps (eps 1.2e-7, seen
     # up to 2.1e-7). 1e-6 allows ~8 eps on values <= 1 and is still 10x
     # below the float32/float64 agreement pinned in test_vad.py
-    for i, pos in enumerate(expected_positions):
-        alone = infer_mask(net, bins_active[:, :, pos])
+    for i, ch in enumerate(order[1:]):
+        alone = infer_mask(net, bins[:, :, ch])
         assert np.allclose(masks[:, :, i], alone, rtol=0.0, atol=1e-6)
 
 
@@ -528,13 +529,35 @@ def test_oracle_masks_use_the_right_stem_channels():
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
-    def full_stem_masks(bins_active, active, ref, cfg_, network, oracle_bins):
-        masked = [ch for ch in active if ch != ref]
-        return oracle_ibm(full_clean[:, :, masked], full_noise[:, :, masked], cfg_.t_snr)
+    def full_stem_masks(bins, cfg_, network, oracle_bins):
+        return oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg_.t_snr)
 
     with mock.patch("blockbeam.pipeline._channel_masks", side_effect=full_stem_masks):
         reference = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
     assert np.array_equal(result.enhanced, reference.enhanced)
+
+
+def test_rtf_is_returned_in_active_channel_order():
+    # the stages see channel 2 first; BlockResult.rtf maps the columns back
+    sim = gain_mixture(seed=31, duration=1.0)
+    block = MultichannelSignal(sim.mixture.samples[:, :13184], 16000)
+    oracle = OracleStems(
+        clean=MultichannelSignal(sim.clean.samples[:, :13184], 16000),
+        noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
+    )
+    cfg = PipelineConfig(block_frames=100, postfilter="none", vad_mode="oracle", ref_channel=2)
+    result = process_block(block, cfg, oracle=oracle)
+    active = result.diagnostics.active_channels
+    assert active == [0, 1, 2, 3]
+    assert result.rtf.shape == (257, len(active))
+    assert np.all(result.rtf[:, active.index(2)] == 1.0)
+
+    # column j of the estimate belongs to channel order[j]
+    order = [2, 0, 1, 3]
+    estimate, _ = build_rtf_set(analyze(block, cfg.stft)[:, :, order], result.pooled_mask)
+    expected = np.empty_like(estimate)
+    expected[:, order] = estimate
+    assert np.array_equal(result.rtf, expected)
 
 
 def test_blocks_are_synthesized_once():

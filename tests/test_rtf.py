@@ -33,7 +33,7 @@ def shared(n_bins, n_frames):
 
 def inverse_rtf(x, mask):
     """build_rtf_set's estimate for channel 1 against reference channel 0."""
-    return build_rtf_set(x, mask, ref_channel=0, sub_block_len=10)[0][:, 1]
+    return build_rtf_set(x, mask, sub_block_len=10)[0][:, 1]
 
 
 def random_bins(n_bins, n_frames, n_ch, seed):
@@ -49,38 +49,38 @@ class TestComputeSubblockPsd:
     def test_identical_channels_cross_equals_auto(self):
         bins = random_bins(8, 40, 1, 0)
         x = np.concatenate([bins, bins], axis=2)
-        cross, auto = _subblock_sums(x, shared(8, 40), 0, sub_block_len=10)
+        cross, auto = _subblock_sums(x, shared(8, 40), sub_block_len=10)
         assert np.allclose(cross, auto)
         assert np.all(auto >= 0)
 
     def test_zero_mask_annihilates(self):
         x = random_bins(8, 40, 2, 1)
-        cross, auto = _subblock_sums(x, np.zeros((8, 40, 1)), 0, 10)
+        cross, auto = _subblock_sums(x, np.zeros((8, 40, 1)), 10)
         assert np.all(cross == 0) and np.all(auto == 0)
 
     def test_sub_block_counts_per_block_length(self):
         # 10-frame sub-blocks over the standard block lengths
         for frames, expected in [(31, 3), (50, 5), (100, 10), (250, 25)]:
             x = random_bins(4, frames, 2, 2)
-            cross, auto = _subblock_sums(x, shared(4, frames), 0, 10)
+            cross, auto = _subblock_sums(x, shared(4, frames), 10)
             assert cross.shape == auto.shape == (4, expected, 1)
 
     def test_trailing_frames_discarded(self):
         x = random_bins(4, 47, 2, 3)
-        full, _ = _subblock_sums(x, shared(4, 47), 0, 10)
-        trimmed, _ = _subblock_sums(x[:, :40], shared(4, 40), 0, 10)
+        full, _ = _subblock_sums(x, shared(4, 47), 10)
+        trimmed, _ = _subblock_sums(x[:, :40], shared(4, 40), 10)
         assert np.array_equal(full, trimmed)
         assert np.array_equal(inverse_rtf(x, np.ones((4, 47))), inverse_rtf(x[:, :40], np.ones((4, 40))))
 
     def test_too_few_frames(self):
         x = random_bins(4, 19, 2, 4)
         with pytest.raises(SizeError):
-            build_rtf_set(x, np.ones((4, 19)), ref_channel=0, sub_block_len=10)
+            build_rtf_set(x, np.ones((4, 19)), sub_block_len=10)
 
     def test_unit_mask_matches_plain_sums(self):
         # with weighting disabled the statistics reduce to plain sums
         x = random_bins(6, 30, 2, 5)
-        cross, _ = _subblock_sums(x, shared(6, 30), 0, 10)
+        cross, _ = _subblock_sums(x, shared(6, 30), 10)
         plain_cross = np.array(
             [
                 [np.sum(x[k, n * 10 : (n + 1) * 10, 0] * np.conj(x[k, n * 10 : (n + 1) * 10, 1])) for n in range(3)]
@@ -138,14 +138,14 @@ class TestEstimateRtfInverse:
         g_inv, _ = _closed_form(np.zeros((2, 4), dtype=complex), np.zeros((2, 4)))
         assert np.allclose(g_inv, 1.0)
         # an all-zero mask silences every sub-block: each bin falls back to 1
-        inv_rtf, guarded = build_rtf_set(random_bins(2, 40, 3, 1), np.zeros((2, 40)), ref_channel=0)
+        inv_rtf, guarded = build_rtf_set(random_bins(2, 40, 3, 1), np.zeros((2, 40)))
         assert np.array_equal(inv_rtf, np.ones((2, 3)))
         assert guarded.tolist() == [0, 2, 2]
 
     def test_needs_two_sub_blocks(self):
         # 10 frames of 10-frame sub-blocks make one sub-block
         with pytest.raises(SizeError):
-            build_rtf_set(random_bins(2, 10, 2, 0), np.ones((2, 10)), ref_channel=0, sub_block_len=10)
+            build_rtf_set(random_bins(2, 10, 2, 0), np.ones((2, 10)), sub_block_len=10)
 
 
 class TestDelaySimulation:
@@ -177,7 +177,7 @@ class TestBuildRtfSet:
     def test_identical_channels(self):
         bins = random_bins(8, 40, 1, 12)
         x = np.concatenate([bins, bins, bins], axis=2)
-        inv_rtf, _ = build_rtf_set(x, np.ones((8, 40)), ref_channel=0, sub_block_len=10)
+        inv_rtf, _ = build_rtf_set(x, np.ones((8, 40)), sub_block_len=10)
         assert np.allclose(inv_rtf, 1.0, atol=1e-10)
         assert np.all(inv_rtf[:, 0] == 1.0)
         assert inv_rtf.shape[1] == 3
@@ -186,29 +186,25 @@ class TestBuildRtfSet:
         # the pipeline passes only the active channels; each keeps the
         # estimate it has in the full set
         x = random_bins(8, 40, 4, 13)
-        inv_rtf, _ = build_rtf_set(x[:, :, [0, 1, 3]], np.ones((8, 40)), ref_channel=0)
-        full, _ = build_rtf_set(x, np.ones((8, 40)), ref_channel=0)
+        inv_rtf, _ = build_rtf_set(x[:, :, [0, 1, 3]], np.ones((8, 40)))
+        full, _ = build_rtf_set(x, np.ones((8, 40)))
         assert inv_rtf.shape == (8, 3)
         assert np.all(inv_rtf[:, 0] == 1.0)
         assert np.allclose(inv_rtf, full[:, [0, 1, 3]], rtol=1e-12, atol=0)
 
-    def test_ref_must_be_active(self):
-        x = random_bins(8, 40, 2, 14)
-        with pytest.raises(SizeError):
-            build_rtf_set(x, np.ones((8, 40)), ref_channel=2)
-
     def test_per_channel_masks(self):
         # a (K, L, M-1) stack weights each non-reference channel by its own
-        # mask, as a shared mask equal to that channel's would
+        # mask, as a shared mask equal to that channel's would; each
+        # microphone in turn is the reference, ordered first
         x = random_bins(8, 40, 3, 15)
         masks = np.random.default_rng(16).uniform(0, 1, (8, 40, 2))
         for ref in range(3):
-            inv_rtf, _ = build_rtf_set(x, masks, ref_channel=ref)
-            others = [c for c in range(3) if c != ref]
-            for col, ch in enumerate(others):
-                single = build_rtf_set(x, masks[:, :, col], ref_channel=ref)[0][:, ch]
-                assert np.allclose(inv_rtf[:, ch], single, rtol=1e-12, atol=0)
-            assert np.all(inv_rtf[:, ref] == 1.0)
+            ordered = x[:, :, [ref] + [c for c in range(3) if c != ref]]
+            inv_rtf, _ = build_rtf_set(ordered, masks)
+            for col in range(2):
+                single = build_rtf_set(ordered, masks[:, :, col])[0][:, col + 1]
+                assert np.allclose(inv_rtf[:, col + 1], single, rtol=1e-12, atol=0)
+            assert np.all(inv_rtf[:, 0] == 1.0)
 
     def test_reciprocal_regularization(self):
         g_inv = np.array([[1.0 + 0j, 0.0 + 0j, 2.0 + 0j]])
@@ -229,7 +225,7 @@ class TestBuildRtfSet:
             white_noise(3, dry.shape[0], rng),
         )
         spec = analyze(sim.mixture, StftConfig())
-        inv_rtf, _ = build_rtf_set(spec[:, :100], np.ones((257, 100)), ref_channel=0)
+        inv_rtf, _ = build_rtf_set(spec[:, :100], np.ones((257, 100)))
         _, inv_truth = true_rtfs(firs)
         for col, ch in [(1, 1), (2, 2)]:
             err = np.abs(np.angle(inv_rtf[4:101, col] * np.conj(inv_truth[4:101, ch])))

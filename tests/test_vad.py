@@ -10,7 +10,7 @@ from blockbeam.beamform import gev_weights, masked_covariances
 from blockbeam.errors import DataError, SizeError
 from blockbeam.evalsim import MixtureSpec, delay_firs, pink_noise, simulate, speech_like_source
 from blockbeam.pipeline import PipelineConfig, _channel_masks, run
-from blockbeam.postfilter import PostfilterConfig, wiener_mask
+from blockbeam.postfilter import wiener_mask
 from blockbeam.rtf import build_rtf_set
 from blockbeam.stft import StftConfig, analyze
 from blockbeam.vad import checked_mask, infer_mask, oracle_ibm, pool_median
@@ -236,7 +236,7 @@ class TestMask:
         # without a VAD every non-reference channel gets an all-ones mask
         cfg = PipelineConfig(vad_mode="none", postfilter="none")
         bins = np.ones((7, 3, 4), dtype=complex)
-        masks = _channel_masks(bins, [0, 1, 2, 3], 0, cfg, None, None)
+        masks = _channel_masks(bins, cfg, None, None)
         assert masks.shape == (7, 3, 3)
         assert np.all(masks == 1.0)
 
@@ -260,7 +260,7 @@ class TestMask:
             lambda m: masked_covariances(x, m),
             lambda m: gev_weights(x, m),
             lambda m: build_rtf_set(x, m),
-            lambda m: wiener_mask(u, u, m, freqs, PostfilterConfig()),
+            lambda m: wiener_mask(u, u, m, freqs),
         )
         for consume in consumers:
             consume(np.full((3, 20), 0.5))  # accepted
