@@ -16,7 +16,7 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
 from .postfilter import projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import StftConfig, analyze, frame_count, synthesize
+from .stft import _CHUNK_FRAMES, StftConfig, analyze, frame_count, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -168,10 +168,49 @@ def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSi
     return MultichannelSignal(signal.samples[channels], signal.sample_rate)
 
 
-def _channel_masks(bins, cfg, network, oracle_bins):
+def _check_stems(oracle: OracleStems, signal: MultichannelSignal) -> None:
+    """Oracle stems must match the signal's sample rate and channel count and
+    cover its samples; only their first signal.n_samples samples are read."""
+    for stem in (oracle.clean, oracle.noise):
+        if stem.sample_rate != signal.sample_rate:
+            raise ConfigError(
+                f"oracle stem rate {stem.sample_rate} != mixture rate {signal.sample_rate}"
+            )
+        if stem.channel_count != signal.channel_count or stem.n_samples < signal.n_samples:
+            raise SizeError("oracle stems must cover every channel and sample of the mixture")
+
+
+def _oracle_masks(oracle, channels, n_frames, cfg, timings):
+    """(K, L, len(channels)) oracle masks of the given stem channels.
+
+    The stems are analysed over the same frame chunks as `analyze` and each
+    chunk's masks are written into the stack, so the stems' full
+    spectrograms are never formed; the stack is bitwise equal to the masks
+    of the full spectrograms. Runs inside the `vad` stage, from which it
+    moves the stem analysis time to `oracle_stft`.
+    """
+    masks = np.empty((cfg.stft.n_bins, n_frames, len(channels)))
+    stem_s = 0.0
+    for lo in range(0, n_frames, _CHUNK_FRAMES):
+        hi = min(lo + _CHUNK_FRAMES, n_frames)
+        s_lo, s_hi = block_sample_range(lo, hi - lo, cfg.stft)
+        start = time.perf_counter()
+        clean, noise = (
+            analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate), cfg.stft)
+            for stem in (oracle.clean, oracle.noise)
+        )
+        stem_s += time.perf_counter() - start
+        masks[:, lo:hi] = oracle_ibm(clean, noise, cfg.t_snr)
+    # the enclosing `vad` timer adds its whole elapsed time when it exits
+    timings["oracle_stft"] = timings.get("oracle_stft", 0.0) + stem_s
+    timings["vad"] = timings.get("vad", 0.0) - stem_s
+    return masks
+
+
+def _channel_masks(bins, cfg, network, oracle, channels, timings):
     """(K, L, M-1) masks of the non-reference channels 1..M-1 of the
-    reference-first spectrogram bins. oracle_bins holds the clean and noise
-    spectrograms of those channels only, in the same order."""
+    reference-first spectrogram bins. Those channels are the microphones
+    `channels`, whose stems give the oracle masks."""
     n_bins, n_frames, n_ch = bins.shape
     if cfg.vad_mode == "network":
         # one forward pass for all channels: frame l of channel i is column
@@ -179,7 +218,7 @@ def _channel_masks(bins, cfg, network, oracle_bins):
         stacked = infer_mask(network, bins[:, :, 1:].reshape(n_bins, -1))
         return stacked.reshape(n_bins, n_frames, n_ch - 1)
     if cfg.vad_mode == "oracle":
-        return oracle_ibm(*oracle_bins, cfg.t_snr)
+        return _oracle_masks(oracle, channels, n_frames, cfg, timings)
     return np.ones((n_bins, n_frames, n_ch - 1))
 
 
@@ -232,31 +271,27 @@ def process_block(
     with _stage_timer(timings, "stft"):
         bins = analyze(_channels(block, order), cfg.stft)
 
-    oracle_bins = None
-    if cfg.vad_mode == "oracle":
-        if oracle is None:
-            raise ConfigError("oracle VAD mode needs clean/noise stems")
-        with _stage_timer(timings, "oracle_stft"):
-            # only the channels that get a mask
-            oracle_bins = (
-                analyze(_channels(oracle.clean, order[1:]), cfg.stft),
-                analyze(_channels(oracle.noise, order[1:]), cfg.stft),
-            )
-
     with _stage_timer(timings, "vad"):
         if cfg.vad_mode == "network" and network is None:
             raise ConfigError("network VAD mode needs loaded weights")
-        masks = _channel_masks(bins, cfg, network, oracle_bins)
+        if cfg.vad_mode == "oracle":
+            if oracle is None:
+                raise ConfigError("oracle VAD mode needs clean/noise stems")
+            _check_stems(oracle, block)
+        masks = _channel_masks(bins, cfg, network, oracle, order[1:], timings)
         pooled = pool_median(masks)
+        # release the mask stack after its last reader: pool_median, or the
+        # RTF estimate when it uses the per-channel masks
+        rtf_masks = pooled if cfg.pooling == "median" else masks
+        del masks
 
     inv_rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
     if need_rtf:
         with _stage_timer(timings, "rtf"):
-            inv_rtf, guarded = build_rtf_set(
-                bins, pooled if cfg.pooling == "median" else masks, sub_block_len=cfg.sub_block_len
-            )
+            inv_rtf, guarded = build_rtf_set(bins, rtf_masks, sub_block_len=cfg.sub_block_len)
             diag.rtf_fallback_bins = int(guarded.sum())
+    del rtf_masks
 
     if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
         with _stage_timer(timings, "noise_est"):
@@ -345,13 +380,7 @@ def run_with_diagnostics(
             "resampling is out of scope"
         )
     if oracle is not None:
-        for stem in (oracle.clean, oracle.noise):
-            if stem.sample_rate != signal.sample_rate:
-                raise ConfigError(
-                    f"oracle stem rate {stem.sample_rate} != mixture rate {signal.sample_rate}"
-                )
-            if stem.channel_count != signal.channel_count or stem.n_samples < signal.n_samples:
-                raise SizeError("oracle stems must cover every channel and sample of the mixture")
+        _check_stems(oracle, signal)
 
     blocks = partition_frames(signal.n_samples, cfg)
     results = []

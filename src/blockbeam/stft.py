@@ -5,6 +5,11 @@ Layout contract: a spectrogram is a C-contiguous complex array of shape
 batched `matmul`s over the leading bin axis, which need each bin's
 (frames, channels) matrix to be one contiguous block; `analyze` writes its
 transform in that layout directly rather than transposing a copy.
+
+A signal longer than one chunk of frames is analysed chunk by chunk into one
+preallocated spectrogram, so no full-length windowed frame tensor is formed
+beside it; each frame is transformed on its own, so the result is bitwise
+equal to one transform of all frames.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .errors import ConfigError, DataError, SizeError
 # Floor for the summed squared synthesis window; the periodic Hamming window
 # never falls below 0.08, so the floor only matters for pathological configs.
 WINDOW_SUM_FLOOR = 1e-8
+
+# Frames windowed and transformed at a time by analyze; a signal of at most
+# this many frames is transformed in one call.
+_CHUNK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -83,15 +92,22 @@ def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> np.nda
     The windowed frames are formed as a (frame_len, frames, channels) array
     and transformed along axis 0, so the result is already the C-contiguous
     (bins, frames, channels) layout the pipeline needs. (`numpy.fft.rfft`
-    along axis 0 would return a non-contiguous array.)
+    along axis 0 would return a non-contiguous array.) Above _CHUNK_FRAMES
+    frames this runs per chunk of frames into one preallocated array.
     """
     if cfg is None:
         cfg = StftConfig(sample_rate=signal.sample_rate)
     n_frames = frame_count(signal.n_samples, cfg)
-    window = periodic_hamming(cfg.frame_len)
+    window = periodic_hamming(cfg.frame_len)[:, None, None]
     frames = sliding_window_view(signal.samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :]
-    frames = frames[:, :n_frames, :].transpose(2, 1, 0) * window[:, None, None]
-    return _checked(scipy.fft.rfft(frames, axis=0), cfg)
+    frames = frames[:, :n_frames, :].transpose(2, 1, 0)
+    if n_frames <= _CHUNK_FRAMES:
+        return _checked(scipy.fft.rfft(frames * window, axis=0), cfg)
+    bins = np.empty((cfg.n_bins, n_frames, signal.channel_count), dtype=np.complex128)
+    for lo in range(0, n_frames, _CHUNK_FRAMES):
+        hi = min(lo + _CHUNK_FRAMES, n_frames)
+        bins[:, lo:hi] = scipy.fft.rfft(frames[:, lo:hi] * window, axis=0)
+    return _checked(bins, cfg)
 
 
 def synthesize(bins, cfg: StftConfig) -> MultichannelSignal:

@@ -1,5 +1,6 @@
 import functools
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -383,6 +384,48 @@ def test_oracle_stem_sample_rate_checked():
         run(sim.mixture, cfg, oracle=wrong_noise)
 
 
+def stem_block(seed=32):
+    """A correlated 4-channel 100-frame block and its oracle stems, each
+    twice the block's length."""
+    sim = gain_mixture(seed=seed, duration=2.0)
+    n = 13184
+    return (
+        MultichannelSignal(sim.mixture.samples[:, :n], 16000),
+        sim.clean.samples[:, : 2 * n],
+        sim.noise.samples[:, : 2 * n],
+    )
+
+
+def test_process_block_rejects_stems_with_too_few_channels():
+    block, clean, noise = stem_block()
+    n = block.n_samples
+    oracle = OracleStems(MultichannelSignal(clean[:2, :n], 16000), MultichannelSignal(noise[:2, :n], 16000))
+    with pytest.raises(SizeError, match="oracle stems"):
+        process_block(block, PipelineConfig(block_frames=100, vad_mode="oracle"), oracle=oracle)
+
+
+def test_process_block_reads_the_first_samples_of_longer_stems():
+    block, clean, noise = stem_block()
+    n = block.n_samples
+    cfg = PipelineConfig(block_frames=100, vad_mode="oracle")
+    exact = process_block(
+        block, cfg, oracle=OracleStems(MultichannelSignal(clean[:, :n], 16000), MultichannelSignal(noise[:, :n], 16000))
+    )
+    longer = process_block(
+        block, cfg, oracle=OracleStems(MultichannelSignal(clean, 16000), MultichannelSignal(noise, 16000))
+    )
+    assert np.array_equal(longer.pooled_mask, exact.pooled_mask)
+    assert np.array_equal(longer.enhanced, exact.enhanced)
+
+
+def test_process_block_rejects_stems_at_another_rate():
+    block, clean, noise = stem_block()
+    n = block.n_samples
+    oracle = OracleStems(MultichannelSignal(clean[:, :n], 8000), MultichannelSignal(noise[:, :n], 8000))
+    with pytest.raises(ConfigError, match="rate"):
+        process_block(block, PipelineConfig(block_frames=100, vad_mode="oracle"), oracle=oracle)
+
+
 PAIRINGS = [(bf, pf) for bf in sorted(VALID_PAIRINGS) for pf in sorted(VALID_PAIRINGS[bf])]
 
 
@@ -465,7 +508,7 @@ def test_stacked_network_masks_match_per_channel_inference(active, ref):
     # the pipeline's reference-first order of the active channels
     order = [ref] + [ch for ch in active if ch != ref]
     cfg = PipelineConfig(block_frames=100, vad_mode="network")
-    masks = _channel_masks(bins[:, :, order], cfg, net, None)
+    masks = _channel_masks(bins[:, :, order], cfg, net, None, order[1:], {})
     assert masks.shape == bins.shape[:2] + (len(order) - 1,)
     # the forward pass runs in float32, and the BLAS may sum the stacked
     # (3 x 100 columns) and per-channel (100 columns) products in different
@@ -529,11 +572,13 @@ def test_oracle_masks_use_the_right_stem_channels():
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
-    def full_stem_masks(bins, cfg_, network, oracle_bins):
+    def full_stem_masks(oracle_, channels, n_frames, cfg_, timings):
         return oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg_.t_snr)
 
-    with mock.patch("blockbeam.pipeline._channel_masks", side_effect=full_stem_masks):
+    with mock.patch("blockbeam.pipeline._oracle_masks", side_effect=full_stem_masks) as patched:
         reference = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
+    patched.assert_called_once()
+    assert patched.call_args.args[1] == [0, 3]
     assert np.array_equal(result.enhanced, reference.enhanced)
 
 
@@ -713,3 +758,45 @@ def test_block_changes_only_its_own_span(beamformer, postfilter, data):
     assert np.array_equal(y_bumped[:lo], y[:lo])
     assert np.array_equal(y_bumped[hi:], y[hi:])
     assert not np.array_equal(y_bumped[lo:hi], y[lo:hi])
+
+
+def reverberant_mixture(seed, duration):
+    rng = np.random.default_rng(seed)
+    dry = speech_like_source(duration, 16000, rng)
+    firs = decaying_firs([0, 2, 5, 7], rng, extra_taps=8, decay=0.7)
+    spec = MixtureSpec(channel_count=4, firs=firs[np.newaxis], snr_db=5.0)
+    return simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
+
+
+@pytest.mark.parametrize("beamformer,postfilter", [("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban")])
+def test_batch_working_set_is_bounded(beamformer, postfilter):
+    # a batch pass holds the mixture spectrogram plus chunk-sized
+    # temporaries: its traced peak is about 2.3x the mixture spectrogram,
+    # and full-length stem spectrograms beside it would put it near 4x
+    sim = reverberant_mixture(seed=33, duration=8.0)
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    cfg = PipelineConfig(block_frames="batch", beamformer=beamformer, postfilter=postfilter, vad_mode="oracle")
+    n_frames = (sim.mixture.n_samples - 512) // 128 + 1
+    spectrogram_bytes = 257 * n_frames * 4 * 16
+    tracemalloc.start()
+    try:
+        run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * spectrogram_bytes
+
+
+def test_batch_oracle_masks_match_whole_stem_analysis():
+    # a 397-frame block spans four analysis chunks; its masks must be those
+    # of the stems' full spectrograms, bit for bit
+    sim = reverberant_mixture(seed=34, duration=3.2)
+    cfg = PipelineConfig(block_frames="batch", postfilter="none", vad_mode="oracle", ref_channel=2)
+    _, results = run_with_diagnostics(sim.mixture, cfg, oracle=OracleStems(clean=sim.clean, noise=sim.noise))
+    (result,) = results
+    assert result.diagnostics.active_channels == [0, 1, 2, 3]
+    assert result.pooled_mask.shape == (257, 397)
+    masked = [0, 1, 3]
+    clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000), cfg.stft)
+    noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000), cfg.stft)
+    assert np.array_equal(result.pooled_mask, pool_median(oracle_ibm(clean, noise, cfg.t_snr)))

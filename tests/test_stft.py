@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from blockbeam.audio_io import MultichannelSignal
 from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.stft import (
+    _CHUNK_FRAMES,
     WINDOW_SUM_FLOOR,
     StftConfig,
     analyze,
@@ -195,3 +197,33 @@ class TestKernelsMatchReference:
         bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         out = synthesize(bins, cfg).samples
         assert np.array_equal(out, reference_synthesize(bins, cfg))
+
+
+class TestChunkedAnalysis:
+    """analyze transforms more than _CHUNK_FRAMES frames chunk by chunk; the
+    result must be the one transform of all frames, bit for bit."""
+
+    @staticmethod
+    def one_call(samples, cfg):
+        n_frames = frame_count(samples.shape[1], cfg)
+        frames = sliding_window_view(samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :][:, :n_frames, :]
+        window = periodic_hamming(cfg.frame_len)[:, None, None]
+        return scipy.fft.rfft(frames.transpose(2, 1, 0) * window, axis=0)
+
+    # 1, 127, 128, 129 and 257 frames at the chunk length of 128
+    @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 1])
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    def test_chunk_boundaries(self, n_channels, n_frames):
+        sig = random_signal(n_channels, CFG.frame_len + (n_frames - 1) * CFG.hop, seed=n_frames)
+        bins = analyze(sig, CFG)
+        assert bins.shape == (CFG.n_bins, n_frames, n_channels)
+        assert bins.flags["C_CONTIGUOUS"]
+        assert np.array_equal(bins, self.one_call(sig.samples, CFG))
+
+    def test_nan_in_last_chunk_raises(self):
+        # 2 chunks + 1 frame: only the last chunk's one frame reads the last
+        # sample
+        sig = random_signal(2, CFG.frame_len + 2 * _CHUNK_FRAMES * CFG.hop, seed=8)
+        sig.samples[1, -1] = np.nan
+        with pytest.raises(DataError):
+            analyze(sig, CFG)

@@ -236,7 +236,7 @@ class TestMask:
         # without a VAD every non-reference channel gets an all-ones mask
         cfg = PipelineConfig(vad_mode="none", postfilter="none")
         bins = np.ones((7, 3, 4), dtype=complex)
-        masks = _channel_masks(bins, cfg, None, None)
+        masks = _channel_masks(bins, cfg, None, None, [1, 2, 3], {})
         assert masks.shape == (7, 3, 3)
         assert np.all(masks == 1.0)
 
