@@ -18,12 +18,11 @@ import numpy as np
 from . import evalsim
 from .audio_io import load_network, read_wav, write_wav
 from .channel_health import T_MU_SIMULATED
-from .errors import ConfigError, DataError, FormatError, SizeError
+from .errors import BlockbeamError, ConfigError, DataError, FormatError, SizeError
 from .pipeline import (
     BEAMFORMERS,
     OracleStems,
     PipelineConfig,
-    POOLING_MODES,
     POSTFILTERS,
     VAD_MODES,
     frames_for_duration_ms,
@@ -69,7 +68,6 @@ def _pipeline_config(args, stft_cfg: StftConfig, block_ms: str, beamformer: str,
         beamformer=beamformer,
         postfilter=postfilter,
         vad_mode=args.vad,
-        pooling=args.pooling,
         ref_channel=args.ref_channel - 1,
         t_mu=args.t_mu,
         t_snr=args.t_snr,
@@ -175,19 +173,32 @@ def _mixture_spec_from_config(conf: dict, sample_rate: int, rng) -> evalsim.Mixt
 
 
 def _cmd_simulate(args) -> int:
-    conf = json.loads(Path(args.config).read_text())
-    sample_rate = int(conf.get("sample_rate", 16000))
-    duration_s = float(conf.get("duration_s", 4.0))
-    rng = np.random.default_rng(int(conf.get("seed", 0)))
+    try:
+        conf = json.loads(Path(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{args.config}: invalid JSON ({exc})") from exc
+    if not isinstance(conf, dict):
+        raise ConfigError(f"{args.config}: expected a JSON object, got {type(conf).__name__}")
+    try:
+        sample_rate = int(conf.get("sample_rate", 16000))
+        duration_s = float(conf.get("duration_s", 4.0))
+        if not 0 < duration_s < np.inf:
+            raise ConfigError(f"{args.config}: duration_s must be positive and finite, got {duration_s}")
+        rng = np.random.default_rng(int(conf.get("seed", 0)))
 
-    source_conf = conf.get("source", "modulated")
-    if isinstance(source_conf, dict):
-        dry = read_wav(source_conf["file"]).samples[0]
-    else:
-        dry = evalsim.speech_like_source(duration_s, sample_rate, rng)
-    n_samples = dry.shape[0]
+        source_conf = conf.get("source", "modulated")
+        if isinstance(source_conf, dict):
+            dry = read_wav(source_conf["file"]).samples[0]
+        else:
+            dry = evalsim.speech_like_source(duration_s, sample_rate, rng)
+        n_samples = dry.shape[0]
 
-    spec = _mixture_spec_from_config(conf, sample_rate, rng)
+        spec = _mixture_spec_from_config(conf, sample_rate, rng)
+    except BlockbeamError:
+        raise
+    # a missing field or a value of the wrong JSON type surfaces as one of these
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.config}: malformed mixture description ({exc!r})") from exc
     if spec.noise_kind == "white":
         noise = evalsim.white_noise(spec.channel_count, n_samples, rng)
     elif spec.noise_kind == "pink":
@@ -254,6 +265,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not args.clean or not args.noise:
+        raise ConfigError("sweep scores every run against known stems: it requires --clean and --noise")
     stft_cfg = StftConfig()
     mixture = read_wav(args.input)
     clean = read_wav(args.clean)
@@ -305,7 +318,6 @@ def _add_enhance_options(p: argparse.ArgumentParser):
     p.add_argument("--block-ms", default="800", help="block length in ms, or 'batch'")
     p.add_argument("--vad", choices=VAD_MODES, default="none")
     p.add_argument("--vad-weights", default=None, help="weight file for --vad network")
-    p.add_argument("--pooling", choices=POOLING_MODES, default="median")
     p.add_argument("--ref-channel", type=_positive_int, default=1, help="1-based reference channel")
     p.add_argument("--t-mu", type=float, default=T_MU_SIMULATED, help="mic-failure correlation threshold")
     p.add_argument("--t-snr", type=float, default=T_SNR_DEFAULT, help="oracle mask SNR threshold in dB")

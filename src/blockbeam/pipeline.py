@@ -22,7 +22,6 @@ from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 BEAMFORMERS = ("irtf", "mvdr", "gev")
 POSTFILTERS = ("none", "wiener", "ban")
 VAD_MODES = ("none", "oracle", "network")
-POOLING_MODES = ("none", "median")
 
 # Post-filters that make sense for each beamformer; "none" is always allowed.
 VALID_PAIRINGS = {
@@ -50,7 +49,6 @@ class PipelineConfig:
     beamformer: str = "irtf"
     postfilter: str = "wiener"
     vad_mode: str = "oracle"
-    pooling: str = "median"
     ref_channel: int = 0
     t_mu: float = T_MU_SIMULATED
     t_snr: float = T_SNR_DEFAULT
@@ -65,8 +63,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown postfilter {self.postfilter!r}")
         if self.vad_mode not in VAD_MODES:
             raise ConfigError(f"unknown vad mode {self.vad_mode!r}")
-        if self.pooling not in POOLING_MODES:
-            raise ConfigError(f"unknown pooling mode {self.pooling!r}")
         if not self.is_batch:
             if not isinstance(self.block_frames, int):
                 raise ConfigError(f"block_frames must be an int or 'batch', got {self.block_frames!r}")
@@ -232,10 +228,10 @@ def process_block(
 
     Sequence: microphone-failure detection, STFT, a stack of per-channel VAD
     masks for the non-reference channels, their median, inverse-RTF
-    estimation from the median or the stack (cfg.pooling), beamforming,
-    post-filtering. Returns the enhanced block in the frequency domain plus
-    diagnostics. If fewer than two channels survive failure detection, the
-    reference channel passes through unprocessed and the block is flagged.
+    estimation weighted by the median, beamforming, post-filtering. Returns
+    the enhanced block in the frequency domain plus diagnostics. If fewer
+    than two channels survive failure detection, the reference channel
+    passes through unprocessed and the block is flagged.
 
     The stages see the active channels reference-first, the reference
     followed by the others in channel order; BlockResult.rtf is returned in
@@ -280,18 +276,14 @@ def process_block(
             _check_stems(oracle, block)
         masks = _channel_masks(bins, cfg, network, oracle, order[1:], timings)
         pooled = pool_median(masks)
-        # release the mask stack after its last reader: pool_median, or the
-        # RTF estimate when it uses the per-channel masks
-        rtf_masks = pooled if cfg.pooling == "median" else masks
-        del masks
+        del masks  # pool_median was the stack's last reader
 
     inv_rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
     if need_rtf:
         with _stage_timer(timings, "rtf"):
-            inv_rtf, guarded = build_rtf_set(bins, rtf_masks, sub_block_len=cfg.sub_block_len)
+            inv_rtf, guarded = build_rtf_set(bins, pooled, sub_block_len=cfg.sub_block_len)
             diag.rtf_fallback_bins = int(guarded.sum())
-    del rtf_masks
 
     if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
         with _stage_timer(timings, "noise_est"):

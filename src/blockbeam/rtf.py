@@ -36,34 +36,32 @@ def _subblock_sums(x: np.ndarray, weights: np.ndarray, sub_block_len: int):
 
     Returns (cross, auto), each (K, N, M-1): cross sums w x_0 conj(x_i)
     and auto sums w |x_i|^2 over the frames of each sub-block, for channels
-    i = 1..M-1. weights is (K, L, 1), one mask shared by all channels, or
-    (K, L, M-1), one mask per non-reference channel in channel order.
-    Trailing frames that do not fill a sub-block are discarded.
+    i = 1..M-1, with w the (K, L) mask shared by all channels. Trailing
+    frames that do not fill a sub-block are discarded.
 
-    Both sums pair each weight row with every channel over the sub-block's
-    frames, (K, N, W, S) with (K, N, S, M): the cross sums as a batched
-    matrix product, the auto sums as one einsum. Row c of a per-channel
-    stack then pairs with non-reference channel c, while the single row of
-    a shared mask pairs with all of them.
+    Both sums pair the mask with every channel over the sub-block's frames,
+    (K, N, 1, S) with (K, N, S, M): the cross sums as a batched matrix
+    product, the auto sums as one einsum.
     """
     n_bins, n_frames, n_ch = x.shape
     n_sub = n_frames // sub_block_len
     used = n_sub * sub_block_len
+    # a fancy index, not a slice, so that cross and auto are contiguous:
+    # that fixes the reduction order of the sub-block means in _closed_form
     others = np.arange(1, n_ch)
-    w = weights[:, :used].reshape(n_bins, n_sub, sub_block_len, -1).swapaxes(2, 3)
+    w = weights[:, :used].reshape(n_bins, n_sub, 1, sub_block_len)
     xs = x[:, :used].reshape(n_bins, n_sub, sub_block_len, n_ch)
-    rows = np.arange(len(others)) % w.shape[2]
 
     # sum w conj(x_ref) x_i is the conjugate of the cross sum
     weighted_ref = w * xs[:, :, None, :, 0]
     np.conjugate(weighted_ref, out=weighted_ref)
-    cross = np.conj((weighted_ref @ xs)[:, :, rows, others])
+    cross = np.conj((weighted_ref @ xs)[:, :, 0, others])
     del weighted_ref
     # |x|^2 summed from x's interleaved real/imaginary view, so that no
     # squared copy of the block is made
     parts = xs.view(np.float64)
     power = np.einsum("knws,knsm,knsm->knwm", w, parts, parts)
-    auto = (power[..., 0::2] + power[..., 1::2])[:, :, rows, others]
+    auto = (power[..., 0::2] + power[..., 1::2])[:, :, 0, others]
     return cross, auto
 
 
@@ -102,9 +100,8 @@ def build_rtf_set(bins, masks, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
 
     Arguments:
         bins: complex STFT tensor (K, L, M), reference channel first
-        masks: speech-presence weights in [0, 1], applied to both PSD sums:
-            one (K, L) mask shared by all channels, or a (K, L, M-1) stack
-            with one mask per channel 1..M-1
+        masks: (K, L) speech-presence weights in [0, 1], shared by all
+            channels and applied to both PSD sums
         sub_block_len: frames per sub-block; needs L >= 2 * sub_block_len so
             the estimator sees variation across sub-blocks
     """
@@ -117,9 +114,7 @@ def build_rtf_set(bins, masks, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
         raise SizeError(
             f"block has {n_frames} frames; needs >= 2 sub-blocks of {sub_block_len}"
         )
-    weights = checked_mask(masks, (n_bins, n_frames), (n_bins, n_frames, n_ch - 1))
-    if weights.ndim == 2:
-        weights = weights[:, :, None]
+    weights = checked_mask(masks, (n_bins, n_frames))
 
     inv_rtf = np.ones((n_bins, n_ch), dtype=np.complex128)
     inv_rtf[:, 1:], fallback = _closed_form(*_subblock_sums(x, weights, sub_block_len))

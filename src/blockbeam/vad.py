@@ -1,9 +1,9 @@
 """Per-bin speech presence masks: oracle, network inference, median pooling.
 
 A mask is a plain float array of speech-presence weights in [0, 1], one per
-(bin, frame), or a (bins, frames, channels) stack of them with one mask per
-channel. Every function that weights statistics by a mask checks it at its
-boundary with `checked_mask`.
+(bin, frame). The VAD's per-channel (bins, frames, channels) stack is
+condensed by `pool_median` into the one mask that every estimator weights
+its statistics by; each checks it at its boundary with `checked_mask`.
 
 The network VAD runs its forward pass in float32 (weights are stored in
 float32 on load) and returns float64 masks; they agree with a float64
@@ -24,12 +24,12 @@ from .errors import DataError, SizeError
 T_SNR_DEFAULT = 5.0
 
 
-def checked_mask(mask, *shapes) -> np.ndarray:
-    """The mask as a float64 array, checked: its shape must be one of
-    `shapes` and every value must be finite and lie in [0, 1]."""
+def checked_mask(mask, shape) -> np.ndarray:
+    """The mask as a float64 array, checked: its shape must be `shape` and
+    every value must be finite and lie in [0, 1]."""
     values = np.asarray(mask, dtype=np.float64)
-    if values.shape not in shapes:
-        raise SizeError(f"mask shape {values.shape} != expected {' or '.join(map(str, shapes))}")
+    if values.shape != shape:
+        raise SizeError(f"mask shape {values.shape} != expected {shape}")
     # NaN fails both comparisons
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise DataError("mask values must be finite and lie in [0, 1]")

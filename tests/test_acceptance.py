@@ -64,7 +64,6 @@ def enhance(sim, beamformer, postfilter, block_frames=100, vad="oracle"):
         beamformer=beamformer,
         postfilter=postfilter,
         vad_mode=vad,
-        pooling="median",
     )
     oracle = OracleStems(clean=sim.clean, noise=sim.noise) if vad == "oracle" else None
     return run(sim.mixture, cfg, oracle=oracle)
@@ -386,9 +385,7 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
 def test_criterion_12_determinism_and_block_independence():
     sim = static_mixture(310, duration=2.0)
     oracle = OracleStems(clean=sim.clean, noise=sim.noise)
-    cfg = PipelineConfig(
-        block_frames=100, beamformer="mvdr", postfilter="wiener", vad_mode="oracle", pooling="median"
-    )
+    cfg = PipelineConfig(block_frames=100, beamformer="mvdr", postfilter="wiener", vad_mode="oracle")
     out1, results1 = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     out2, results2 = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     identical = np.array_equal(out1.samples, out2.samples) and all(

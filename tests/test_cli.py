@@ -47,6 +47,27 @@ class TestSimulateCommand:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            pytest.param("{not json", 3, id="invalid-json"),
+            pytest.param("[1, 2]", 2, id="top-level-list"),
+            pytest.param('{"segments": [{"start_s": 0.0}]}', 2, id="segment-without-delays"),
+            pytest.param('{"channels": "x"}', 2, id="channels-not-int"),
+            pytest.param('{"duration_s": -1}', 2, id="negative-duration"),
+            pytest.param('{"segments": [1]}', 2, id="segment-not-object"),
+            pytest.param('{"segments": [{"firs": [1.0, 0.5]}]}', 2, id="firs-not-matrix"),
+        ],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text, code):
+        # invalid JSON is a data error; valid JSON that describes no mixture
+        # is a configuration error
+        config = tmp_path / "mix.json"
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == code
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEnhanceCommand:
     def test_oracle_mvdr_end_to_end(self, sim_dir, tmp_path):
@@ -62,7 +83,6 @@ class TestEnhanceCommand:
                 "--vad", "oracle",
                 "--clean", str(sim_dir / "clean.wav"),
                 "--noise", str(sim_dir / "noise.wav"),
-                "--pooling", "median",
                 "--postfilter", "wiener",
                 "--ref-channel", "1",
                 "--t-mu", "0.05",
@@ -352,6 +372,14 @@ class TestSweepCommand:
         assert not out_csv.exists()
         assert "SIR=" not in capsys.readouterr().out
 
+    def test_without_stems_is_config_error(self, tmp_path, capsys):
+        # sweep scores against the stems, so it needs them whatever the VAD;
+        # the check comes before any file is read
+        argv = ["sweep", "--input", str(tmp_path / "absent.wav"), "--csv", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert "--clean and --noise" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_unknown_beamformer_is_config_error(self, sim_dir, tmp_path):
         code = main(
             [
@@ -416,6 +444,19 @@ class TestArgumentValidation:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["enhance", "sweep"])
+def test_pooling_option_is_gone(sim_dir, tmp_path, command):
+    # the RTF estimator reads only the median-pooled mask, so argparse
+    # rejects the former --pooling option as unknown
+    argv = {
+        "enhance": ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(tmp_path / "o.wav")],
+        "sweep": ["sweep", "--input", str(sim_dir / "mixture.wav"), *_stem_args(sim_dir), "--csv", str(tmp_path / "s.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--pooling", "median"])
+    assert exc.value.code == 2
 
 
 class TestTooShortInput:

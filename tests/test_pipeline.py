@@ -617,14 +617,8 @@ def test_blocks_are_synthesized_once():
     assert np.array_equal(out.samples, synthesize(frames[:, :, None], cfg.stft).samples)
 
 
-# every beamformer/post-filter pairing with and without oracle masks, each
-# with the RTF estimated from the median mask and from per-channel masks
-SETTINGS = [
-    (bf, pf, vad_mode, pooling)
-    for bf, pf in PAIRINGS
-    for vad_mode in ("none", "oracle")
-    for pooling in ("none", "median")
-]
+# every beamformer/post-filter pairing with and without oracle masks
+SETTINGS = [(bf, pf, vad_mode) for bf, pf in PAIRINGS for vad_mode in ("none", "oracle")]
 PROPERTY_REF = 1
 
 
@@ -639,13 +633,12 @@ def property_mixture():
 
 
 def enhance_setting(setting, mixture, clean, noise, ref_channel):
-    beamformer, postfilter, vad_mode, pooling = setting
+    beamformer, postfilter, vad_mode = setting
     cfg = PipelineConfig(
         block_frames=50,
         beamformer=beamformer,
         postfilter=postfilter,
         vad_mode=vad_mode,
-        pooling=pooling,
         ref_channel=ref_channel,
         allow_any_pairing=beamformer == "gev" and vad_mode == "none",
     )
@@ -693,13 +686,12 @@ def test_dead_and_duplicate_channels_give_finite_output(setting, order):
         a[dead] = 0.0
         a[copy] = a[source]
     mixture, clean, noise = arrays
-    beamformer, postfilter, vad_mode, pooling = setting
+    beamformer, postfilter, vad_mode = setting
     cfg = PipelineConfig(
         block_frames=50,
         beamformer=beamformer,
         postfilter=postfilter,
         vad_mode=vad_mode,
-        pooling=pooling,
         ref_channel=PROPERTY_REF,
         allow_any_pairing=beamformer == "gev" and vad_mode == "none",
     )

@@ -192,20 +192,6 @@ class TestBuildRtfSet:
         assert np.all(inv_rtf[:, 0] == 1.0)
         assert np.allclose(inv_rtf, full[:, [0, 1, 3]], rtol=1e-12, atol=0)
 
-    def test_per_channel_masks(self):
-        # a (K, L, M-1) stack weights each non-reference channel by its own
-        # mask, as a shared mask equal to that channel's would; each
-        # microphone in turn is the reference, ordered first
-        x = random_bins(8, 40, 3, 15)
-        masks = np.random.default_rng(16).uniform(0, 1, (8, 40, 2))
-        for ref in range(3):
-            ordered = x[:, :, [ref] + [c for c in range(3) if c != ref]]
-            inv_rtf, _ = build_rtf_set(ordered, masks)
-            for col in range(2):
-                single = build_rtf_set(ordered, masks[:, :, col])[0][:, col + 1]
-                assert np.allclose(inv_rtf[:, col + 1], single, rtol=1e-12, atol=0)
-            assert np.all(inv_rtf[:, 0] == 1.0)
-
     def test_reciprocal_regularization(self):
         g_inv = np.array([[1.0 + 0j, 0.0 + 0j, 2.0 + 0j]])
         rec = reciprocal_rtf(g_inv)

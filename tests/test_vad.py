@@ -248,8 +248,10 @@ class TestMask:
         with pytest.raises(DataError):
             checked_mask(np.array([[np.nan]]), (1, 1))
         with pytest.raises(SizeError):
-            checked_mask(np.zeros((2, 2)), (2, 3), (2, 2, 1))
-        assert checked_mask(np.zeros((2, 2), dtype=np.float32), (2, 3), (2, 2)).dtype == np.float64
+            checked_mask(np.zeros((2, 2)), (2, 3))
+        with pytest.raises(SizeError):
+            checked_mask(np.zeros((2, 2, 1)), (2, 2))
+        assert checked_mask(np.zeros((2, 2), dtype=np.float32), (2, 2)).dtype == np.float64
 
     def test_consumers_check_masks(self):
         # every function that weights by a mask rejects a bad one
@@ -270,3 +272,6 @@ class TestMask:
                 consume(np.full((3, 20), np.nan))
             with pytest.raises(SizeError):
                 consume(np.full((3, 19), 0.5))
+            # one mask per non-reference channel is a stack, not a mask
+            with pytest.raises(SizeError):
+                consume(np.full((3, 20, 1), 0.5))
