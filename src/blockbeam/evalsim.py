@@ -27,6 +27,11 @@ condition number exceeds 1 / sqrt(max(N, K L) * eps) (3e5 at N = 51200)
 loses a direction that a dense SVD solve would keep. The coefficients are
 applied as causal FIR filters, truncated to the estimate's length, and one
 step of iterative refinement follows.
+
+FIR filtering is `np.convolve` cut to the input length and the AR(1)
+carrier of `speech_like_source` is its recurrence; both give the bits of
+`scipy.signal.lfilter`. `scipy.signal` takes ~0.9 s to import, so only
+`band_limited_source` imports it, when called.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .audio_io import MultichannelSignal
 from .errors import ConfigError, DataError, SizeError
@@ -178,12 +182,41 @@ def band_limited_source(
     (one RTF sub-block): per-bin SNR is then roughly uniform across the band,
     which makes estimator accuracy comparable between frequency bins.
     """
+    import scipy.signal  # see the module docstring
+
     n = int(round(duration_s * sample_rate))
     env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.05)
     sos = scipy.signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
     x = scipy.signal.sosfilt(sos, rng.standard_normal(n)) * env
     peak = np.max(np.abs(x))
     return x / peak if peak > 0 else x
+
+
+def _fir(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Causal FIR filter b applied to x, cut to len(x): scipy.signal.lfilter(b, [1], x).
+
+    This is the convolution that lfilter runs for a = [1], so the bits match.
+    np.convolve makes the longer operand its data, which fixes the order of
+    each output's sum, so callers that pass a slice of a longer signal keep
+    the slice longer than b whenever the signal is.
+    """
+    return np.convolve(b, x)[: x.shape[0]]
+
+
+def _ar1(x: np.ndarray, pole: float) -> np.ndarray:
+    """y[n] = x[n] + pole * y[n-1] from rest: scipy.signal.lfilter([1], [1, -pole], x).
+
+    lfilter's direct form II transposed rounds the same two operations per
+    sample in the same order, so the bits match. The Python pass costs
+    ~5 ms per 51,200 samples against ~0.3 ms in scipy.
+    """
+    out = []
+    append = out.append
+    y = 0.0
+    for v in x.tolist():
+        y = v + pole * y
+        append(y)
+    return np.array(out, dtype=np.float64)
 
 
 def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: float = 0.3) -> np.ndarray:
@@ -195,13 +228,19 @@ def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: flo
     neighboring channels correlated under small relative delays.
     """
     n = int(round(duration_s * sample_rate))
-    env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.3)
     # short raised-cosine smoothing to avoid clicks at gain steps
     ramp = int(round(0.004 * sample_rate))
+    shortest = max(ramp, 1)
+    if n < shortest:
+        raise SizeError(
+            f"speech-like source needs at least {shortest} samples (its gain ramp), got {n}: "
+            f"duration_s must be at least {shortest / sample_rate:g} s at {sample_rate} Hz"
+        )
+    env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.3)
     if ramp > 1:
         kernel = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(ramp) / ramp)
         env = np.convolve(env, kernel / kernel.sum(), mode="same")
-    carrier = scipy.signal.lfilter([1.0], [1.0, -0.9], rng.standard_normal(n))
+    carrier = _ar1(rng.standard_normal(n), 0.9)
     x = carrier * env
     peak = np.max(np.abs(x))
     return x / peak if peak > 0 else x
@@ -239,15 +278,24 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000, n_f
     noise_samples = noise_samples[:, :n_samples]
     if np.any(spec.segment_starts >= n_samples):
         raise ConfigError("segment start beyond the end of the source")
+    if not np.all(np.isfinite(dry)):
+        raise DataError("dry source holds non-finite samples")
+    if not np.all(np.isfinite(noise_samples)):
+        raise DataError("noise holds non-finite samples")
 
+    taps = spec.firs.shape[2]
     bounds = list(spec.segment_starts) + [n_samples]
     clean = np.zeros((spec.channel_count, n_samples))
     rtf_list = []
     for seg in range(len(spec.segment_starts)):
         lo, hi = bounds[seg], bounds[seg + 1]
+        # Filter only the span that reaches lo:hi, keeping it longer than the
+        # FIR whenever the source is (see _fir), so each sample matches the
+        # filter run over the whole source.
+        first = max(0, min(lo - taps + 1, hi - taps - 1))
+        last = min(n_samples, max(hi, first + taps + 1))
         for ch in range(spec.channel_count):
-            filtered = scipy.signal.lfilter(spec.firs[seg, ch], [1.0], dry)
-            clean[ch, lo:hi] = filtered[lo:hi]
+            clean[ch, lo:hi] = _fir(spec.firs[seg, ch], dry[first:last])[lo - first : hi - first]
         rtf, inv_rtf = true_rtfs(spec.firs[seg], n_fft=n_fft)
         rtf_list.append(SegmentRtf(start_sample=int(lo), rtf=rtf, inv_rtf=inv_rtf))
 
@@ -324,7 +372,7 @@ def _project(stems: np.ndarray, x: np.ndarray, n_delays: int) -> np.ndarray:
     for _ in range(2):
         rhs = _lag_products(stems, (x - projection)[np.newaxis], n_delays)[:, :, 0].T.ravel()
         coef = (basis @ ((rhs @ basis) / scale)).reshape(stems.shape[0], n_delays)
-        projection += sum(scipy.signal.lfilter(c, [1.0], stem) for c, stem in zip(coef, stems))
+        projection += sum(_fir(c, stem) for c, stem in zip(coef, stems))
     return projection
 
 

@@ -68,6 +68,14 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_duration_shorter_than_ramp_names_minimum(self, tmp_path, capsys):
+        config = tmp_path / "mix.json"
+        config.write_text('{"duration_s": 0.002}')
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "at least 0.004 s" in err and "broadcast" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEnhanceCommand:
     def test_oracle_mvdr_end_to_end(self, sim_dir, tmp_path):

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import blockbeam
+from blockbeam import evalsim
 from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.evalsim import (
     Decomposition,
@@ -87,6 +95,18 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             MixtureSpec(channel_count=3, firs=np.ones((1, 2, 4)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stem", ["dry", "noise"])
+    def test_non_finite_input_rejected(self, stem, value):
+        # alpha would be NaN and the whole mixture NaN
+        rng = np.random.default_rng(0)
+        dry = speech_like_source(0.25, 16000, rng)
+        noise = white_noise(2, dry.shape[0], rng)
+        (dry if stem == "dry" else noise[1])[1000] = value
+        spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
+        with pytest.raises(DataError, match="non-finite"):
+            simulate(spec, dry, noise)
+
     def test_noise_shorter_than_source_rejected(self):
         spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
         with pytest.raises(SizeError):
@@ -112,6 +132,12 @@ class TestSimulate:
         out_band = spec[freqs > 5000].mean()
         assert in_band > 100 * out_band
         assert np.max(np.abs(x)) <= 1.0
+
+    @pytest.mark.parametrize("duration_s", [0.0, 0.001, 0.002, 0.0039])
+    def test_source_shorter_than_ramp_rejected(self, duration_s):
+        # the 4 ms gain ramp is 64 samples at 16 kHz
+        with pytest.raises(SizeError, match=r"at least 0\.004 s"):
+            speech_like_source(duration_s, 16000, np.random.default_rng(0))
 
     def test_sources_have_pauses(self):
         # 80 ms gain segments with occasional silence drive the sub-block
@@ -415,3 +441,101 @@ def test_decompose_matches_dense_reference_property(n, filter_len, n_noise, lead
         basis_n = np.hstack([reference_delay_matrix(x, filter_len) for x in noises])
         assume(not _has_ill_posed_directions(basis_n))
     assert_parts_match(est, target, noises, filter_len)
+
+
+def lfilter_speech_like_source(duration_s, sample_rate, rng, pause_prob=0.3):
+    """speech_like_source with scipy.signal.lfilter as the AR(1) carrier."""
+    n = int(round(duration_s * sample_rate))
+    env = evalsim._gated_envelope(n, sample_rate, rng, pause_prob, 0.3)
+    ramp = int(round(0.004 * sample_rate))
+    if ramp > 1:
+        kernel = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(ramp) / ramp)
+        env = np.convolve(env, kernel / kernel.sum(), mode="same")
+    x = scipy.signal.lfilter([1.0], [1.0, -0.9], rng.standard_normal(n)) * env
+    peak = np.max(np.abs(x))
+    return x / peak if peak > 0 else x
+
+
+def lfilter_clean(spec, dry):
+    """Clean stems as each segment's FIR filter over the whole source, cut to
+    the segment."""
+    bounds = list(spec.segment_starts) + [dry.shape[0]]
+    clean = np.zeros((spec.channel_count, dry.shape[0]))
+    for seg, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for ch in range(spec.channel_count):
+            clean[ch, lo:hi] = scipy.signal.lfilter(spec.firs[seg, ch], [1.0], dry)[lo:hi]
+    return clean
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFiltersMatchScipy:
+    """The numpy filters give the bits of scipy.signal.lfilter."""
+
+    @pytest.mark.parametrize("duration_s", [0.004, 0.0101, 0.5, 1.3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sample_rate", [16000, 8000])
+    def test_speech_like_source(self, sample_rate, seed, duration_s):
+        got = speech_like_source(duration_s, sample_rate, np.random.default_rng(seed))
+        want = lfilter_speech_like_source(duration_s, sample_rate, np.random.default_rng(seed))
+        assert_bitwise(got, want)
+
+    def test_static_simulate(self):
+        rng = np.random.default_rng(11)
+        dry = speech_like_source(1.0, 16000, rng)
+        firs = decaying_firs([0, 2, 5, 7], rng, extra_taps=8, decay=0.7)
+        spec = MixtureSpec(channel_count=4, firs=firs[np.newaxis], snr_db=3.0)
+        sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
+        assert_bitwise(sim.clean.samples, lfilter_clean(spec, dry))
+
+    @pytest.mark.parametrize("taps", [1, 2, 13, 33, 64])
+    def test_moving_simulate(self, taps):
+        # random layouts: sources shorter and longer than the FIR, segments
+        # shorter than the FIR, a last segment of one sample
+        rng = np.random.default_rng(taps)
+        for trial in range(60):
+            n = int(rng.integers(1, 2 * taps + 3)) if trial % 3 == 0 else int(rng.integers(taps, 600))
+            n = max(n, 2) if trial % 5 == 1 else n
+            n_seg = int(rng.integers(1, min(n, 8) + 1))
+            inner = rng.choice(np.arange(1, n), size=n_seg - 1, replace=False) if n_seg > 1 else []
+            if trial % 5 == 1 and n_seg > 1:
+                inner[-1] = n - 1
+            starts = np.unique(np.concatenate([[0], inner])).astype(np.int64)
+            firs = rng.standard_normal((starts.shape[0], 2, taps))
+            spec = MixtureSpec(channel_count=2, firs=firs, segment_starts=starts)
+            dry = rng.standard_normal(n)
+            sim = simulate(spec, dry, rng.standard_normal((2, n)))
+            assert_bitwise(sim.clean.samples, lfilter_clean(spec, dry))
+
+    def test_decompose_and_evaluate(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        dry = speech_like_source(0.6, 16000, rng)
+        firs = np.stack([decaying_firs([0, 3, 6], rng), decaying_firs([0, 6, 1], rng)])
+        spec = MixtureSpec(channel_count=3, firs=firs, segment_starts=np.array([0, 4000]))
+        sim = simulate(spec, dry, pink_noise(3, dry.shape[0], rng))
+        args = (sim.mixture.samples[1, :9000], sim.clean.samples[0], sim.noise.samples)
+        got = decompose(args[0], args[1][:9000], args[2][:, :9000], filter_len=20)
+        got_report = evaluate_estimate(*args)
+        monkeypatch.setattr(evalsim, "_fir", lambda b, x: scipy.signal.lfilter(b, [1.0], x))
+        want = decompose(args[0], args[1][:9000], args[2][:, :9000], filter_len=20)
+        for part in ("target", "interference", "artifact"):
+            assert_bitwise(getattr(got, part), getattr(want, part))
+        assert got_report == evaluate_estimate(*args)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal (with scipy.stats) takes most of a cold start; the
+    # package loads it only when band_limited_source runs
+    code = (
+        "import sys, numpy as np, blockbeam, blockbeam.cli\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+        "x = blockbeam.evalsim.band_limited_source(0.1, 16000, np.random.default_rng(0))\n"
+        "print(x.shape, 'scipy.signal' in sys.modules)\n"
+    )
+    src = str(Path(blockbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "(1600,) True"]
