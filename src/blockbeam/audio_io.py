@@ -1,4 +1,8 @@
-"""Multichannel WAV input/output and VAD network weight files."""
+"""Multichannel WAV input/output and VAD network weight files.
+
+`scipy.io.wavfile` is imported by `read_wav` and `write_wav` when they run,
+so importing the package does not load scipy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DataError, FormatError, SizeError, UnsupportedEncodingError
 
@@ -51,6 +54,8 @@ def read_wav(path) -> MultichannelSignal:
     Raises FormatError for broken containers and UnsupportedEncodingError for
     any other sample encoding.
     """
+    from scipy.io import wavfile  # see the module docstring
+
     try:
         rate, data = wavfile.read(path)
     except ValueError as exc:
@@ -77,6 +82,8 @@ def write_wav(signal: MultichannelSignal, path, encoding: str = "float32") -> No
     32767 and -1.0 as -32768. float32 output round-trips bit-exactly through
     read_wav.
     """
+    from scipy.io import wavfile  # see the module docstring
+
     if not np.all(np.isfinite(signal.samples)):
         raise DataError("cannot write non-finite samples")
     if encoding == "pcm16":

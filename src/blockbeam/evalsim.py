@@ -185,6 +185,11 @@ def band_limited_source(
     import scipy.signal  # see the module docstring
 
     n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise SizeError(
+            f"band-limited source needs at least 1 sample, got {n}: "
+            f"duration_s must be at least {1 / sample_rate:g} s at {sample_rate} Hz"
+        )
     env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.05)
     sos = scipy.signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
     x = scipy.signal.sosfilt(sos, rng.standard_normal(n)) * env
@@ -260,9 +265,10 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000, n_f
     """
     if isinstance(dry_speech, MultichannelSignal):
         sample_rate = dry_speech.sample_rate
-        dry = dry_speech.samples[0]
-    else:
-        dry = np.asarray(dry_speech, dtype=np.float64)
+        dry_speech = dry_speech.samples[0] if dry_speech.channel_count == 1 else dry_speech.samples
+    dry = np.asarray(dry_speech, dtype=np.float64)
+    if dry.ndim != 1:
+        raise SizeError(f"expected a 1-D dry source or a 1-channel signal, got shape {dry.shape}")
     if isinstance(noise, MultichannelSignal):
         noise_samples = noise.samples
     else:

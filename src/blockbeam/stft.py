@@ -3,13 +3,12 @@
 Layout contract: a spectrogram is a C-contiguous complex array of shape
 (bins, frames, channels). Every downstream stage works per frequency bin with
 batched `matmul`s over the leading bin axis, which need each bin's
-(frames, channels) matrix to be one contiguous block; `analyze` writes its
-transform in that layout directly rather than transposing a copy.
+(frames, channels) matrix to be one contiguous block.
 
-A signal longer than one chunk of frames is analysed chunk by chunk into one
-preallocated spectrogram, so no full-length windowed frame tensor is formed
-beside it; each frame is transformed on its own, so the result is bitwise
-equal to one transform of all frames.
+`analyze` windows and transforms the frames a chunk at a time, writing each
+chunk's transform into one preallocated spectrogram of that layout, so no
+full-length windowed frame tensor is formed beside it. Each frame is
+transformed on its own, so the result does not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MultichannelSignal
@@ -27,8 +25,7 @@ from .errors import ConfigError, DataError, SizeError
 # never falls below 0.08, so the floor only matters for pathological configs.
 WINDOW_SUM_FLOOR = 1e-8
 
-# Frames windowed and transformed at a time by analyze; a signal of at most
-# this many frames is transformed in one call.
+# Frames windowed and transformed at a time by analyze.
 _CHUNK_FRAMES = 128
 
 
@@ -89,24 +86,26 @@ def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> np.nda
     the periodic Hamming window and transformed with a one-sided FFT. No
     padding or centering is applied, so edge frames are real signal frames.
 
-    The windowed frames are formed as a (frame_len, frames, channels) array
-    and transformed along axis 0, so the result is already the C-contiguous
-    (bins, frames, channels) layout the pipeline needs. (`numpy.fft.rfft`
-    along axis 0 would return a non-contiguous array.) Above _CHUNK_FRAMES
-    frames this runs per chunk of frames into one preallocated array.
+    Frames are windowed a chunk of _CHUNK_FRAMES at a time into a
+    (frames, channels, frame_len) array and transformed along its last axis
+    straight into their place in the (bins, frames, channels) result.
     """
     if cfg is None:
         cfg = StftConfig(sample_rate=signal.sample_rate)
     n_frames = frame_count(signal.n_samples, cfg)
-    window = periodic_hamming(cfg.frame_len)[:, None, None]
+    window = periodic_hamming(cfg.frame_len)
     frames = sliding_window_view(signal.samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :]
-    frames = frames[:, :n_frames, :].transpose(2, 1, 0)
-    if n_frames <= _CHUNK_FRAMES:
-        return _checked(scipy.fft.rfft(frames * window, axis=0), cfg)
+    frames = frames[:, :n_frames, :].transpose(1, 0, 2)
     bins = np.empty((cfg.n_bins, n_frames, signal.channel_count), dtype=np.complex128)
-    for lo in range(0, n_frames, _CHUNK_FRAMES):
-        hi = min(lo + _CHUNK_FRAMES, n_frames)
-        bins[:, lo:hi] = scipy.fft.rfft(frames[:, lo:hi] * window, axis=0)
+    out = bins.transpose(1, 2, 0)
+    # A non-finite input is reported once, by _checked. Each chunk is
+    # windowed in C order so that consecutive transforms fill neighbouring
+    # (frame, channel) entries of bins; in the view's channel-major order
+    # a 30 s 4-channel analysis ran ~10% slower.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_frames, _CHUNK_FRAMES):
+            hi = min(lo + _CHUNK_FRAMES, n_frames)
+            np.fft.rfft(np.multiply(frames[lo:hi], window, order="C"), axis=-1, out=out[lo:hi])
     return _checked(bins, cfg)
 
 

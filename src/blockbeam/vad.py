@@ -10,12 +10,14 @@ float32 on load) and returns float64 masks; they agree with a float64
 forward pass to about 1e-5. Inputs whose normalized magnitudes overflow
 float32 inside the network (around 1e38) are rejected with a DataError.
 Weight files with non-finite entries are rejected on load.
+
+`scipy.special` (for the network's sigmoid, `expit`) is imported by
+`infer_mask` when it runs, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .audio_io import NetworkWeights
 from .errors import DataError, SizeError
@@ -70,6 +72,8 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> np.ndarray:
     Raises DataError when the output is not finite, i.e. the input is out of
     the range the float32 network can represent.
     """
+    from scipy.special import expit  # see the module docstring
+
     channel_bins = np.asarray(channel_bins)
     if channel_bins.ndim != 2:
         raise SizeError(f"expected (bins, frames) channel data, got shape {channel_bins.shape}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import blockbeam
 from blockbeam import evalsim
+from blockbeam.audio_io import MultichannelSignal, write_wav
 from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.evalsim import (
     Decomposition,
@@ -107,6 +108,16 @@ class TestSimulate:
         with pytest.raises(DataError, match="non-finite"):
             simulate(spec, dry, noise)
 
+    @pytest.mark.parametrize(
+        "dry",
+        [np.ones((1, 4000)), np.ones((2, 4000)), np.ones(()), MultichannelSignal(np.ones((2, 4000)), 16000)],
+        ids=["row", "two-rows", "scalar", "two-channel-signal"],
+    )
+    def test_dry_source_not_1d_rejected(self, dry):
+        spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
+        with pytest.raises(SizeError, match="1-D dry source"):
+            simulate(spec, dry, np.ones((2, 4000)))
+
     def test_noise_shorter_than_source_rejected(self):
         spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
         with pytest.raises(SizeError):
@@ -138,6 +149,12 @@ class TestSimulate:
         # the 4 ms gain ramp is 64 samples at 16 kHz
         with pytest.raises(SizeError, match=r"at least 0\.004 s"):
             speech_like_source(duration_s, 16000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("duration_s", [0.0, 0.00003, -1.0])
+    def test_band_limited_source_of_no_samples_rejected(self, duration_s):
+        # 0.00003 s is 0.48 samples at 16 kHz, which rounds to none
+        with pytest.raises(SizeError, match="at least 1 sample"):
+            band_limited_source(duration_s, 16000, np.random.default_rng(0))
 
     def test_sources_have_pauses(self):
         # 80 ms gain segments with occasional silence drive the sub-block
@@ -526,16 +543,31 @@ class TestFiltersMatchScipy:
         assert got_report == evaluate_estimate(*args)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal (with scipy.stats) takes most of a cold start; the
-    # package loads it only when band_limited_source runs
+def test_import_leaves_scipy_signal_unloaded(tmp_path):
+    # importing scipy takes most of a cold start, so the package imports no
+    # scipy module; each call that needs one loads its own subpackage
+    wav = tmp_path / "one.wav"
+    write_wav(MultichannelSignal(np.zeros((2, 160)), 16000), wav)
     code = (
         "import sys, numpy as np, blockbeam, blockbeam.cli\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
-        "x = blockbeam.evalsim.band_limited_source(0.1, 16000, np.random.default_rng(0))\n"
-        "print(x.shape, 'scipy.signal' in sys.modules)\n"
+        "from blockbeam.audio_io import NetworkLayer, NetworkWeights\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.io', 'scipy.special', 'scipy.signal') if m in sys.modules]\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "blockbeam.audio_io.read_wav(sys.argv[1])\n"
+        "print('read_wav', loaded())\n"
+        "net = NetworkWeights([NetworkLayer(np.zeros((3, 3)), np.zeros(3), 'sigmoid')], np.zeros(3), np.ones(3))\n"
+        "blockbeam.vad.infer_mask(net, np.ones((3, 2)))\n"
+        "print('infer_mask', loaded())\n"
+        "blockbeam.evalsim.band_limited_source(0.1, 16000, np.random.default_rng(0))\n"
+        "print('band_limited_source', loaded())\n"
     )
     src = str(Path(blockbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "(1600,) True"]
+    out = subprocess.run([sys.executable, "-c", code, str(wav)], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:4] == [
+        "[]",
+        "read_wav ['scipy.io']",
+        "infer_mask ['scipy.io', 'scipy.special']",
+        "band_limited_source ['scipy.io', 'scipy.special', 'scipy.signal']",
+    ]

@@ -153,6 +153,7 @@ class TestConfig:
         with pytest.raises(SizeError):
             synthesize(np.zeros((256, 4, 1), dtype=complex), CFG)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_spectrogram_layout_and_values_checked(self):
         with pytest.raises(SizeError):
             synthesize(np.zeros((257, 4), dtype=complex), CFG)
@@ -160,6 +161,7 @@ class TestConfig:
         bins[3, 2, 0] = np.nan
         with pytest.raises(DataError):
             synthesize(bins, CFG)
+        # the DataError is the one signal: the transform of inf is NaN
         with pytest.raises(DataError):
             analyze(MultichannelSignal(np.full((1, 512), np.inf), 16000), CFG)
 
@@ -199,9 +201,23 @@ class TestKernelsMatchReference:
         assert np.array_equal(out, reference_synthesize(bins, cfg))
 
 
+def _chunk_cases():
+    """Frame lengths with their hops x input scales x channel counts x 1, 127,
+    128, 129 and 257 frames at the chunk length of 128. The default framing
+    at scale 1 keeps its short "channels-frames" id."""
+    for frame_len, hop in [(512, 128), (6, 3), (400, 160), (1024, 256)]:
+        for scale in [1.0, 1e-300, 1e300]:
+            for n_channels in [1, 4]:
+                for n_frames in [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 1]:
+                    case_id = f"{n_channels}-{n_frames}"
+                    if (frame_len, hop, scale) != (512, 128, 1.0):
+                        case_id = f"{frame_len}-{hop}-{scale:g}-{case_id}"
+                    yield pytest.param(frame_len, hop, scale, n_channels, n_frames, id=case_id)
+
+
 class TestChunkedAnalysis:
-    """analyze transforms more than _CHUNK_FRAMES frames chunk by chunk; the
-    result must be the one transform of all frames, bit for bit."""
+    """analyze transforms _CHUNK_FRAMES frames at a time with numpy.fft; the
+    result must be scipy.fft's one transform of all frames, bit for bit."""
 
     @staticmethod
     def one_call(samples, cfg):
@@ -210,15 +226,15 @@ class TestChunkedAnalysis:
         window = periodic_hamming(cfg.frame_len)[:, None, None]
         return scipy.fft.rfft(frames.transpose(2, 1, 0) * window, axis=0)
 
-    # 1, 127, 128, 129 and 257 frames at the chunk length of 128
-    @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 1])
-    @pytest.mark.parametrize("n_channels", [1, 4])
-    def test_chunk_boundaries(self, n_channels, n_frames):
-        sig = random_signal(n_channels, CFG.frame_len + (n_frames - 1) * CFG.hop, seed=n_frames)
-        bins = analyze(sig, CFG)
-        assert bins.shape == (CFG.n_bins, n_frames, n_channels)
+    @pytest.mark.parametrize("frame_len,hop,scale,n_channels,n_frames", list(_chunk_cases()))
+    def test_chunk_boundaries(self, frame_len, hop, scale, n_channels, n_frames):
+        cfg = StftConfig(frame_len=frame_len, hop=hop)
+        sig = random_signal(n_channels, frame_len + (n_frames - 1) * hop, seed=n_frames)
+        sig.samples *= scale
+        bins = analyze(sig, cfg)
+        assert bins.shape == (cfg.n_bins, n_frames, n_channels)
         assert bins.flags["C_CONTIGUOUS"]
-        assert np.array_equal(bins, self.one_call(sig.samples, CFG))
+        assert np.array_equal(bins.view(np.float64), self.one_call(sig.samples, cfg).view(np.float64))
 
     def test_nan_in_last_chunk_raises(self):
         # 2 chunks + 1 frame: only the last chunk's one frame reads the last
