@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalsim
-from .audio_io import load_network, read_wav, write_wav
+from .audio_io import MultichannelSignal, load_network, read_wav, write_wav
 from .channel_health import T_MU_SIMULATED
 from .errors import BlockbeamError, ConfigError, DataError, FormatError, SizeError
 from .pipeline import (
@@ -188,10 +188,13 @@ def _cmd_simulate(args) -> int:
 
         source_conf = conf.get("source", "modulated")
         if isinstance(source_conf, dict):
-            dry = read_wav(source_conf["file"]).samples[0]
+            # simulate rejects a source of more than one channel; the
+            # configured rate labels the outputs, as for the built-in source
+            dry = MultichannelSignal(read_wav(source_conf["file"]).samples, sample_rate)
+            n_samples = dry.n_samples
         else:
             dry = evalsim.speech_like_source(duration_s, sample_rate, rng)
-        n_samples = dry.shape[0]
+            n_samples = dry.shape[0]
 
         spec = _mixture_spec_from_config(conf, sample_rate, rng)
     except BlockbeamError:

@@ -76,6 +76,15 @@ class TestSimulateCommand:
         assert "at least 0.004 s" in err and "broadcast" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_multichannel_source_file_rejected(self, tmp_path, capsys):
+        # a stereo dry source is refused, not cut to its first channel
+        write_wav(MultichannelSignal(np.full((2, 1600), 0.1), 16000), tmp_path / "dry.wav")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"source": {"file": str(tmp_path / "dry.wav")}}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "1-channel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEnhanceCommand:
     def test_oracle_mvdr_end_to_end(self, sim_dir, tmp_path):

@@ -559,8 +559,8 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
         "net = NetworkWeights([NetworkLayer(np.zeros((3, 3)), np.zeros(3), 'sigmoid')], np.zeros(3), np.ones(3))\n"
         "blockbeam.vad.infer_mask(net, np.ones((3, 2)))\n"
         "print('infer_mask', loaded())\n"
-        "blockbeam.evalsim.band_limited_source(0.1, 16000, np.random.default_rng(0))\n"
-        "print('band_limited_source', loaded())\n"
+        "x = blockbeam.evalsim.band_limited_source(0.1, 16000, np.random.default_rng(0))\n"
+        "print('band_limited_source', x.shape, loaded())\n"
     )
     src = str(Path(blockbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -569,5 +569,5 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
         "[]",
         "read_wav ['scipy.io']",
         "infer_mask ['scipy.io', 'scipy.special']",
-        "band_limited_source ['scipy.io', 'scipy.special', 'scipy.signal']",
+        "band_limited_source (1600,) ['scipy.io', 'scipy.special', 'scipy.signal']",
     ]
