@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import SizeError
 from .rtf import reciprocal_rtf
+from .stft import _CHUNK_FRAMES
 from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
@@ -54,10 +55,26 @@ MVDR_DEN_GUARD = 1e-12
 MASK_SUM_FLOOR = np.finfo(np.float64).tiny
 
 
+def _bin_chunks(n_bins: int, n_frames: int) -> list[slice]:
+    """Slices of the bin axis, each spanning about n_bins * _CHUNK_FRAMES
+    (bin, frame) entries, the working set `stft.analyze` chunks by; a block
+    of at most _CHUNK_FRAMES frames is one slice."""
+    step = max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_bins, step)]
+
+
 def sample_covariance(bins) -> np.ndarray:
-    """Unnormalized per-bin sum of outer products, (K, M, M)."""
+    """Unnormalized per-bin sum of outer products, (K, M, M).
+
+    The conjugated copy of x is made a chunk of bins at a time
+    (`_bin_chunks`); each bin is one `matmul`, so chunks do not change bits.
+    """
     x = np.asarray(bins)
-    return x.transpose(0, 2, 1) @ np.conj(x)
+    n_bins, n_frames, n_ch = x.shape
+    cov = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
+    for part in _bin_chunks(n_bins, n_frames):
+        np.matmul(x[part].transpose(0, 2, 1), np.conj(x[part]), out=cov[part])
+    return cov
 
 
 def _hermitize(mats: np.ndarray) -> np.ndarray:
@@ -184,15 +201,19 @@ def masked_covariances(bins, mask):
 
     Bins where the mask (or its complement) sums to zero cannot be averaged;
     they are replaced by the plain per-frame average of x x^H and flagged.
+    A spectrogram with no frames raises SizeError.
 
-    Both weighted sums go through one (K, L, M) buffer holding the weighted
-    conjugate frames, so no other full-size temporary is made:
-    sum_l w_l x_l x_l^H = conj((w conj(x))^T x).
+    Both weighted sums of a chunk of bins (`_bin_chunks`) go through one
+    buffer holding that chunk's weighted conjugate frames,
+    sum_l w_l x_l x_l^H = conj((w conj(x))^T x), so a long block makes no
+    full-size temporary; each bin is still one `matmul`.
 
     Returns (speech cov, noise cov, degenerate flags), covs (K, M, M).
     """
     x = np.asarray(bins)
-    n_bins, n_frames, _ = x.shape
+    n_bins, n_frames, n_ch = x.shape
+    if n_frames == 0:
+        raise SizeError("masked covariances need at least one frame")
     w = checked_mask(mask, (n_bins, n_frames))
 
     w_noise = 1.0 - w
@@ -200,13 +221,15 @@ def masked_covariances(bins, mask):
     sum_noise = w_noise.sum(axis=1)
     degenerate = (sum_speech <= MASK_SUM_FLOOR) | (sum_noise <= MASK_SUM_FLOOR)
 
-    weighted = np.conj(x)
-    weighted *= w[:, :, None]
-    speech = np.conj(weighted.transpose(0, 2, 1) @ x)
-    np.conjugate(x, out=weighted)
-    weighted *= w_noise[:, :, None]
-    noise = np.conj(weighted.transpose(0, 2, 1) @ x)
-    del weighted
+    speech = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
+    noise = np.empty_like(speech)
+    for part in _bin_chunks(n_bins, n_frames):
+        weighted = np.conj(x[part])
+        weighted *= w[part, :, None]
+        np.conj(weighted.transpose(0, 2, 1) @ x[part], out=speech[part])
+        np.conjugate(x[part], out=weighted)
+        weighted *= w_noise[part, :, None]
+        np.conj(weighted.transpose(0, 2, 1) @ x[part], out=noise[part])
 
     # the two weights add up to one, so for a degenerate bin the two sums add
     # up to the plain sum of x x^H

@@ -177,15 +177,17 @@ def _check_stems(oracle: OracleStems, signal: MultichannelSignal) -> None:
 
 
 def _oracle_masks(oracle, channels, n_frames, cfg, timings):
-    """(K, L, len(channels)) oracle masks of the given stem channels.
+    """(K, L) median pool (`pool_median`) of the oracle masks of the given
+    stem channels.
 
     The stems are analysed over the same frame chunks as `analyze` and each
-    chunk's masks are written into the stack, so the stems' full
-    spectrograms are never formed; the stack is bitwise equal to the masks
-    of the full spectrograms. Runs inside the `vad` stage, from which it
-    moves the stem analysis time to `oracle_stft`.
+    chunk's masks are pooled and written into the result, so neither the
+    stems' full spectrograms nor the full mask stack is formed; the median
+    is taken per element, so the result is bitwise equal to the pool of the
+    masks of the full spectrograms. Runs inside the `vad` stage, from which
+    it moves the stem analysis time to `oracle_stft`.
     """
-    masks = np.empty((cfg.stft.n_bins, n_frames, len(channels)))
+    pooled = np.empty((cfg.stft.n_bins, n_frames))
     stem_s = 0.0
     for lo in range(0, n_frames, _CHUNK_FRAMES):
         hi = min(lo + _CHUNK_FRAMES, n_frames)
@@ -196,26 +198,26 @@ def _oracle_masks(oracle, channels, n_frames, cfg, timings):
             for stem in (oracle.clean, oracle.noise)
         )
         stem_s += time.perf_counter() - start
-        masks[:, lo:hi] = oracle_ibm(clean, noise, cfg.t_snr)
+        pooled[:, lo:hi] = pool_median(oracle_ibm(clean, noise, cfg.t_snr))
     # the enclosing `vad` timer adds its whole elapsed time when it exits
     timings["oracle_stft"] = timings.get("oracle_stft", 0.0) + stem_s
     timings["vad"] = timings.get("vad", 0.0) - stem_s
-    return masks
+    return pooled
 
 
-def _channel_masks(bins, cfg, network, oracle, channels, timings):
-    """(K, L, M-1) masks of the non-reference channels 1..M-1 of the
-    reference-first spectrogram bins. Those channels are the microphones
-    `channels`, whose stems give the oracle masks."""
+def _pooled_mask(bins, cfg, network, oracle, channels, timings):
+    """(K, L) median pool of the VAD masks of the non-reference channels
+    1..M-1 of the reference-first spectrogram bins. Those channels are the
+    microphones `channels`, whose stems give the oracle masks."""
     n_bins, n_frames, n_ch = bins.shape
     if cfg.vad_mode == "network":
         # one forward pass for all channels: frame l of channel i is column
         # l * (M - 1) + i of the stacked input
         stacked = infer_mask(network, bins[:, :, 1:].reshape(n_bins, -1))
-        return stacked.reshape(n_bins, n_frames, n_ch - 1)
+        return pool_median(stacked.reshape(n_bins, n_frames, n_ch - 1))
     if cfg.vad_mode == "oracle":
         return _oracle_masks(oracle, channels, n_frames, cfg, timings)
-    return np.ones((n_bins, n_frames, n_ch - 1))
+    return np.ones((n_bins, n_frames))
 
 
 def process_block(
@@ -226,12 +228,13 @@ def process_block(
 ) -> BlockResult:
     """Enhance one block with no state from other blocks.
 
-    Sequence: microphone-failure detection, STFT, a stack of per-channel VAD
-    masks for the non-reference channels, their median, inverse-RTF
-    estimation weighted by the median, beamforming, post-filtering. Returns
-    the enhanced block in the frequency domain plus diagnostics. If fewer
-    than two channels survive failure detection, the reference channel
-    passes through unprocessed and the block is flagged.
+    Sequence: microphone-failure detection, STFT, the per-bin median of the
+    VAD masks of the non-reference channels (`_pooled_mask`, which pools
+    them where they are made), inverse-RTF estimation weighted by the
+    median, beamforming, post-filtering. Returns the enhanced block in the
+    frequency domain plus diagnostics. If fewer than two channels survive
+    failure detection, the reference channel passes through unprocessed and
+    the block is flagged.
 
     The stages see the active channels reference-first, the reference
     followed by the others in channel order; BlockResult.rtf is returned in
@@ -274,9 +277,7 @@ def process_block(
             if oracle is None:
                 raise ConfigError("oracle VAD mode needs clean/noise stems")
             _check_stems(oracle, block)
-        masks = _channel_masks(bins, cfg, network, oracle, order[1:], timings)
-        pooled = pool_median(masks)
-        del masks  # pool_median was the stack's last reader
+        pooled = _pooled_mask(bins, cfg, network, oracle, order[1:], timings)
 
     inv_rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from blockbeam.beamform import noise_projection
+from blockbeam.beamform import MASK_SUM_FLOOR, _hermitize, noise_projection
 
 
 def estimate_noise(bins, inv_rtf):
@@ -15,3 +15,37 @@ def estimate_noise(bins, inv_rtf):
     x = np.asarray(bins)
     proj_b, noise_cov, n_loaded = noise_projection(x, inv_rtf)
     return x @ proj_b.transpose(0, 2, 1), noise_cov, n_loaded
+
+
+def sample_covariance_one_shot(bins):
+    """Per-bin sum of outer products x^T conj(x) in one batched `matmul` over
+    every bin, as `beamform.sample_covariance` computes it chunk by chunk."""
+    x = np.asarray(bins)
+    return x.transpose(0, 2, 1) @ np.conj(x)
+
+
+def masked_covariances_one_shot(bins, mask):
+    """`beamform.masked_covariances` with both weighted sums taken over every
+    bin at once, through one (K, L, M) buffer of weighted conjugate frames."""
+    x = np.asarray(bins)
+    n_frames = x.shape[1]
+    w = np.asarray(mask, dtype=np.float64)
+    w_noise = 1.0 - w
+    sum_speech = w.sum(axis=1)
+    sum_noise = w_noise.sum(axis=1)
+    degenerate = (sum_speech <= MASK_SUM_FLOOR) | (sum_noise <= MASK_SUM_FLOOR)
+
+    weighted = np.conj(x)
+    weighted *= w[:, :, None]
+    speech = np.conj(weighted.transpose(0, 2, 1) @ x)
+    np.conjugate(x, out=weighted)
+    weighted *= w_noise[:, :, None]
+    noise = np.conj(weighted.transpose(0, 2, 1) @ x)
+
+    speech[degenerate] += noise[degenerate]
+    noise[degenerate] = speech[degenerate]
+    sum_speech[degenerate] = n_frames
+    sum_noise[degenerate] = n_frames
+    speech /= sum_speech[:, None, None]
+    noise /= sum_noise[:, None, None]
+    return _hermitize(speech), _hermitize(noise), degenerate

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from blockbeam.beamform import (
     PINV_RCOND,
+    _bin_chunks,
     apply_weights,
     blocking_matrix,
     gev_weights,
@@ -17,7 +18,7 @@ from blockbeam.beamform import (
 )
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.pipeline import PipelineConfig
-from reference import estimate_noise
+from reference import estimate_noise, masked_covariances_one_shot, sample_covariance_one_shot
 
 
 def random_bins(n_bins, n_frames, n_ch, seed):
@@ -472,6 +473,35 @@ class TestBatchedKernels:
         assert np.flatnonzero(degen).tolist() == [3, 5]
         assert relative_error(speech, exp_speech) < 1e-12
         assert relative_error(noise, exp_noise) < 1e-12
+
+    def test_bin_chunks_match_one_shot_bitwise(self):
+        # 1000 frames make chunks of 32 bins; each bin is still one matmul,
+        # so the chunked sums equal the one-shot ones bit for bit, also for
+        # degenerate masks on both sides of the first chunk edge
+        x = random_bins(257, 1000, 4, 64)
+        w = np.random.default_rng(65).uniform(0.0, 1.0, (257, 1000))
+        edge = _bin_chunks(257, 1000)[1].start
+        assert edge == 32
+        w[edge - 1] = 1.0  # degenerate: no noise frames
+        w[edge] = 0.0  # degenerate: no speech frames
+        assert np.array_equal(sample_covariance(x), sample_covariance_one_shot(x))
+        got = masked_covariances(x, w)
+        expected = masked_covariances_one_shot(x, w)
+        assert np.flatnonzero(got[2]).tolist() == [edge - 1, edge]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    def test_short_block_is_one_chunk(self):
+        assert _bin_chunks(257, 128) == [slice(0, 257)]
+        assert len(_bin_chunks(257, 1)) == 1
+
+    def test_no_frames(self):
+        # an empty sum is zero, but an average over no frames is undefined
+        assert np.array_equal(sample_covariance(np.zeros((5, 0, 3))), np.zeros((5, 3, 3)))
+        with pytest.raises(SizeError):
+            masked_covariances(np.zeros((5, 0, 3)), np.zeros((5, 0)))
+        with pytest.raises(SizeError):
+            gev_weights(np.zeros((5, 0, 3)), np.zeros((5, 0)))
 
     def test_estimate_noise_matches_einsum(self):
         n_bins, n_frames, n_ch = 33, 57, 4

@@ -9,7 +9,7 @@ from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
 from blockbeam.beamform import gev_weights, masked_covariances
 from blockbeam.errors import DataError, SizeError
 from blockbeam.evalsim import MixtureSpec, delay_firs, pink_noise, simulate, speech_like_source
-from blockbeam.pipeline import PipelineConfig, _channel_masks, run
+from blockbeam.pipeline import PipelineConfig, _pooled_mask, run
 from blockbeam.postfilter import wiener_mask
 from blockbeam.rtf import build_rtf_set
 from blockbeam.stft import StftConfig, analyze
@@ -233,12 +233,14 @@ def test_pool_median_leaves_inputs_unchanged():
 
 class TestMask:
     def test_unit_mask(self):
-        # without a VAD every non-reference channel gets an all-ones mask
+        # without a VAD every non-reference channel gets an all-ones mask,
+        # and so does their pool
         cfg = PipelineConfig(vad_mode="none", postfilter="none")
         bins = np.ones((7, 3, 4), dtype=complex)
-        masks = _channel_masks(bins, cfg, None, None, [1, 2, 3], {})
-        assert masks.shape == (7, 3, 3)
-        assert np.all(masks == 1.0)
+        pooled = _pooled_mask(bins, cfg, None, None, [1, 2, 3], {})
+        assert pooled.shape == (7, 3)
+        assert np.array_equal(pooled, pool_median(np.ones((7, 3, 3))))
+        assert np.all(pooled == 1.0)
 
     def test_range_validated(self):
         with pytest.raises(DataError):
