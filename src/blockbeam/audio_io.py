@@ -30,6 +30,8 @@ class MultichannelSignal:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 2:
             raise SizeError(f"expected (channels, samples) matrix, got ndim={self.samples.ndim}")
+        if self.channel_count == 0:
+            raise SizeError("a signal needs at least one channel")
         if int(self.sample_rate) <= 0:
             raise DataError(f"sample_rate must be positive, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SizeError
 from .rtf import reciprocal_rtf
-from .stft import _CHUNK_FRAMES
+from .stft import _CHUNK_FRAMES, chunk_slices
 from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
@@ -56,11 +56,10 @@ MASK_SUM_FLOOR = np.finfo(np.float64).tiny
 
 
 def _bin_chunks(n_bins: int, n_frames: int) -> list[slice]:
-    """Slices of the bin axis, each spanning about n_bins * _CHUNK_FRAMES
-    (bin, frame) entries, the working set `stft.analyze` chunks by; a block
-    of at most _CHUNK_FRAMES frames is one slice."""
-    step = max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1))
-    return [slice(lo, lo + step) for lo in range(0, n_bins, step)]
+    """Slices (`stft.chunk_slices`) of the bin axis, each spanning about
+    n_bins * _CHUNK_FRAMES (bin, frame) entries, the working set `analyze`
+    chunks by; a block of at most _CHUNK_FRAMES frames is one slice."""
+    return chunk_slices(n_bins, max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1)))
 
 
 def sample_covariance(bins) -> np.ndarray:

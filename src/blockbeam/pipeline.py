@@ -16,7 +16,7 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
 from .postfilter import projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import _CHUNK_FRAMES, StftConfig, analyze, frame_count, synthesize
+from .stft import StftConfig, analyze, chunk_slices, frame_count, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -176,48 +176,37 @@ def _check_stems(oracle: OracleStems, signal: MultichannelSignal) -> None:
             raise SizeError("oracle stems must cover every channel and sample of the mixture")
 
 
-def _oracle_masks(oracle, channels, n_frames, cfg, timings):
-    """(K, L) median pool (`pool_median`) of the oracle masks of the given
-    stem channels.
-
-    The stems are analysed over the same frame chunks as `analyze` and each
-    chunk's masks are pooled and written into the result, so neither the
-    stems' full spectrograms nor the full mask stack is formed; the median
-    is taken per element, so the result is bitwise equal to the pool of the
-    masks of the full spectrograms. Runs inside the `vad` stage, from which
-    it moves the stem analysis time to `oracle_stft`.
-    """
-    pooled = np.empty((cfg.stft.n_bins, n_frames))
-    stem_s = 0.0
-    for lo in range(0, n_frames, _CHUNK_FRAMES):
-        hi = min(lo + _CHUNK_FRAMES, n_frames)
-        s_lo, s_hi = block_sample_range(lo, hi - lo, cfg.stft)
-        start = time.perf_counter()
-        clean, noise = (
-            analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate), cfg.stft)
-            for stem in (oracle.clean, oracle.noise)
-        )
-        stem_s += time.perf_counter() - start
-        pooled[:, lo:hi] = pool_median(oracle_ibm(clean, noise, cfg.t_snr))
-    # the enclosing `vad` timer adds its whole elapsed time when it exits
-    timings["oracle_stft"] = timings.get("oracle_stft", 0.0) + stem_s
-    timings["vad"] = timings.get("vad", 0.0) - stem_s
-    return pooled
-
-
 def _pooled_mask(bins, cfg, network, oracle, channels, timings):
     """(K, L) median pool of the VAD masks of the non-reference channels
     1..M-1 of the reference-first spectrogram bins. Those channels are the
-    microphones `channels`, whose stems give the oracle masks."""
+    microphones `channels`, whose stems give the oracle masks.
+
+    Masks are made and pooled a frame chunk of `analyze` at a time, and
+    freed before the next chunk's, so no full-length mask stack, activation
+    or stem spectrogram is formed; the result equals one pass over all
+    frames bit for bit. The stem analysis is timed as `oracle_stft`.
+    """
     n_bins, n_frames, n_ch = bins.shape
-    if cfg.vad_mode == "network":
-        # one forward pass for all channels: frame l of channel i is column
-        # l * (M - 1) + i of the stacked input
-        stacked = infer_mask(network, bins[:, :, 1:].reshape(n_bins, -1))
-        return pool_median(stacked.reshape(n_bins, n_frames, n_ch - 1))
-    if cfg.vad_mode == "oracle":
-        return _oracle_masks(oracle, channels, n_frames, cfg, timings)
-    return np.ones((n_bins, n_frames))
+    if cfg.vad_mode == "none":
+        return np.ones((n_bins, n_frames))
+
+    def chunk_masks(part):
+        if cfg.vad_mode == "network":
+            # one forward pass for all channels: frame l of channel i is
+            # column l * (M - 1) + i of the stacked input
+            return infer_mask(network, bins[:, part, 1:].reshape(n_bins, -1)).reshape(n_bins, -1, n_ch - 1)
+        s_lo, s_hi = block_sample_range(part.start, part.stop - part.start, cfg.stft)
+        with _stage_timer(timings, "oracle_stft"):
+            clean, noise = (
+                analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate), cfg.stft)
+                for stem in (oracle.clean, oracle.noise)
+            )
+        return oracle_ibm(clean, noise, cfg.t_snr)
+
+    pooled = np.empty((n_bins, n_frames))
+    for part in chunk_slices(n_frames):
+        pooled[:, part] = pool_median(chunk_masks(part))
+    return pooled
 
 
 def process_block(
@@ -278,6 +267,8 @@ def process_block(
                 raise ConfigError("oracle VAD mode needs clean/noise stems")
             _check_stems(oracle, block)
         pooled = _pooled_mask(bins, cfg, network, oracle, order[1:], timings)
+    # the `vad` stage ran the stem analysis, which is timed on its own
+    timings["vad"] -= timings.get("oracle_stft", 0.0)
 
     inv_rtf = None
     need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"

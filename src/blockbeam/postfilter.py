@@ -39,7 +39,8 @@ def wiener_mask(beam_out, residual, speech_mask, bin_freqs) -> np.ndarray:
     NOISE_FLOOR times the mean |u|^2. Overrides apply in order: bins below
     LOW_CUTOFF_HZ are forced to LOW_GAIN, bins above HIGH_CUTOFF_HZ to 1,
     and bins where the speech mask exceeds VAD_THRESHOLD to 1 (skipped when
-    speech_mask is None). The result is clamped into (0, 1].
+    speech_mask is None). The result is clamped into (0, 1]. A spectrogram
+    with no bins or no frames raises SizeError.
 
     Arguments:
         beam_out, residual: complex spectrograms (K, L)
@@ -50,6 +51,8 @@ def wiener_mask(beam_out, residual, speech_mask, bin_freqs) -> np.ndarray:
     r = np.asarray(residual)
     if u.shape != r.shape:
         raise SizeError(f"output/residual shape mismatch: {u.shape} vs {r.shape}")
+    if u.size == 0:
+        raise SizeError(f"the Wiener gain needs at least one bin and one frame, got shape {u.shape}")
     freqs = np.asarray(bin_freqs, dtype=np.float64)
     if freqs.shape != (u.shape[0],):
         raise SizeError(f"bin frequency vector {freqs.shape} != bin count {u.shape[0]}")

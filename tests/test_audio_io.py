@@ -11,6 +11,8 @@ from blockbeam.audio_io import (
     write_wav,
 )
 from blockbeam.errors import DataError, FormatError, SizeError, UnsupportedEncodingError
+from blockbeam.pipeline import PipelineConfig, run
+from blockbeam.stft import analyze
 
 
 def write_pcm16_reference(path, samples_int16, sample_rate=16000):
@@ -233,3 +235,11 @@ class TestMultichannelSignal:
     def test_bad_rate_rejected(self):
         with pytest.raises(DataError):
             MultichannelSignal(np.zeros((1, 4)), 0)
+
+    def test_no_channels_rejected(self):
+        # a (0, N) matrix used to give a (257, F, 0) spectrogram from analyze
+        # and a reference-channel ConfigError from run
+        with pytest.raises(SizeError):
+            analyze(MultichannelSignal(np.zeros((0, 16000)), 16000))
+        with pytest.raises(SizeError):
+            run(MultichannelSignal(np.zeros((0, 16000)), 16000), PipelineConfig())

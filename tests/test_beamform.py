@@ -482,6 +482,8 @@ class TestBatchedKernels:
         w = np.random.default_rng(65).uniform(0.0, 1.0, (257, 1000))
         edge = _bin_chunks(257, 1000)[1].start
         assert edge == 32
+        # the last chunk would hold the one bin 256; it joins the one before
+        assert _bin_chunks(257, 1000)[-1] == slice(224, 257)
         w[edge - 1] = 1.0  # degenerate: no noise frames
         w[edge] = 0.0  # degenerate: no speech frames
         assert np.array_equal(sample_covariance(x), sample_covariance_one_shot(x))

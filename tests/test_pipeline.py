@@ -50,6 +50,20 @@ def gain_mixture(seed=0, duration=1.0, gains=(1.0, 0.8, 1.2, 0.9), snr_db=5.0, n
     return sim
 
 
+def random_network(seed, dims=(257, 64, 48, 257)):
+    """ReLU network with a sigmoid output and seeded random weights."""
+    rng = np.random.default_rng(seed)
+    acts = ["relu"] * (len(dims) - 2) + ["sigmoid"]
+    return NetworkWeights(
+        layers=[
+            NetworkLayer(rng.standard_normal((d_out, d_in)) / np.sqrt(d_in), rng.standard_normal(d_out), act)
+            for d_in, d_out, act in zip(dims[:-1], dims[1:], acts)
+        ],
+        input_mean=rng.uniform(0.0, 1.0, dims[0]),
+        input_std=rng.uniform(0.5, 2.0, dims[0]),
+    )
+
+
 def stage_set(beamformer, postfilter, vad_mode):
     """Timed stages of one non-passthrough process_block call."""
     stages = ["failure_detection", "stft", "vad", "beamform", "postfilter"]
@@ -493,16 +507,7 @@ def test_gev_ban_without_vad_is_scale_equivariant(alpha):
 
 @pytest.mark.parametrize("active,ref", [([0, 1, 2, 3], 0), ([0, 2, 3], 2), ([1, 3], 3)])
 def test_stacked_network_masks_match_per_channel_inference(active, ref):
-    rng = np.random.default_rng(25)
-    dims = (257, 64, 48, 257)
-    net = NetworkWeights(
-        layers=[
-            NetworkLayer(rng.standard_normal((d_out, d_in)) / np.sqrt(d_in), rng.standard_normal(d_out), act)
-            for d_in, d_out, act in zip(dims[:-1], dims[1:], ("relu", "relu", "sigmoid"))
-        ],
-        input_mean=rng.uniform(0.0, 1.0, 257),
-        input_std=rng.uniform(0.5, 2.0, 257),
-    )
+    net = random_network(25)
     sim = gain_mixture(seed=26, duration=1.0)
     bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000), StftConfig())
     # the pipeline's reference-first order of the active channels
@@ -519,6 +524,50 @@ def test_stacked_network_masks_match_per_channel_inference(active, ref):
     # the pool too
     alone = np.stack([infer_mask(net, bins[:, :, ch]) for ch in order[1:]], axis=2)
     assert np.allclose(pooled, pool_median(alone), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "n_frames,n_ch,n_calls", [(1025, 2, 8), (1028, 2, 9), (1001, 4, 8), (129, 4, 1), (130, 4, 1)]
+)
+def test_chunked_network_masks_match_one_pass(n_frames, n_ch, n_calls):
+    # the mask loop runs the network per frame chunk. OpenBLAS's float32
+    # product rounds 1-3 columns differently, so a last chunk of 1-3 frames
+    # (1025 frames with one non-reference channel: 1 column) is merged into
+    # the one before; a last chunk of 4 columns (1028) stays. Every chunk
+    # must then give the bits of one forward pass over all frames
+    net = random_network(40, (257, 1024, 1024, 257))
+    rng = np.random.default_rng(n_frames + n_ch)
+    shape = (257, n_frames, n_ch)
+    bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cfg = PipelineConfig(block_frames="batch", vad_mode="network")
+    with mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy:
+        pooled = _pooled_mask(bins, cfg, net, None, list(range(1, n_ch)), {})
+    columns = [call.args[1].shape[1] for call in spy.call_args_list]
+    assert len(columns) == n_calls
+    assert sum(columns) == n_frames * (n_ch - 1)
+    assert min(columns) >= 4
+    one_pass = infer_mask(net, bins[:, :, 1:].reshape(257, -1)).reshape(shape[0], n_frames, n_ch - 1)
+    assert np.array_equal(pooled, pool_median(one_pass)), (
+        "this BLAS gives a chunk's forward pass other bits than one pass over all frames"
+    )
+
+
+@pytest.mark.parametrize("vad_mode", ["network", "oracle"])
+def test_short_block_makes_one_vad_pass(vad_mode):
+    # a block of at most 128 frames is one chunk: one forward pass, or one
+    # analysis of each stem beside the mixture's
+    sim = gain_mixture(seed=42, duration=1.0)
+    mixture, clean, noise = (
+        MultichannelSignal(sig.samples[:, :13184], 16000) for sig in (sim.mixture, sim.clean, sim.noise)
+    )
+    cfg = PipelineConfig(block_frames=100, vad_mode=vad_mode)
+    with (
+        mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as network_spy,
+        mock.patch("blockbeam.pipeline.analyze", wraps=analyze) as stft_spy,
+    ):
+        process_block(mixture, cfg, random_network(43), OracleStems(clean=clean, noise=noise))
+    assert network_spy.call_count == (vad_mode == "network")
+    assert stft_spy.call_count == (3 if vad_mode == "oracle" else 1)
 
 
 @pytest.mark.parametrize("duplicate", [False, True])
@@ -573,13 +622,10 @@ def test_oracle_masks_use_the_right_stem_channels():
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
-    def full_stem_masks(oracle_, channels, n_frames, cfg_, timings):
-        return pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg_.t_snr))
-
-    with mock.patch("blockbeam.pipeline._oracle_masks", side_effect=full_stem_masks) as patched:
+    with mock.patch("blockbeam.pipeline._pooled_mask", return_value=expected) as patched:
         reference = process_block(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
     patched.assert_called_once()
-    assert patched.call_args.args[1] == [0, 3]
+    assert patched.call_args.args[4] == [0, 3]
     assert np.array_equal(result.enhanced, reference.enhanced)
 
 
@@ -768,25 +814,33 @@ def reverberant_mixture(seed, duration):
     return simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
 
 
+BOUNDED_PAIRINGS = [("irtf", "wiener"), ("irtf", "none"), ("mvdr", "wiener"), ("gev", "ban"), ("gev", "none")]
+
+
 @pytest.mark.parametrize(
     "beamformer,postfilter,vad_mode",
     [
         pytest.param(bf, pf, vad, id=f"{bf}-{pf}" if vad == "oracle" else f"{bf}-{pf}-novad")
         for vad in ("oracle", "none")
-        for bf, pf in [("irtf", "wiener"), ("irtf", "none"), ("mvdr", "wiener"), ("gev", "ban"), ("gev", "none")]
-    ],
+        for bf, pf in BOUNDED_PAIRINGS
+    ]
+    + [pytest.param(bf, pf, "network", id=f"{bf}-{pf}-network") for bf, pf in BOUNDED_PAIRINGS[:4]],
 )
 def test_batch_working_set_is_bounded(beamformer, postfilter, vad_mode):
     # a batch pass holds the mixture spectrogram plus chunk-sized
-    # temporaries: the masks are pooled per analysis chunk and the covariance
-    # sums run per bin chunk, so its traced peak is 1.51-1.64x the mixture
-    # spectrogram. A full-length mask stack or conjugated copy beside it put
-    # it at 2.0-2.3x, and full-length stem spectrograms near 4x. The Wiener
-    # gain's four (K, L) float temporaries sit beside the spectrogram, the
-    # beam output and the residual, 2.14x; releasing the spectrogram first
-    # would avoid that, but doubles the page faults of 100-frame blocks
+    # temporaries: every VAD mode makes and pools its masks per analysis
+    # chunk (with the 257-1024-1024-257 network too: its stacked input and
+    # activations are chunk-sized) and the covariance sums run per bin
+    # chunk, so its traced peak is 1.51-1.63x the mixture spectrogram. A
+    # full-length mask stack or conjugated copy beside it put it at
+    # 2.0-2.3x, full-length stem spectrograms near 4x, and one forward pass
+    # over all frames at 3.6x. The Wiener gain's four (K, L) float
+    # temporaries sit beside the spectrogram, the beam output and the
+    # residual, 2.14x; releasing the spectrogram first would avoid that, but
+    # doubles the page faults of 100-frame blocks
     sim = reverberant_mixture(seed=33, duration=8.0)
     oracle = OracleStems(clean=sim.clean, noise=sim.noise) if vad_mode == "oracle" else None
+    network = random_network(44, (257, 1024, 1024, 257)) if vad_mode == "network" else None
     cfg = PipelineConfig(
         block_frames="batch",
         beamformer=beamformer,
@@ -796,9 +850,13 @@ def test_batch_working_set_is_bounded(beamformer, postfilter, vad_mode):
     )
     n_frames = (sim.mixture.n_samples - 512) // 128 + 1
     spectrogram_bytes = 257 * n_frames * 4 * 16
+    # infer_mask imports scipy.special on its first call; the module's
+    # objects are not part of the pass's working set
+    import scipy.special  # noqa: F401
+
     tracemalloc.start()
     try:
-        run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+        run_with_diagnostics(sim.mixture, cfg, network, oracle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

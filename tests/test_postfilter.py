@@ -142,6 +142,13 @@ class TestWienerMask:
         gain = wiener_mask(u, r, rng.uniform(0, 1, (257, 5)), BIN_FREQS)
         assert np.all(gain > 0.0) and np.all(gain <= 1.0)
 
+    @pytest.mark.parametrize("with_mask", [False, True])
+    def test_no_frames_rejected(self, with_mask):
+        # the mean |u|^2 of no frames is NaN, so delta would be too
+        u = np.zeros((257, 0), dtype=complex)
+        with pytest.raises(SizeError):
+            wiener_mask(u, u, np.zeros((257, 0)) if with_mask else None, BIN_FREQS)
+
     def test_cutoff_above_nyquist_rejected(self):
         # at 6 kHz the top bin is 3000 Hz, below the 3125 Hz cutoff
         u = np.ones((257, 2), dtype=complex)

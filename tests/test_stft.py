@@ -10,6 +10,7 @@ from blockbeam.stft import (
     WINDOW_SUM_FLOOR,
     StftConfig,
     analyze,
+    chunk_slices,
     frame_count,
     periodic_hamming,
     synthesize,
@@ -203,12 +204,15 @@ class TestKernelsMatchReference:
 
 def _chunk_cases():
     """Frame lengths with their hops x input scales x channel counts x 1, 127,
-    128, 129 and 257 frames at the chunk length of 128. The default framing
-    at scale 1 keeps its short "channels-frames" id."""
+    128, 129, 131, 132 and 257 frames at the chunk length of 128: a last
+    chunk of 1-3 frames joins the one before, one of 4 stays. The default
+    framing at scale 1 keeps its short "channels-frames" id."""
+    n_frames_cases = [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1]
+    n_frames_cases += [_CHUNK_FRAMES + 3, _CHUNK_FRAMES + 4, 2 * _CHUNK_FRAMES + 1]
     for frame_len, hop in [(512, 128), (6, 3), (400, 160), (1024, 256)]:
         for scale in [1.0, 1e-300, 1e300]:
             for n_channels in [1, 4]:
-                for n_frames in [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 1]:
+                for n_frames in n_frames_cases:
                     case_id = f"{n_channels}-{n_frames}"
                     if (frame_len, hop, scale) != (512, 128, 1.0):
                         case_id = f"{frame_len}-{hop}-{scale:g}-{case_id}"
@@ -231,6 +235,10 @@ class TestChunkedAnalysis:
         cfg = StftConfig(frame_len=frame_len, hop=hop)
         sig = random_signal(n_channels, frame_len + (n_frames - 1) * hop, seed=n_frames)
         sig.samples *= scale
+        parts = chunk_slices(n_frames)
+        assert (parts[0].start, parts[-1].stop) == (0, n_frames)
+        assert [part.start for part in parts[1:]] == [part.stop for part in parts[:-1]]
+        assert n_frames < 4 or all(4 <= part.stop - part.start <= _CHUNK_FRAMES + 3 for part in parts)
         bins = analyze(sig, cfg)
         assert bins.shape == (cfg.n_bins, n_frames, n_channels)
         assert bins.flags["C_CONTIGUOUS"]
