@@ -25,6 +25,7 @@ from .pipeline import (
     PipelineConfig,
     POSTFILTERS,
     VAD_MODES,
+    _check_stems,
     frames_for_duration_ms,
     run_with_diagnostics,
 )
@@ -73,7 +74,6 @@ def _pipeline_config(args, stft_cfg: StftConfig, block_ms: str, beamformer: str,
         t_snr=args.t_snr,
         sub_block_len=args.sub_block_len,
         stft=stft_cfg,
-        allow_any_pairing=getattr(args, "allow_any_pairing", False),
     )
 
 
@@ -242,6 +242,9 @@ def _evaluate_files(estimate_path, clean_path, noise_path, ref_channel: int, fil
         raise ConfigError(f"estimate must be single-channel, got {estimate.channel_count}")
     clean = read_wav(clean_path)
     noise = read_wav(noise_path)
+    for name, stem in (("clean", clean), ("noise", noise)):
+        if stem.sample_rate != estimate.sample_rate:
+            raise ConfigError(f"{name} stem rate {stem.sample_rate} != estimate rate {estimate.sample_rate}")
     if ref_channel >= clean.channel_count:
         raise ConfigError(f"--ref-channel {ref_channel + 1} exceeds clean stem channels")
     return evalsim.evaluate_estimate(
@@ -274,10 +277,13 @@ def _cmd_sweep(args) -> int:
     mixture = read_wav(args.input)
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
-    oracle = OracleStems(clean=clean, noise=noise) if args.vad == "oracle" else None
+    # every run is scored against the stems, so they must fit the mixture in
+    # every VAD mode; stems and configurations are checked before any run
+    stems = OracleStems(clean=clean, noise=noise)
+    _check_stems(stems, mixture)
+    oracle = stems if args.vad == "oracle" else None
     network = _load_vad_network(args)
 
-    # every configuration is checked before the first one runs
     grid = []
     for beamformer in args.beamformer.split(","):
         postfilter = args.postfilter
@@ -339,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     enh.add_argument("--beamformer", choices=BEAMFORMERS, default="irtf")
     _add_enhance_options(enh)
     enh.add_argument("--postfilter", choices=POSTFILTERS, default="none")
-    enh.add_argument("--allow-any-pairing", action="store_true")
     enh.add_argument("--encoding", choices=("pcm16", "float32"), default="float32")
     enh.add_argument("--dump-diagnostics", default=None, help="write per-block diagnostics JSON")
     enh.add_argument("--dump-mask", default=None, help="write per-block pooled masks as CSV")

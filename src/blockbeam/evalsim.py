@@ -388,7 +388,7 @@ def decompose(estimate, target_stem, noise_stems, filter_len: int = DEFAULT_FILT
     The target part is the least-squares projection onto delayed copies of the
     target stem; the interference part is the projection of what remains onto
     the delayed noise stems; everything else is artifact. The three parts sum
-    to the estimate exactly.
+    to the estimate exactly. A NaN or inf sample in any input is a DataError.
     """
     est = np.asarray(estimate, dtype=np.float64).ravel()
     target = np.asarray(target_stem, dtype=np.float64).ravel()
@@ -397,6 +397,9 @@ def decompose(estimate, target_stem, noise_stems, filter_len: int = DEFAULT_FILT
         raise SizeError(f"filter_len must be >= 1, got {filter_len}")
     if target.shape[0] != est.shape[0] or noises.shape[1] != est.shape[0]:
         raise SizeError("stems must match the estimate length")
+    for name, samples in (("estimate", est), ("target stem", target), ("noise stems", noises)):
+        if not np.all(np.isfinite(samples)):
+            raise DataError(f"{name} holds non-finite samples")
 
     s_target = _project(target[np.newaxis], est, filter_len)
     remainder = est - s_target

@@ -37,12 +37,11 @@ class PipelineConfig:
 
     block_frames is an STFT frame count per block, or "batch" to process the
     whole recording as a single block. No statistics are carried between
-    blocks. allow_any_pairing lifts two checks: the beamformer/post-filter
-    pairing, and the rejection of beamformer "gev" with vad_mode "none"
-    (without masks every GEV bin is degenerate and takes the principal
-    eigenvector of its sample covariance, not the max-SNR beam). It does not
-    lift the rejection of post-filter "ban" with any beamformer but "gev",
-    the only one whose weights come with a BAN gain.
+    blocks. The post-filter must be one that VALID_PAIRINGS lists for the
+    beamformer: the Wiener filter follows the RTF-based beams, and the BAN
+    gain comes only with GEV weights. Beamformer "gev" needs a VAD: without
+    masks every GEV bin is degenerate and takes the principal eigenvector of
+    its sample covariance, not the max-SNR beam.
     """
 
     block_frames: int | str = 100
@@ -54,7 +53,6 @@ class PipelineConfig:
     t_snr: float = T_SNR_DEFAULT
     sub_block_len: int = SUB_BLOCK_LEN_DEFAULT
     stft: StftConfig = field(default_factory=StftConfig)
-    allow_any_pairing: bool = False
 
     def __post_init__(self):
         if self.beamformer not in BEAMFORMERS:
@@ -79,21 +77,15 @@ class PipelineConfig:
             raise ConfigError(f"t_mu must be in [0, 1], got {self.t_mu}")
         if not np.isfinite(self.t_snr):
             raise ConfigError(f"t_snr must be finite, got {self.t_snr}")
-        if self.postfilter == "ban" and self.beamformer != "gev":
+        if self.postfilter not in VALID_PAIRINGS[self.beamformer]:
             raise ConfigError(
-                f"postfilter 'ban' needs beamformer 'gev'; {self.beamformer!r} weights "
-                "carry no BAN gain"
+                f"postfilter {self.postfilter!r} is not paired with beamformer {self.beamformer!r}; "
+                "'ban' needs 'gev', the only weights that carry a BAN gain"
             )
-        if not self.allow_any_pairing and self.postfilter not in VALID_PAIRINGS[self.beamformer]:
-            raise ConfigError(
-                f"postfilter {self.postfilter!r} is not paired with beamformer "
-                f"{self.beamformer!r}; pass allow_any_pairing to override"
-            )
-        if not self.allow_any_pairing and self.beamformer == "gev" and self.vad_mode == "none":
+        if self.beamformer == "gev" and self.vad_mode == "none":
             raise ConfigError(
                 "beamformer 'gev' needs speech masks: with vad_mode 'none' every bin is "
-                "degenerate and the beam is the principal component, not the max-SNR "
-                "beam; pass allow_any_pairing to override"
+                "degenerate and the beam is the principal component, not the max-SNR beam"
             )
 
     @property
@@ -141,8 +133,7 @@ class BlockDiagnostics:
 class BlockResult:
     """One block's enhanced spectrum and intermediates; an intermediate is
     None when its stage did not run (a passthrough block has neither, and
-    the inverse RTFs exist only where a beamformer or post-filter uses
-    them)."""
+    a gev block has no inverse RTFs)."""
 
     enhanced: np.ndarray  # (bins, frames) complex
     diagnostics: BlockDiagnostics
@@ -271,8 +262,7 @@ def process_block(
     timings["vad"] -= timings.get("oracle_stft", 0.0)
 
     inv_rtf = None
-    need_rtf = cfg.beamformer in ("irtf", "mvdr") or cfg.postfilter == "wiener"
-    if need_rtf:
+    if cfg.beamformer != "gev":
         with _stage_timer(timings, "rtf"):
             inv_rtf, guarded = build_rtf_set(bins, pooled, sub_block_len=cfg.sub_block_len)
             diag.rtf_fallback_bins = int(guarded.sum())

@@ -1,11 +1,12 @@
 """The library surface that the benchmark scripts under `benchmarks/` use.
 
 `benchmarks/worker.py` and `benchmarks/selftest.py` import these modules and
-names, and `worker.fallback_sums` reads these keys of
-`BlockDiagnostics.to_json_dict()`. A change that renames or removes any of
-them breaks the benchmark, so this test fails first.
+names and pass these `PipelineConfig` keywords, and `worker.fallback_sums`
+reads these keys of `BlockDiagnostics.to_json_dict()`. A change that renames
+or removes any of them breaks the benchmark, so this test fails first.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -31,6 +32,9 @@ USED_NAMES = {
     "blockbeam.pipeline": ["OracleStems", "PipelineConfig", "run", "run_with_diagnostics"],
 }
 
+# the PipelineConfig keywords that the benchmark scripts pass
+CONFIG_FIELDS = ["block_frames", "beamformer", "postfilter", "vad_mode"]
+
 # the modules the benchmark's tracer wraps, one span layer each
 TRACED_LAYERS = [
     "audio_io", "stft", "channel_health", "vad", "rtf", "beamform", "postfilter", "pipeline", "evalsim"
@@ -42,6 +46,11 @@ def test_benchmark_names_exist(module):
     mod = importlib.import_module(module)
     missing = [name for name in USED_NAMES[module] if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_benchmark_config_fields_exist():
+    fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    assert set(CONFIG_FIELDS) <= fields
 
 
 def test_traced_layers_import():

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockbeam.audio_io import MultichannelSignal
 from blockbeam.beamform import (
     PINV_RCOND,
     _bin_chunks,
@@ -17,7 +18,9 @@ from blockbeam.beamform import (
     solve_max_snr,
 )
 from blockbeam.errors import ConfigError, SizeError
+from blockbeam.evalsim import MixtureSpec, delay_firs, pink_noise, simulate, speech_like_source
 from blockbeam.pipeline import PipelineConfig
+from blockbeam.stft import analyze
 from reference import estimate_noise, masked_covariances_one_shot, sample_covariance_one_shot
 
 
@@ -331,6 +334,23 @@ class TestGevWeights:
         with pytest.raises(SizeError):
             gev_weights(random_bins(4, 10, 1, 39), np.ones((4, 10)))
 
+    @pytest.mark.parametrize("alpha", [1e-30, 1e-10, 1e10, 1e30])
+    def test_all_degenerate_mask_is_scale_invariant(self, alpha):
+        # with a ones mask every bin is degenerate; the beam must then follow
+        # the data (principal eigenvector), not the rounding of an identity
+        # pencil, and the BAN gain is a ratio of equal powers of the scale
+        rng = np.random.default_rng(24)
+        dry = speech_like_source(1.7, 16000, rng)
+        spec = MixtureSpec(channel_count=4, firs=delay_firs([0, 2, 5, 7])[np.newaxis], snr_db=5.0)
+        sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
+        x = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000))
+        ones = np.ones(x.shape[:2])
+        w, ban_gain, n_degenerate, _ = gev_weights(x, ones)
+        w_scaled, ban_scaled, _, _ = gev_weights(alpha * x, ones)
+        assert n_degenerate == x.shape[0]
+        assert np.linalg.norm(w_scaled - w) <= 1e-9 * np.linalg.norm(w)
+        assert np.linalg.norm(ban_scaled - ban_gain) <= 1e-9 * np.linalg.norm(ban_gain)
+
 
 class TestApplyWeights:
     def test_one_hot_selects_channel(self):
@@ -365,11 +385,11 @@ class TestApplyWeights:
         assert np.allclose(out, s + noise_component, atol=1e-8)
 
     def test_ban_without_gain_rejected(self):
-        # only GEV weights come with a BAN gain, so even the pairing override
-        # must not defer this error to the first block that gets enhanced
+        # only GEV weights come with a BAN gain, so the configuration is
+        # rejected before the first block gets enhanced
         for beamformer in ("irtf", "mvdr"):
             with pytest.raises(ConfigError, match="ban"):
-                PipelineConfig(beamformer=beamformer, postfilter="ban", allow_any_pairing=True)
+                PipelineConfig(beamformer=beamformer, postfilter="ban")
 
     def test_shape_mismatch(self):
         w = np.ones((4, 2), dtype=complex)

@@ -1,5 +1,6 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestEnhanceCommand:
         )
         assert code == 2
 
-    def test_gev_without_vad_needs_override(self, sim_dir, tmp_path):
+    def test_gev_without_vad_is_config_error(self, sim_dir, tmp_path):
         args = [
             "enhance",
             "--input", str(sim_dir / "mixture.wav"),
@@ -267,14 +268,12 @@ class TestEnhanceCommand:
         ]
         assert main(args) == 2
         assert not (tmp_path / "o.wav").exists()
-        assert main(args + ["--allow-any-pairing"]) == 0
-        assert (tmp_path / "o.wav").exists()
 
     # at --t-mu 1 every block passes through unprocessed, so no beamformer
     # runs and only the configuration check can reject the pairing
     @pytest.mark.parametrize("t_mu", ["0.05", "1.0"])
     @pytest.mark.parametrize("beamformer", ["irtf", "mvdr"])
-    def test_ban_without_gev_is_config_error_even_with_override(self, sim_dir, tmp_path, beamformer, t_mu):
+    def test_ban_without_gev_is_config_error(self, sim_dir, tmp_path, beamformer, t_mu):
         code = main(
             [
                 "enhance",
@@ -282,7 +281,6 @@ class TestEnhanceCommand:
                 "--output", str(tmp_path / "o.wav"),
                 "--beamformer", beamformer,
                 "--postfilter", "ban",
-                "--allow-any-pairing",
                 "--t-mu", t_mu,
             ]
         )
@@ -345,6 +343,29 @@ class TestEvaluateCommand:
         )
         assert code == 2
 
+    def test_non_finite_estimate_is_data_error(self, sim_dir, tmp_path, capsys):
+        # write_wav refuses NaN, but a float32 WAV from elsewhere can hold one
+        from scipy.io import wavfile
+
+        est = tmp_path / "est.wav"
+        samples = read_wav(sim_dir / "clean.wav").samples[0].astype(np.float32)
+        samples[1000] = np.nan
+        wavfile.write(est, 16000, samples)
+        assert main(["evaluate", "--estimate", str(est), *_stem_args(sim_dir)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "sir_db" not in captured.out
+
+    @pytest.mark.parametrize("stem", ["clean", "noise"])
+    def test_stem_at_another_rate_is_config_error(self, sim_dir, tmp_path, capsys, stem):
+        est = tmp_path / "est.wav"
+        write_wav(MultichannelSignal(read_wav(sim_dir / "clean.wav").samples[0:1], 16000), est)
+        stems = {name: sim_dir / f"{name}.wav" for name in ("clean", "noise")}
+        stems[stem] = tmp_path / f"{stem}_8k.wav"
+        write_wav(MultichannelSignal(read_wav(sim_dir / f"{stem}.wav").samples, 8000), stems[stem])
+        argv = ["evaluate", "--estimate", str(est), "--clean", str(stems["clean"]), "--noise", str(stems["noise"])]
+        assert main(argv) == 2
+        assert "rate" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, sim_dir, tmp_path):
@@ -386,6 +407,36 @@ class TestSweepCommand:
             ]
         )
         assert code == 2
+        assert not out_csv.exists()
+        assert "SIR=" not in capsys.readouterr().out
+
+    # each stem fault is caught before the first configuration runs,
+    # whatever the VAD mode
+    @pytest.mark.parametrize("fault", ["one-channel-clean", "noise-at-8k", "short-noise"])
+    def test_mismatched_stems_rejected_before_any_run(self, sim_dir, tmp_path, capsys, fault):
+        clean, noise = (read_wav(sim_dir / f"{name}.wav") for name in ("clean", "noise"))
+        if fault == "one-channel-clean":
+            clean = MultichannelSignal(clean.samples[:1], clean.sample_rate)
+        elif fault == "noise-at-8k":
+            noise = MultichannelSignal(noise.samples, 8000)
+        else:
+            noise = MultichannelSignal(noise.samples[:, : noise.n_samples // 2], noise.sample_rate)
+        write_wav(clean, tmp_path / "clean.wav")
+        write_wav(noise, tmp_path / "noise.wav")
+        out_csv = tmp_path / "sweep.csv"
+        argv = [
+            "sweep",
+            "--input", str(sim_dir / "mixture.wav"),
+            "--clean", str(tmp_path / "clean.wav"),
+            "--noise", str(tmp_path / "noise.wav"),
+            "--vad", "none",
+            "--beamformer", "irtf",
+            "--ref-channel", "2",
+            "--csv", str(out_csv),
+        ]
+        with mock.patch("blockbeam.cli.run_with_diagnostics") as enhance:
+            assert main(argv) == 2
+        enhance.assert_not_called()
         assert not out_csv.exists()
         assert "SIR=" not in capsys.readouterr().out
 
@@ -474,6 +525,16 @@ def test_pooling_option_is_gone(sim_dir, tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--pooling", "median"])
     assert exc.value.code == 2
+
+
+def test_pairing_override_option_is_gone(sim_dir, tmp_path):
+    # the pairings of VALID_PAIRINGS, and gev only with a VAD, are the only
+    # configurations, so argparse rejects the former override as unknown
+    argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(tmp_path / "o.wav")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--beamformer", "gev", "--postfilter", "ban", "--allow-any-pairing"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.wav").exists()
 
 
 class TestTooShortInput:

@@ -209,6 +209,23 @@ class TestDecompose:
         with pytest.raises(SizeError):
             decompose(np.zeros(100), np.zeros(99), np.zeros((1, 100)), 8)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["estimate", "target", "noise"])
+    @pytest.mark.parametrize("call", ["decompose", "evaluate_estimate", "evaluate_blockwise"])
+    def test_non_finite_input_rejected(self, call, part, value):
+        # unchecked, a NaN estimate gives NaN metrics with capped=False and a
+        # NaN target the -200 dB sentinels, as if the input were merely extreme
+        sim, _ = make_sim(seed=12, duration=0.5)
+        est, target, noises = (a.copy() for a in (sim.mixture.samples[0], sim.clean.samples[0], sim.noise.samples))
+        {"estimate": est, "target": target, "noise": noises[2]}[part][3000] = value
+        score = {
+            "decompose": decompose,
+            "evaluate_estimate": evaluate_estimate,
+            "evaluate_blockwise": lambda *args: evaluate_blockwise(*args, window=2000),
+        }[call]
+        with pytest.raises(DataError, match="non-finite"):
+            score(est, target, noises)
+
 
 class TestMetrics:
     def test_perfect_estimate_hits_sentinel(self):
