@@ -8,6 +8,10 @@ import pytest
 from blockbeam.audio_io import MultichannelSignal, read_wav, write_wav
 from blockbeam.cli import EXIT_IO, main
 
+# the flag that once let any beamformer/post-filter/VAD combination through;
+# argparse now rejects it as unknown
+REMOVED_OVERRIDE = "--allow-any-pairing"
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -270,21 +274,24 @@ class TestEnhanceCommand:
         assert not (tmp_path / "o.wav").exists()
 
     # at --t-mu 1 every block passes through unprocessed, so no beamformer
-    # runs and only the configuration check can reject the pairing
+    # runs and only the configuration check can reject the pairing; the
+    # removed override is no way round it either
     @pytest.mark.parametrize("t_mu", ["0.05", "1.0"])
     @pytest.mark.parametrize("beamformer", ["irtf", "mvdr"])
-    def test_ban_without_gev_is_config_error(self, sim_dir, tmp_path, beamformer, t_mu):
-        code = main(
-            [
-                "enhance",
-                "--input", str(sim_dir / "mixture.wav"),
-                "--output", str(tmp_path / "o.wav"),
-                "--beamformer", beamformer,
-                "--postfilter", "ban",
-                "--t-mu", t_mu,
-            ]
-        )
-        assert code == 2
+    def test_ban_without_gev_is_config_error_even_with_override(self, sim_dir, tmp_path, beamformer, t_mu):
+        args = [
+            "enhance",
+            "--input", str(sim_dir / "mixture.wav"),
+            "--output", str(tmp_path / "o.wav"),
+            "--beamformer", beamformer,
+            "--postfilter", "ban",
+            "--t-mu", t_mu,
+        ]
+        assert main(args) == 2
+        assert not (tmp_path / "o.wav").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(args + [REMOVED_OVERRIDE])
+        assert exc.value.code == 2
         assert not (tmp_path / "o.wav").exists()
 
     def test_oracle_without_stems_is_config_error(self, sim_dir, tmp_path):
@@ -532,7 +539,7 @@ def test_pairing_override_option_is_gone(sim_dir, tmp_path):
     # configurations, so argparse rejects the former override as unknown
     argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(tmp_path / "o.wav")]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--beamformer", "gev", "--postfilter", "ban", "--allow-any-pairing"])
+        main([*argv, "--beamformer", "gev", "--postfilter", "ban", REMOVED_OVERRIDE])
     assert exc.value.code == 2
     assert not (tmp_path / "o.wav").exists()
 
