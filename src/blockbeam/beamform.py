@@ -16,12 +16,15 @@ run as a few batched numpy calls over bins rather than a Python loop:
 - the max-SNR problem speech_cov w = lambda noise_cov w is solved as in
   Warsitz & Haeb-Umbach (IEEE TASLP 2007): every bin is whitened by the
   Cholesky factor L of its noise covariance and all bins are solved by one
-  batched `eigh` of the Hermitian problem L^-1 speech_cov L^-H. A noise
-  covariance that is not positive definite is first loaded by the lowest
-  rung of one diagonal-loading ladder at which its Cholesky factor exists;
-  the starting rung comes from one batched `eigvalsh`. A bin that no rung
-  helps is whitened by the identity, i.e. it takes the speech covariance's
-  top eigenpair.
+  batched `eigh` of the Hermitian problem L^-1 speech_cov L^-H. Each noise
+  covariance is first loaded by the lowest rung of one diagonal-loading
+  ladder that lifts its smallest eigenvalue (from one batched `eigvalsh`)
+  clear of the rounding of an M x M Cholesky factorization:
+  lam_min + load > 4 M (M + 1) eps (lam_max + load). Above that margin the
+  factorization cannot fail (Demmel 1989; Higham, Accuracy and Stability of
+  Numerical Algorithms, ch. 10), so all bins are factored by one batched
+  `cholesky`. A bin that no rung lifts is whitened by the identity, i.e. it
+  takes the speech covariance's top eigenpair.
 
 A GEV bin whose mask (or complement) sums to zero has no speech/noise
 contrast: both covariances are the sample covariance and the pencil is the
@@ -241,8 +244,8 @@ def masked_covariances(bins, mask):
     return _hermitize(speech), _hermitize(noise), degenerate
 
 
-# Diagonal loadings of the noise covariance, relative to max(trace / M, 1),
-# tried from the lowest rung up until its Cholesky factor exists.
+# Diagonal loadings of the noise covariance, relative to max(trace / M, 1);
+# each bin takes the lowest rung that clears the Cholesky margin.
 _GEV_LADDER = np.array([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])
 
 
@@ -251,30 +254,22 @@ def solve_max_snr(speech_cov: np.ndarray, noise_cov: np.ndarray):
 
     Returns (eigvectors (K, M) with unit norm, eigenvalues (K,), count of
     bins whose noise matrix was loaded or replaced by I). Each noise matrix
-    is loaded by the first rung of the loading ladder at which its Cholesky
-    factor L exists, and the Hermitian problems
-    L^-1 speech_cov L^-H of all bins are solved by one batched eigh. A bin
-    starts at the first rung that lifts its smallest eigenvalue above zero;
-    if the batched factorization fails, each bin is factored alone and moves
-    up the ladder until it succeeds. A bin that no rung helps keeps L = I,
-    so it takes the speech covariance's top eigenpair.
+    is loaded by the first rung r of the loading ladder with
+    lam_min + load_r > tau (lam_max + load_r), tau = 4 M (M + 1) eps, from
+    one batched eigvalsh. That margin keeps the one batched Cholesky of the
+    loaded matrices from failing; a bin that no rung lifts keeps L = I, so
+    it takes the speech covariance's top eigenpair.
     """
     n_ch = noise_cov.shape[1]
     eye = np.eye(n_ch)
     loads = np.maximum(np.einsum("kii->k", noise_cov).real / n_ch, 1.0)[:, None] * _GEV_LADDER
-    rung = np.count_nonzero(np.linalg.eigvalsh(noise_cov)[:, :1] + loads <= 0.0, axis=1)
+    eigs = np.linalg.eigvalsh(noise_cov)
+    tau = 4 * n_ch * (n_ch + 1) * np.finfo(np.float64).eps
+    # the rule holds from its first rung up, so the rung is the count of rungs below
+    rung = np.count_nonzero(eigs[:, :1] + loads <= tau * (eigs[:, -1:] + loads), axis=1)
     chol = np.broadcast_to(eye, noise_cov.shape).astype(noise_cov.dtype)
     todo = np.flatnonzero(rung < len(_GEV_LADDER))
-    try:
-        chol[todo] = np.linalg.cholesky(noise_cov[todo] + loads[todo, rung[todo], None, None] * eye)
-    except np.linalg.LinAlgError:
-        for k in todo:
-            while rung[k] < len(_GEV_LADDER):
-                try:
-                    chol[k] = np.linalg.cholesky(noise_cov[k] + loads[k, rung[k]] * eye)
-                    break
-                except np.linalg.LinAlgError:
-                    rung[k] += 1
+    chol[todo] = np.linalg.cholesky(noise_cov[todo] + loads[todo, rung[todo], None, None] * eye)
     inv_chol = np.linalg.inv(chol)
     inv_chol_h = np.conj(inv_chol.transpose(0, 2, 1))
     w, v = np.linalg.eigh(_hermitize(inv_chol @ speech_cov @ inv_chol_h))

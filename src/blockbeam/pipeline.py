@@ -155,16 +155,15 @@ def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSi
     return MultichannelSignal(signal.samples[channels], signal.sample_rate)
 
 
-def _check_stems(oracle: OracleStems, signal: MultichannelSignal) -> None:
-    """Oracle stems must match the signal's sample rate and channel count and
-    cover its samples; only their first signal.n_samples samples are read."""
-    for stem in (oracle.clean, oracle.noise):
+def _check_stems(stems: OracleStems, signal: MultichannelSignal) -> None:
+    """Clean and noise stems must match the signal's sample rate and channel
+    count and cover its samples; only their first signal.n_samples samples
+    are read."""
+    for name, stem in (("clean", stems.clean), ("noise", stems.noise)):
         if stem.sample_rate != signal.sample_rate:
-            raise ConfigError(
-                f"oracle stem rate {stem.sample_rate} != mixture rate {signal.sample_rate}"
-            )
+            raise ConfigError(f"{name} stem rate {stem.sample_rate} != mixture rate {signal.sample_rate}")
         if stem.channel_count != signal.channel_count or stem.n_samples < signal.n_samples:
-            raise SizeError("oracle stems must cover every channel and sample of the mixture")
+            raise SizeError(f"{name} stem must cover every channel and sample of the mixture")
 
 
 def _pooled_mask(bins, cfg, network, oracle, channels, timings):

@@ -9,10 +9,8 @@ The network VAD runs its forward pass in float32 (weights are stored in
 float32 on load) and returns float64 masks; they agree with a float64
 forward pass to about 1e-5. Inputs whose normalized magnitudes overflow
 float32 inside the network (around 1e38) are rejected with a DataError.
-Weight files with non-finite entries are rejected on load.
-
-`scipy.special` (for the network's sigmoid, `expit`) is imported by
-`infer_mask` when it runs, so importing the package does not load scipy.
+Weight files with non-finite entries are rejected on load. The sigmoid is
+computed in place with numpy, so `infer_mask` loads no scipy module.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> np.ndarray:
     Raises DataError when the output is not finite, i.e. the input is out of
     the range the float32 network can represent.
     """
-    from scipy.special import expit  # see the module docstring
-
     channel_bins = np.asarray(channel_bins)
     if channel_bins.ndim != 2:
         raise SizeError(f"expected (bins, frames) channel data, got shape {channel_bins.shape}")
@@ -90,8 +86,10 @@ def infer_mask(net: NetworkWeights, channel_bins: np.ndarray) -> np.ndarray:
             h += layer.bias[:, None]
             if layer.activation == "relu":
                 np.maximum(h, 0.0, out=h)
-            else:
-                expit(h, out=h)
+            else:  # sigmoid: 1 / (1 + exp(-h)); exp overflows to inf, giving 0
+                np.exp(np.negative(h, out=h), out=h)
+                h += 1.0
+                np.reciprocal(h, out=h)
     if not np.all(np.isfinite(h)):
         raise DataError(
             "network VAD output is not finite: the network input is out of the float32 range"

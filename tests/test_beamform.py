@@ -584,6 +584,60 @@ class TestBatchedKernels:
         assert np.all(alignment >= 1.0 - 1e-9)
         assert np.all(np.abs(vals - ref_vals) <= 1e-9 * np.abs(ref_vals))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_ch=st.integers(2, 8),
+        log_scale=st.floats(-150.0, 150.0),
+        duplicated=st.booleans(),
+    )
+    def test_solve_max_snr_near_singular_noise_follows_margin_rule(self, seed, n_ch, log_scale, duplicated):
+        # noise covariances at lam_min / lam_max = +-1e-18 ... 1e-10, or from
+        # frames with a duplicated channel, at scales 1e-150 ... 1e150: the one
+        # batched Cholesky must not fail, and exactly the bins whose smallest
+        # eigenvalue is not above 4 M (M + 1) eps times the largest are loaded
+        rng = np.random.default_rng(seed)
+        n_bins, scale = 64, 10.0**log_scale
+        if duplicated:
+            frames = random_bins(n_bins, n_ch + 3, n_ch, rng.integers(2**32))
+            frames[:, :, 1] = frames[:, :, 0]
+            noise = np.einsum("klm,kln->kmn", frames, np.conj(frames))
+        else:
+            q = np.linalg.qr(random_bins(n_bins, n_ch, n_ch, rng.integers(2**32)))[0]
+            lam = rng.uniform(0.01, 1.0, (n_bins, n_ch))
+            lam[:, -1] = 1.0
+            lam[:, 0] = rng.choice([-1.0, 1.0], n_bins) * 10.0 ** rng.uniform(-18, -10, n_bins)
+            noise = (q * lam[:, None, :]) @ np.conj(q.transpose(0, 2, 1))
+        noise = 0.5 * (noise + np.conj(noise.transpose(0, 2, 1))) * scale
+        speech = hermitian_psd(n_bins, n_ch, rng.integers(2**32)) * scale
+
+        vecs, vals, n_loaded = solve_max_snr(speech, noise)
+
+        assert np.all(np.isfinite(vecs)) and np.all(np.isfinite(vals))
+        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+        eigs = np.linalg.eigvalsh(noise)
+        tau = 4 * n_ch * (n_ch + 1) * np.finfo(np.float64).eps
+        assert n_loaded == np.count_nonzero(eigs[:, 0] <= tau * eigs[:, -1])
+
+    def test_duplicated_channel_block_is_factored_by_one_cholesky(self, monkeypatch):
+        # every noise covariance of a block with a copied channel is singular;
+        # the rung of every bin is known before the one batched factorization
+        x = random_bins(257, 100, 4, 76)
+        x[:, :, 2] = x[:, :, 1]
+        speech, noise, degenerate = masked_covariances(x, np.random.default_rng(77).uniform(0.0, 1.0, (257, 100)))
+        assert not degenerate.any()
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        _, _, n_loaded = solve_max_snr(speech, noise)
+        assert calls == [(257, 4, 4)]
+        assert n_loaded == 257
+
     def test_degenerate_gev_bin_takes_principal_eigenvector(self):
         x = random_bins(6, 20, 3, 75)
         w, _, n_degenerate, _ = gev_weights(x, np.ones((6, 20)))

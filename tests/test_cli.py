@@ -447,6 +447,25 @@ class TestSweepCommand:
         assert not out_csv.exists()
         assert "SIR=" not in capsys.readouterr().out
 
+    def test_stem_rate_error_names_the_stem(self, sim_dir, tmp_path, capsys):
+        # without an oracle VAD no oracle mask is made, so the error names
+        # the noise stem, not an oracle
+        noise = read_wav(sim_dir / "noise.wav")
+        write_wav(MultichannelSignal(noise.samples, 8000), tmp_path / "noise.wav")
+        argv = [
+            "sweep",
+            "--input", str(sim_dir / "mixture.wav"),
+            "--clean", str(sim_dir / "clean.wav"),
+            "--noise", str(tmp_path / "noise.wav"),
+            "--vad", "none",
+            "--beamformer", "irtf",
+            "--csv", str(tmp_path / "sweep.csv"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "noise stem rate 8000" in err
+        assert "oracle" not in err
+
     def test_without_stems_is_config_error(self, tmp_path, capsys):
         # sweep scores against the stems, so it needs them whatever the VAD;
         # the check comes before any file is read

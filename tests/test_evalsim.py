@@ -585,6 +585,6 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
     assert out.stdout.split("\n")[:4] == [
         "[]",
         "read_wav ['scipy.io']",
-        "infer_mask ['scipy.io', 'scipy.special']",
+        "infer_mask ['scipy.io']",
         "band_limited_source (1600,) ['scipy.io', 'scipy.special', 'scipy.signal']",
     ]

@@ -409,7 +409,7 @@ def test_process_block_rejects_stems_with_too_few_channels():
     block, clean, noise = stem_block()
     n = block.n_samples
     oracle = OracleStems(MultichannelSignal(clean[:2, :n], 16000), MultichannelSignal(noise[:2, :n], 16000))
-    with pytest.raises(SizeError, match="oracle stems"):
+    with pytest.raises(SizeError, match="clean stem must cover"):
         process_block(block, PipelineConfig(block_frames=100, vad_mode="oracle"), oracle=oracle)
 
 
@@ -756,6 +756,19 @@ def test_gev_noise_loading_is_counted(duplicate):
         assert loaded == [0] * len(results)
 
 
+def test_duplicated_channel_loads_every_solved_gev_bin():
+    # every noise covariance is singular, so every bin that reaches the
+    # solver is loaded, whatever sign the rounding gives its least eigenvalue
+    mixture, clean, noise = (a.copy() for a in property_mixture())
+    for a in (mixture, clean, noise):
+        a[2] = a[1]
+    cfg = PipelineConfig(block_frames=100, beamformer="gev", postfilter="ban", vad_mode="oracle")
+    oracle = OracleStems(MultichannelSignal(clean, 16000), MultichannelSignal(noise, 16000))
+    _, results = run_with_diagnostics(MultichannelSignal(mixture, 16000), cfg, oracle=oracle)
+    records = [r.diagnostics.to_json_dict()["fallbacks"] for r in results]
+    assert [rec["gev_noise_loaded_bins"] for rec in records] == [257 - rec["gev_degenerate_bins"] for rec in records]
+
+
 @pytest.mark.parametrize("beamformer,postfilter", PAIRINGS)
 @settings(max_examples=3)
 @given(data=st.data())
@@ -824,10 +837,6 @@ def test_batch_working_set_is_bounded(beamformer, postfilter, vad_mode):
     cfg = PipelineConfig(block_frames="batch", beamformer=beamformer, postfilter=postfilter, vad_mode=vad_mode)
     n_frames = (sim.mixture.n_samples - 512) // 128 + 1
     spectrogram_bytes = 257 * n_frames * 4 * 16
-    # infer_mask imports scipy.special on its first call; the module's
-    # objects are not part of the pass's working set
-    import scipy.special  # noqa: F401
-
     tracemalloc.start()
     try:
         run_with_diagnostics(sim.mixture, cfg, network, oracle)

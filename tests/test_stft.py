@@ -244,6 +244,28 @@ class TestChunkedAnalysis:
         assert bins.flags["C_CONTIGUOUS"]
         assert np.array_equal(bins.view(np.float64), self.one_call(sig.samples, cfg).view(np.float64))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sample_peak_bounds_the_spectrum(self):
+        # every |X_k| is at most peak |x| * sum(window): at 1e306 that bound
+        # overflows and the samples are rejected before any transform
+        # warns; at 1e300 the spectrum is finite
+        sig = random_signal(2, 4 * CFG.frame_len, seed=9)
+        sig.samples /= np.abs(sig.samples).max()
+        with pytest.raises(DataError):
+            analyze(MultichannelSignal(sig.samples * 1e306, 16000), CFG)
+        bins = analyze(MultichannelSignal(sig.samples * 1e300, 16000), CFG)
+        assert np.all(np.isfinite(bins))
+        unit = analyze(sig, CFG)
+        assert np.max(np.abs(bins / 1e300 - unit)) <= 1e-12 * np.max(np.abs(unit))
+
+    def test_nan_in_unread_samples_raises(self):
+        # the last hop - 1 samples lie in no frame, but the peak reads them
+        sig = random_signal(1, CFG.frame_len + CFG.hop - 1, seed=10)
+        assert frame_count(sig.n_samples, CFG) == 1
+        sig.samples[0, -1] = np.nan
+        with pytest.raises(DataError):
+            analyze(sig, CFG)
+
     def test_nan_in_last_chunk_raises(self):
         # 2 chunks + 1 frame: only the last chunk's one frame reads the last
         # sample
