@@ -1,8 +1,8 @@
 """Command-line front end: enhance, simulate, evaluate, sweep.
 
 Exit codes: 0 success, 2 configuration error (including an input too short
-for the configured block or stems shorter than the estimate), 3 I/O or data
-error.
+for the configured block, an estimate shorter than the projection filter or
+stems shorter than the estimate), 3 I/O or data error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .channel_health import T_MU_SIMULATED
 from .errors import BlockbeamError, ConfigError, DataError, FormatError, SizeError
 from .pipeline import (
     BEAMFORMERS,
+    STFT,
     OracleStems,
     PipelineConfig,
     POSTFILTERS,
@@ -30,7 +31,6 @@ from .pipeline import (
     run_with_diagnostics,
 )
 from .rtf import SUB_BLOCK_LEN_DEFAULT, dump_rtf_csv
-from .stft import StftConfig
 from .vad import T_SNR_DEFAULT, dump_mask_csv
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _block_frames(block_ms: str, stft_cfg: StftConfig):
+def _block_frames(block_ms: str):
     if block_ms == "batch":
         return "batch"
     try:
@@ -58,14 +58,14 @@ def _block_frames(block_ms: str, stft_cfg: StftConfig):
         raise ConfigError(f"--block-ms must be a millisecond count or 'batch', got {block_ms!r}")
     if not 0 < ms < np.inf:
         raise ConfigError(f"--block-ms must be positive and finite, got {ms}")
-    return frames_for_duration_ms(ms, stft_cfg)
+    return frames_for_duration_ms(ms, STFT)
 
 
-def _pipeline_config(args, stft_cfg: StftConfig, block_ms: str, beamformer: str, postfilter: str) -> PipelineConfig:
+def _pipeline_config(args, block_ms: str, beamformer: str, postfilter: str) -> PipelineConfig:
     """Settings of one run: the options enhance and sweep share, plus the
     block length, beamformer and post-filter, which sweep varies."""
     return PipelineConfig(
-        block_frames=_block_frames(block_ms, stft_cfg),
+        block_frames=_block_frames(block_ms),
         beamformer=beamformer,
         postfilter=postfilter,
         vad_mode=args.vad,
@@ -73,7 +73,6 @@ def _pipeline_config(args, stft_cfg: StftConfig, block_ms: str, beamformer: str,
         t_mu=args.t_mu,
         t_snr=args.t_snr,
         sub_block_len=args.sub_block_len,
-        stft=stft_cfg,
     )
 
 
@@ -94,9 +93,8 @@ def _load_vad_network(args):
 
 
 def _cmd_enhance(args) -> int:
-    stft_cfg = StftConfig()
     mixture = read_wav(args.input)
-    cfg = _pipeline_config(args, stft_cfg, args.block_ms, args.beamformer, args.postfilter)
+    cfg = _pipeline_config(args, args.block_ms, args.beamformer, args.postfilter)
     network = _load_vad_network(args)
     oracle = _load_oracle(args)
 
@@ -127,14 +125,20 @@ def _cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _mixture_spec_from_config(conf: dict, sample_rate: int, rng) -> evalsim.MixtureSpec:
-    channels = int(conf.get("channels", 4))
-    noise_conf = conf.get("noise", "white")
-    if isinstance(noise_conf, dict):
-        noise_kind, noise_path = "file", noise_conf.get("file")
-    else:
-        noise_kind, noise_path = str(noise_conf), None
+def _builtin_or_file(conf: dict, name: str, builtins: tuple[str, ...], config_path) -> tuple[str, str | None]:
+    """(kind, path) of the config entry `name`: one of the built-in kinds
+    (the first is the default), or {"file": path} as ("file", path)."""
+    value = conf.get(name, builtins[0])
+    if isinstance(value, str) and value in builtins:
+        return value, None
+    if isinstance(value, dict) and list(value) == ["file"] and isinstance(value["file"], str):
+        return "file", value["file"]
+    allowed = ", ".join(f'"{kind}"' for kind in builtins)
+    raise ConfigError(f'{config_path}: "{name}" must be {allowed} or {{"file": path}}, got {value!r}')
 
+
+def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str) -> evalsim.MixtureSpec:
+    channels = int(conf.get("channels", 4))
     segments = conf.get("segments")
     if segments is None:
         segments = [{"start_s": 0.0, "delays": conf.get("delays", list(range(0, 2 * channels, 2)))}]
@@ -168,7 +172,6 @@ def _mixture_spec_from_config(conf: dict, sample_rate: int, rng) -> evalsim.Mixt
         segment_starts=np.asarray(starts),
         noise_kind=noise_kind,
         snr_db=float(conf.get("snr_db", evalsim.DEFAULT_SNR_DB)),
-        noise_path=noise_path,
     )
 
 
@@ -179,6 +182,8 @@ def _cmd_simulate(args) -> int:
         raise FormatError(f"{args.config}: invalid JSON ({exc})") from exc
     if not isinstance(conf, dict):
         raise ConfigError(f"{args.config}: expected a JSON object, got {type(conf).__name__}")
+    _, source_path = _builtin_or_file(conf, "source", ("modulated",), args.config)
+    noise_kind, noise_path = _builtin_or_file(conf, "noise", ("white", "pink"), args.config)
     try:
         sample_rate = int(conf.get("sample_rate", 16000))
         duration_s = float(conf.get("duration_s", 4.0))
@@ -186,31 +191,30 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(f"{args.config}: duration_s must be positive and finite, got {duration_s}")
         rng = np.random.default_rng(int(conf.get("seed", 0)))
 
-        source_conf = conf.get("source", "modulated")
-        if isinstance(source_conf, dict):
+        if source_path is not None:
             # simulate rejects a source of more than one channel; the
             # configured rate labels the outputs, as for the built-in source
-            dry = MultichannelSignal(read_wav(source_conf["file"]).samples, sample_rate)
+            dry = MultichannelSignal(read_wav(source_path).samples, sample_rate)
             n_samples = dry.n_samples
         else:
             dry = evalsim.speech_like_source(duration_s, sample_rate, rng)
             n_samples = dry.shape[0]
 
-        spec = _mixture_spec_from_config(conf, sample_rate, rng)
+        spec = _mixture_spec_from_config(conf, sample_rate, rng, noise_kind)
     except BlockbeamError:
         raise
     # a missing field or a value of the wrong JSON type surfaces as one of these
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: malformed mixture description ({exc!r})") from exc
-    if spec.noise_kind == "white":
+    if noise_kind == "white":
         noise = evalsim.white_noise(spec.channel_count, n_samples, rng)
-    elif spec.noise_kind == "pink":
+    elif noise_kind == "pink":
         noise = evalsim.pink_noise(spec.channel_count, n_samples, rng)
     else:
-        noise = read_wav(spec.noise_path).samples
+        noise = read_wav(noise_path).samples
 
     # true RTFs on the bin grid that enhance analyses with
-    n_fft = StftConfig().frame_len
+    n_fft = STFT.frame_len
     sim = evalsim.simulate(spec, dry, noise, sample_rate=sample_rate, n_fft=n_fft)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +277,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.clean or not args.noise:
         raise ConfigError("sweep scores every run against known stems: it requires --clean and --noise")
-    stft_cfg = StftConfig()
     mixture = read_wav(args.input)
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
@@ -290,7 +293,7 @@ def _cmd_sweep(args) -> int:
         if postfilter == "auto":
             postfilter = "ban" if beamformer == "gev" else "wiener"
         for block_ms in args.block_ms.split(","):
-            grid.append((block_ms, _pipeline_config(args, stft_cfg, block_ms, beamformer, postfilter)))
+            grid.append((block_ms, _pipeline_config(args, block_ms, beamformer, postfilter)))
 
     rows = []
     for block_ms, cfg in grid:

@@ -30,16 +30,19 @@ VALID_PAIRINGS = {
     "gev": {"none", "ban"},
 }
 
+# The one frame grid: 512-sample frames, hop 128, at 16 kHz.
+STFT = StftConfig()
+
 
 @dataclass
 class PipelineConfig:
     """Block-online enhancement settings.
 
-    block_frames is an STFT frame count per block, or "batch" to process the
-    whole recording as a single block. No statistics are carried between
-    blocks. The post-filter must be one that VALID_PAIRINGS lists for the
-    beamformer: the Wiener filter follows the RTF-based beams, and the BAN
-    gain comes only with GEV weights. Beamformer "gev" needs a VAD: without
+    block_frames is a count of frames of the fixed grid `STFT` per block, or
+    "batch" to process the whole recording as a single block. No statistics
+    are carried between blocks. The post-filter must be one that
+    VALID_PAIRINGS lists for the beamformer: the Wiener filter follows the
+    RTF-based beams, and the BAN gain comes only with GEV weights. Beamformer "gev" needs a VAD: without
     masks every GEV bin is degenerate and takes the principal eigenvector of
     its sample covariance, not the max-SNR beam.
     """
@@ -52,7 +55,6 @@ class PipelineConfig:
     t_mu: float = T_MU_SIMULATED
     t_snr: float = T_SNR_DEFAULT
     sub_block_len: int = SUB_BLOCK_LEN_DEFAULT
-    stft: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
         if self.beamformer not in BEAMFORMERS:
@@ -185,10 +187,10 @@ def _pooled_mask(bins, cfg, network, oracle, channels, timings):
             # one forward pass for all channels: frame l of channel i is
             # column l * (M - 1) + i of the stacked input
             return infer_mask(network, bins[:, part, 1:].reshape(n_bins, -1)).reshape(n_bins, -1, n_ch - 1)
-        s_lo, s_hi = block_sample_range(part.start, part.stop - part.start, cfg.stft)
+        s_lo, s_hi = block_sample_range(part.start, part.stop - part.start, STFT)
         with _stage_timer(timings, "oracle_stft"):
             clean, noise = (
-                analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate), cfg.stft)
+                analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate), STFT)
                 for stem in (oracle.clean, oracle.noise)
             )
         return oracle_ibm(clean, noise, cfg.t_snr)
@@ -236,7 +238,7 @@ def process_block(
     if len(active) < 2:
         diag.passthrough = True
         with _stage_timer(timings, "stft"):
-            bins_ref = analyze(_channels(block, [cfg.ref_channel]), cfg.stft)
+            bins_ref = analyze(_channels(block, [cfg.ref_channel]), STFT)
         return BlockResult(enhanced=bins_ref[:, :, 0], diagnostics=diag)
 
     if cfg.ref_channel in active:
@@ -247,7 +249,7 @@ def process_block(
     order = [ref] + [ch for ch in active if ch != ref]
 
     with _stage_timer(timings, "stft"):
-        bins = analyze(_channels(block, order), cfg.stft)
+        bins = analyze(_channels(block, order), STFT)
 
     with _stage_timer(timings, "vad"):
         if cfg.vad_mode == "network" and network is None:
@@ -287,7 +289,7 @@ def process_block(
         if cfg.postfilter == "wiener":
             residual = projected_residual(weights, bins, noise_proj)
             speech_mask = None if cfg.vad_mode == "none" else pooled
-            gain = wiener_mask(beam_out, residual, speech_mask, cfg.stft.bin_frequencies())
+            gain = wiener_mask(beam_out, residual, speech_mask, STFT.bin_frequencies())
             enhanced = beam_out * gain
         else:
             enhanced = beam_out
@@ -304,7 +306,7 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
     block shorter than two sub-blocks is merged into the previous block;
     longer remainders stand alone.
     """
-    total = frame_count(n_samples, cfg.stft)
+    total = frame_count(n_samples, STFT)
     if cfg.is_batch:
         return [(0, total)]
     size = cfg.block_frames
@@ -347,9 +349,9 @@ def run_with_diagnostics(
     spanned by full STFT frames, so up to hop - 1 trailing input samples are
     trimmed.
     """
-    if signal.sample_rate != cfg.stft.sample_rate:
+    if signal.sample_rate != STFT.sample_rate:
         raise ConfigError(
-            f"input rate {signal.sample_rate} != configured rate {cfg.stft.sample_rate}; "
+            f"input rate {signal.sample_rate} != {STFT.sample_rate}, the frame grid's rate; "
             "resampling is out of scope"
         )
     if oracle is not None:
@@ -358,7 +360,7 @@ def run_with_diagnostics(
     blocks = partition_frames(signal.n_samples, cfg)
     results = []
     for start_frame, n_frames in blocks:
-        lo, hi = block_sample_range(start_frame, n_frames, cfg.stft)
+        lo, hi = block_sample_range(start_frame, n_frames, STFT)
         block_oracle = None
         if oracle is not None:
             block_oracle = OracleStems(
@@ -369,7 +371,7 @@ def run_with_diagnostics(
 
     start = time.perf_counter()
     enhanced = np.concatenate([r.enhanced for r in results], axis=1)
-    out = synthesize(enhanced[:, :, None], cfg.stft)
+    out = synthesize(enhanced[:, :, None], STFT)
     elapsed = time.perf_counter() - start
     for (_, n_frames), result in zip(blocks, results):
         result.diagnostics.timings["synthesis"] = elapsed * n_frames / enhanced.shape[1]

@@ -81,6 +81,36 @@ class TestSimulateCommand:
         assert "at least 0.004 s" in err and "broadcast" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("noise", "file", id="noise-file-as-string"),
+            pytest.param("noise", {"path": "n.wav"}, id="noise-object-without-file"),
+            pytest.param("noise", "brown", id="unknown-noise"),
+            pytest.param("source", "band_limited", id="unknown-source"),
+            pytest.param("source", {"file": 3}, id="source-file-not-a-path"),
+        ],
+    )
+    def test_unknown_source_or_noise_is_config_error(self, tmp_path, capsys, field, value):
+        # only the documented values pass: "white", "pink" or {"file": path}
+        # for the noise, "modulated" or {"file": path} for the source
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"duration_s": 0.1, field: value}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f'"{field}" must be' in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_noise_file_is_read(self, tmp_path):
+        noise = np.random.default_rng(0).standard_normal((4, 1600))
+        write_wav(MultichannelSignal(noise, 16000), tmp_path / "n.wav")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"duration_s": 0.1, "snr_db": 0.0, "noise": {"file": str(tmp_path / "n.wav")}}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        written = read_wav(tmp_path / "out" / "noise.wav").samples
+        # the stems are scaled copies of the file's noise
+        scale = np.sum(written * noise) / np.sum(noise**2)
+        assert scale > 0 and np.allclose(written, scale * noise, rtol=0, atol=1e-6)
+
     def test_multichannel_source_file_rejected(self, tmp_path, capsys):
         # a stereo dry source is refused, not cut to its first channel
         write_wav(MultichannelSignal(np.full((2, 1600), 0.1), 16000), tmp_path / "dry.wav")
@@ -576,6 +606,14 @@ class TestTooShortInput:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
+
+    def test_estimate_shorter_than_filter_exits_2(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est.wav"
+        write_wav(MultichannelSignal(read_wav(sim_dir / "clean.wav").samples[0:1, :20], 16000), est)
+        code = main(["evaluate", "--estimate", str(est), *_stem_args(sim_dir), "--filter-len", "32"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "shorter than the projection filter" in captured.err and "sir_db" not in captured.out
 
     def test_stems_shorter_than_estimate_exits_2(self, sim_dir, tmp_path):
         est = tmp_path / "est.wav"

@@ -16,7 +16,6 @@ from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.evalsim import (
     Decomposition,
     MixtureSpec,
-    band_limited_source,
     decaying_firs,
     decompose,
     delay_firs,
@@ -135,26 +134,11 @@ class TestSimulate:
         high = spec[4000:8000].mean()
         assert low > 10 * high
 
-    def test_band_limited_source_stays_in_band(self):
-        x = band_limited_source(2.0, 16000, np.random.default_rng(6))
-        spec = np.abs(np.fft.rfft(x)) ** 2
-        freqs = np.fft.rfftfreq(x.shape[0], d=1 / 16000)
-        in_band = spec[(freqs > 300) & (freqs < 3000)].mean()
-        out_band = spec[freqs > 5000].mean()
-        assert in_band > 100 * out_band
-        assert np.max(np.abs(x)) <= 1.0
-
     @pytest.mark.parametrize("duration_s", [0.0, 0.001, 0.002, 0.0039])
     def test_source_shorter_than_ramp_rejected(self, duration_s):
         # the 4 ms gain ramp is 64 samples at 16 kHz
         with pytest.raises(SizeError, match=r"at least 0\.004 s"):
             speech_like_source(duration_s, 16000, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("duration_s", [0.0, 0.00003, -1.0])
-    def test_band_limited_source_of_no_samples_rejected(self, duration_s):
-        # 0.00003 s is 0.48 samples at 16 kHz, which rounds to none
-        with pytest.raises(SizeError, match="at least 1 sample"):
-            band_limited_source(duration_s, 16000, np.random.default_rng(0))
 
     def test_sources_have_pauses(self):
         # 80 ms gain segments with occasional silence drive the sub-block
@@ -332,6 +316,15 @@ class TestEvaluateBlockwise:
                 sim.mixture.samples[0], sim.clean.samples[0], sim.noise.samples, window=8
             )
 
+    def test_estimate_shorter_than_filter_rejected_under_a_longer_window(self):
+        # the window would span the whole estimate, but that is still
+        # shorter than the 32-tap projection filter
+        sim, _ = make_sim(seed=20, duration=1.0)
+        with pytest.raises(SizeError, match="estimate of 20 samples"):
+            evaluate_blockwise(
+                sim.mixture.samples[0, :20], sim.clean.samples[0], sim.noise.samples, window=100
+            )
+
 
 def reference_delay_matrix(x, n_delays):
     """Dense truncated causal delay matrix: column d is x delayed by d samples.
@@ -477,6 +470,32 @@ def test_decompose_matches_dense_reference_property(n, filter_len, n_noise, lead
     assert_parts_match(est, target, noises, filter_len)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    filter_len=st.integers(1, 40),
+    n_noise=st.integers(0, 3),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_estimate_is_metrics_of_decompose_property(n, filter_len, n_noise, extra, seed):
+    # stems `extra` samples longer than the estimate are trimmed to it
+    rng = np.random.default_rng(seed)
+    target = rng.standard_normal(n + extra)
+    noises = rng.standard_normal((n_noise, n + extra))
+    est = rng.standard_normal(n)
+    if n < filter_len:
+        with pytest.raises(SizeError, match="shorter than the projection filter"):
+            evaluate_estimate(est, target, noises, filter_len)
+        return
+    got = evaluate_estimate(est, target, noises, filter_len)
+    want = metrics(decompose(est, target[:n], noises[:, :n], filter_len))
+    assert np.array([got.sir_db, got.sdr_db, got.sar_db]).tobytes() == np.array(
+        [want.sir_db, want.sdr_db, want.sar_db]
+    ).tobytes()
+    assert got.capped == want.capped
+
+
 def lfilter_speech_like_source(duration_s, sample_rate, rng, pause_prob=0.3):
     """speech_like_source with scipy.signal.lfilter as the AR(1) carrier."""
     n = int(round(duration_s * sample_rate))
@@ -562,7 +581,8 @@ class TestFiltersMatchScipy:
 
 def test_import_leaves_scipy_signal_unloaded(tmp_path):
     # importing scipy takes most of a cold start, so the package imports no
-    # scipy module; each call that needs one loads its own subpackage
+    # scipy module; only the WAV reader and writer load one (scipy.io), and
+    # nothing loads scipy.signal
     wav = tmp_path / "one.wav"
     write_wav(MultichannelSignal(np.zeros((2, 160)), 16000), wav)
     code = (
@@ -576,8 +596,13 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
         "net = NetworkWeights([NetworkLayer(np.zeros((3, 3)), np.zeros(3), 'sigmoid')], np.zeros(3), np.ones(3))\n"
         "blockbeam.vad.infer_mask(net, np.ones((3, 2)))\n"
         "print('infer_mask', loaded())\n"
-        "x = blockbeam.evalsim.band_limited_source(0.1, 16000, np.random.default_rng(0))\n"
-        "print('band_limited_source', x.shape, loaded())\n"
+        "ev = blockbeam.evalsim\n"
+        "rng = np.random.default_rng(0)\n"
+        "dry = ev.speech_like_source(0.1, 16000, rng)\n"
+        "spec = ev.MixtureSpec(channel_count=2, firs=ev.decaying_firs([0, 3], rng)[np.newaxis])\n"
+        "sim = ev.simulate(spec, dry, ev.pink_noise(2, dry.shape[0], rng))\n"
+        "ev.evaluate_estimate(sim.mixture.samples[0], sim.clean.samples[0], sim.noise.samples)\n"
+        "print('simulate and evaluate_estimate', loaded())\n"
     )
     src = str(Path(blockbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -586,5 +611,5 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
         "[]",
         "read_wav ['scipy.io']",
         "infer_mask ['scipy.io']",
-        "band_limited_source (1600,) ['scipy.io', 'scipy.special', 'scipy.signal']",
+        "simulate and evaluate_estimate ['scipy.io']",
     ]

@@ -19,5 +19,7 @@ def test_parity_digest_prints_one_digest_per_reachable_configuration():
     # gev x (none, ban) x the 2 VAD modes that give it masks
     fields = [line.split() for line in out]
     assert len({tuple(f[:3]) for f in fields}) == len(out) == 32
-    assert not any(pairing.startswith("gev") and vad == "none" for _, pairing, vad, _ in fields)
-    assert all(re.fullmatch(r"[0-9a-f]{64}", f[3]) for f in fields)
+    assert not any(pairing.startswith("gev") and vad == "none" for _, pairing, vad, _, _ in fields)
+    # the fourth field digests the enhanced samples, the fifth their report
+    assert all(re.fullmatch(r"[0-9a-f]{64}", f[3]) and re.fullmatch(r"[0-9a-f]{64}", f[4]) for f in fields)
+    assert len({f[4] for f in fields}) == 32

@@ -21,6 +21,7 @@ from blockbeam.evalsim import (
     white_noise,
 )
 from blockbeam.pipeline import (
+    STFT,
     OracleStems,
     PipelineConfig,
     VALID_PAIRINGS,
@@ -172,7 +173,7 @@ class TestProcessBlock:
             noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
         )
         result = process_block(block, cfg, oracle=block_oracle)
-        reference = analyze(block_oracle.clean, cfg.stft)[:, :, 0]
+        reference = analyze(block_oracle.clean, STFT)[:, :, 0]
         err = np.linalg.norm(result.enhanced - reference)
         ref = np.linalg.norm(reference)
         assert 20 * np.log10(err / ref) < -60
@@ -291,7 +292,7 @@ class TestRun:
         _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
         parts = partition_frames(sim.mixture.n_samples, cfg)
         for (start, count), joint in zip(parts, results):
-            lo, hi = block_sample_range(start, count, cfg.stft)
+            lo, hi = block_sample_range(start, count, STFT)
             block = MultichannelSignal(sim.mixture.samples[:, lo:hi], 16000)
             block_oracle = OracleStems(
                 clean=MultichannelSignal(sim.clean.samples[:, lo:hi], 16000),
@@ -597,8 +598,8 @@ def test_oracle_masks_use_the_right_stem_channels():
     assert result.diagnostics.active_channels == [0, 2, 3]
     assert not result.diagnostics.ref_fallback
 
-    full_clean = analyze(oracle.clean, cfg.stft)
-    full_noise = analyze(oracle.noise, cfg.stft)
+    full_clean = analyze(oracle.clean, STFT)
+    full_noise = analyze(oracle.noise, STFT)
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
@@ -626,7 +627,7 @@ def test_rtf_is_returned_in_active_channel_order():
 
     # column j of the estimate belongs to channel order[j]
     order = [2, 0, 1, 3]
-    estimate, _ = build_rtf_set(analyze(block, cfg.stft)[:, :, order], result.pooled_mask)
+    estimate, _ = build_rtf_set(analyze(block, STFT)[:, :, order], result.pooled_mask)
     expected = np.empty_like(estimate)
     expected[:, order] = estimate
     assert np.array_equal(result.rtf, expected)
@@ -641,7 +642,7 @@ def test_blocks_are_synthesized_once():
     out, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     assert len(results) == 5
     frames = np.concatenate([r.enhanced for r in results], axis=1)
-    assert np.array_equal(out.samples, synthesize(frames[:, :, None], cfg.stft).samples)
+    assert np.array_equal(out.samples, synthesize(frames[:, :, None], STFT).samples)
 
 
 # every beamformer/post-filter pairing with oracle masks, and without a VAD
@@ -778,7 +779,7 @@ def test_block_changes_only_its_own_span(beamformer, postfilter, data):
     mixture, clean, noise = property_mixture()
     cfg = PipelineConfig(block_frames=50, beamformer=beamformer, postfilter=postfilter, vad_mode="oracle")
     blocks = partition_frames(mixture.shape[1], cfg)
-    spans = [block_sample_range(start, count, cfg.stft) for start, count in blocks]
+    spans = [block_sample_range(start, count, STFT) for start, count in blocks]
     j = data.draw(st.integers(0, len(spans) - 1), label="block")
     lo, hi = spans[j]
     own_lo = spans[j - 1][1] if j > 0 else 0
@@ -856,6 +857,6 @@ def test_batch_oracle_masks_match_whole_stem_analysis():
     assert result.diagnostics.active_channels == [0, 1, 2, 3]
     assert result.pooled_mask.shape == (257, 397)
     masked = [0, 1, 3]
-    clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000), cfg.stft)
-    noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000), cfg.stft)
+    clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000), STFT)
+    noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000), STFT)
     assert np.array_equal(result.pooled_mask, pool_median(oracle_ibm(clean, noise, cfg.t_snr)))

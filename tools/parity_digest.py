@@ -1,15 +1,20 @@
-"""Print one sha256 of the enhanced samples per reachable configuration.
+"""Print two sha256 digests per reachable configuration: one of the enhanced
+samples and one of their evaluator report.
 
 A configuration is a beamformer, a post-filter, a VAD mode and a block
 length (100 frames or batch); the reachable ones are those `PipelineConfig`
 accepts. Every configuration enhances the same seeded 3.2 s reverberant
-4-channel mixture, and the network VAD uses one seeded 257-64-257 network,
-so two source trees that produce the same output bits print the same lines:
+4-channel mixture, and the network VAD uses one seeded 257-64-257 network.
+The report is `evaluate_estimate` of the output against the reference
+channel of the mixture's clean stems and all its noise stems, and its
+digest is taken over SIR, SDR, SAR and `capped` as float64. Two source
+trees that produce the same output and score bits print the same lines:
 
     PYTHONPATH=path/to/checkout/src python tools/parity_digest.py --seed 0
 
 Comparing the output of two checkouts line by line shows which
-configurations changed their output bits.
+configurations changed their output bits (fourth field) or their scores
+(fifth field).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from blockbeam.audio_io import NetworkLayer, NetworkWeights
 from blockbeam.errors import ConfigError
-from blockbeam.evalsim import MixtureSpec, decaying_firs, pink_noise, simulate, speech_like_source
+from blockbeam.evalsim import MixtureSpec, decaying_firs, evaluate_estimate, pink_noise, simulate, speech_like_source
 from blockbeam.pipeline import OracleStems, PipelineConfig, run
 
 FS = 16000
@@ -48,6 +53,10 @@ def network(rng) -> NetworkWeights:
     return NetworkWeights(layers, rng.uniform(0.0, 1.0, NETWORK_DIMS[0]), rng.uniform(0.5, 2.0, NETWORK_DIMS[0]))
 
 
+def sha256(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
 def configurations():
     """Every PipelineConfig that is accepted, at each block length."""
     for block, bf, pf, vad in itertools.product(
@@ -68,8 +77,12 @@ def main(argv=None) -> int:
     oracle = OracleStems(clean=sim.clean, noise=sim.noise)
     for cfg in configurations():
         out = run(sim.mixture, cfg, network=net, oracle=oracle)
-        digest = hashlib.sha256(np.ascontiguousarray(out.samples, dtype=np.float64).tobytes()).hexdigest()
-        print(f"{cfg.block_frames} {cfg.beamformer}+{cfg.postfilter} {cfg.vad_mode} {digest}")
+        n = out.n_samples
+        report = evaluate_estimate(
+            out.samples[0], sim.clean.samples[cfg.ref_channel, :n], sim.noise.samples[:, :n]
+        )
+        scores = [report.sir_db, report.sdr_db, report.sar_db, float(report.capped)]
+        print(f"{cfg.block_frames} {cfg.beamformer}+{cfg.postfilter} {cfg.vad_mode} {sha256(out.samples)} {sha256(scores)}")
     return 0
 
 
