@@ -131,7 +131,7 @@ def _builtin_or_file(conf: dict, name: str, builtins: tuple[str, ...], config_pa
     value = conf.get(name, builtins[0])
     if isinstance(value, str) and value in builtins:
         return value, None
-    if isinstance(value, dict) and list(value) == ["file"] and isinstance(value["file"], str):
+    if isinstance(value, dict) and isinstance(value.get("file"), str):
         return "file", value["file"]
     allowed = ", ".join(f'"{kind}"' for kind in builtins)
     raise ConfigError(f'{config_path}: "{name}" must be {allowed} or {{"file": path}}, got {value!r}')
@@ -183,7 +183,8 @@ def _cmd_simulate(args) -> int:
     if not isinstance(conf, dict):
         raise ConfigError(f"{args.config}: expected a JSON object, got {type(conf).__name__}")
     _, source_path = _builtin_or_file(conf, "source", ("modulated",), args.config)
-    noise_kind, noise_path = _builtin_or_file(conf, "noise", ("white", "pink"), args.config)
+    builtin_noises = tuple(kind for kind in evalsim.NOISE_KINDS if kind != "file")
+    noise_kind, noise_path = _builtin_or_file(conf, "noise", builtin_noises, args.config)
     try:
         sample_rate = int(conf.get("sample_rate", 16000))
         duration_s = float(conf.get("duration_s", 4.0))
@@ -211,7 +212,10 @@ def _cmd_simulate(args) -> int:
     elif noise_kind == "pink":
         noise = evalsim.pink_noise(spec.channel_count, n_samples, rng)
     else:
-        noise = read_wav(noise_path).samples
+        noise_file = read_wav(noise_path)
+        if noise_file.sample_rate != sample_rate:
+            raise ConfigError(f"{noise_path}: noise rate {noise_file.sample_rate} != sample_rate {sample_rate}")
+        noise = noise_file.samples
 
     # true RTFs on the bin grid that enhance analyses with
     n_fft = STFT.frame_len

@@ -300,30 +300,13 @@ class Decomposition:
     artifact: np.ndarray
 
 
-# most stems whose lag products one matmul takes; see _lag_products
-_STEM_GROUP = 4
-
-
 def _lag_products(a: np.ndarray, b: np.ndarray, n_lags: int) -> np.ndarray:
     """out[k] = sum_m a[:, m] b[:, m + k]^T for lags k = 0 .. n_lags-1.
 
-    a is (p, N) and b is (q, N); lags at or beyond N give zeros. Each lag's
-    product is taken in blocks of at most _STEM_GROUP rows of a and of b:
-    with single-thread OpenBLAS 0.3.31 at N = 51200 a (4, N) @ (N, 4)
-    product takes 0.05-0.09 ms, but one with 5-8 rows on either side
-    0.5-0.8 ms, and in 4 x 4 blocks 0.24-0.48 ms. Up to 4 stems are one
-    block, so their products keep the bits of one matmul.
+    a is (p, N) and b is (q, N); lags at or beyond N give zeros.
     """
-    p, n = a.shape
-    q = b.shape[0]
-    out = np.empty((n_lags, p, q))
-    for k in range(n_lags):
-        for i in range(0, p, _STEM_GROUP):
-            for j in range(0, q, _STEM_GROUP):
-                out[k, i : i + _STEM_GROUP, j : j + _STEM_GROUP] = (
-                    a[i : i + _STEM_GROUP, : max(n - k, 0)] @ b[j : j + _STEM_GROUP, k:].T
-                )
-    return out
+    n = a.shape[1]
+    return np.stack([a[:, : max(n - k, 0)] @ b[:, k:].T for k in range(n_lags)])
 
 
 def _delay_gram(stems: np.ndarray, n_delays: int) -> np.ndarray:

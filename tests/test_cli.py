@@ -104,12 +104,23 @@ class TestSimulateCommand:
         noise = np.random.default_rng(0).standard_normal((4, 1600))
         write_wav(MultichannelSignal(noise, 16000), tmp_path / "n.wav")
         config = tmp_path / "mix.json"
-        config.write_text(json.dumps({"duration_s": 0.1, "snr_db": 0.0, "noise": {"file": str(tmp_path / "n.wav")}}))
+        # keys beside "file" are ignored
+        noise_conf = {"file": str(tmp_path / "n.wav"), "comment": "four-channel noise"}
+        config.write_text(json.dumps({"duration_s": 0.1, "snr_db": 0.0, "noise": noise_conf}))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
         written = read_wav(tmp_path / "out" / "noise.wav").samples
         # the stems are scaled copies of the file's noise
         scale = np.sum(written * noise) / np.sum(noise**2)
         assert scale > 0 and np.allclose(written, scale * noise, rtol=0, atol=1e-6)
+
+    def test_noise_file_at_another_rate_is_config_error(self, tmp_path, capsys):
+        # an 8 kHz noise file is not mixed into a 16 kHz mixture
+        write_wav(MultichannelSignal(np.full((4, 800), 0.1), 8000), tmp_path / "n.wav")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"duration_s": 0.1, "noise": {"file": str(tmp_path / "n.wav")}}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "noise rate 8000 != sample_rate 16000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_multichannel_source_file_rejected(self, tmp_path, capsys):
         # a stereo dry source is refused, not cut to its first channel
