@@ -21,16 +21,15 @@ from .channel_health import T_MU_SIMULATED
 from .errors import BlockbeamError, ConfigError, DataError, FormatError, SizeError
 from .pipeline import (
     BEAMFORMERS,
-    STFT,
     OracleStems,
     PipelineConfig,
     POSTFILTERS,
     VAD_MODES,
     _check_stems,
-    frames_for_duration_ms,
     run_with_diagnostics,
 )
 from .rtf import SUB_BLOCK_LEN_DEFAULT, dump_rtf_csv
+from .stft import FRAME_LEN, frames_for_duration_ms
 from .vad import T_SNR_DEFAULT, dump_mask_csv
 
 EXIT_OK = 0
@@ -56,9 +55,7 @@ def _block_frames(block_ms: str):
         ms = float(block_ms)
     except ValueError:
         raise ConfigError(f"--block-ms must be a millisecond count or 'batch', got {block_ms!r}")
-    if not 0 < ms < np.inf:
-        raise ConfigError(f"--block-ms must be positive and finite, got {ms}")
-    return frames_for_duration_ms(ms, STFT)
+    return frames_for_duration_ms(ms)
 
 
 def _pipeline_config(args, block_ms: str, beamformer: str, postfilter: str) -> PipelineConfig:
@@ -218,8 +215,7 @@ def _cmd_simulate(args) -> int:
         noise = noise_file.samples
 
     # true RTFs on the bin grid that enhance analyses with
-    n_fft = STFT.frame_len
-    sim = evalsim.simulate(spec, dry, noise, sample_rate=sample_rate, n_fft=n_fft)
+    sim = evalsim.simulate(spec, dry, noise, sample_rate=sample_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(sim.mixture, out_dir / "mixture.wav")
@@ -227,7 +223,7 @@ def _cmd_simulate(args) -> int:
     write_wav(sim.noise, out_dir / "noise.wav")
     rtf_payload = {
         "sample_rate": sample_rate,
-        "n_fft": n_fft,
+        "n_fft": FRAME_LEN,
         "segments": [
             {
                 "start_sample": seg.start_sample,

@@ -42,6 +42,7 @@ import numpy as np
 
 from .audio_io import MultichannelSignal
 from .errors import ConfigError, DataError, SizeError
+from .stft import FRAME_LEN
 
 MAX_FIR_TAPS = 64
 DEFAULT_SNR_DB = 5.0
@@ -131,13 +132,13 @@ def decaying_firs(delays, rng, extra_taps: int = 3, decay: float = 0.5) -> np.nd
     return firs
 
 
-def true_rtfs(firs: np.ndarray, n_fft: int = 512, ref: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def true_rtfs(firs: np.ndarray, ref: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Frequency responses of the FIRs as ratios against the reference channel.
 
-    Returns (rtf, inv_rtf), both (n_fft/2+1, channels). The reference FIR
-    must have no spectral nulls on the one-sided grid.
+    Returns (rtf, inv_rtf), both (bins, channels) on the frame grid's
+    one-sided bins. The reference FIR must have no spectral nulls there.
     """
-    resp = np.fft.rfft(firs, n=n_fft, axis=1).T  # (bins, channels)
+    resp = np.fft.rfft(firs, n=FRAME_LEN, axis=1).T  # (bins, channels)
     if np.any(np.abs(resp) < 1e-12):
         raise DataError("FIR frequency response has a near-null bin; RTF undefined there")
     rtf = resp / resp[:, ref : ref + 1]
@@ -222,7 +223,7 @@ def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: flo
     return x / peak if peak > 0 else x
 
 
-def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000, n_fft: int = 512) -> SimResult:
+def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> SimResult:
     """Mix x_i = (h_i * s) + alpha * y_i at the requested global SNR.
 
     Arguments:
@@ -232,7 +233,7 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000, n_f
     alpha is chosen so that the total clean-to-noise energy ratio across all
     channels equals spec.snr_db exactly. Returned stems satisfy
     mixture = clean + noise sample for sample; true RTFs are reported per
-    trajectory segment on the one-sided n_fft grid.
+    trajectory segment on the frame grid's one-sided bins.
     """
     if isinstance(dry_speech, MultichannelSignal):
         sample_rate = dry_speech.sample_rate
@@ -273,7 +274,7 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000, n_f
         last = min(n_samples, max(hi, first + taps + 1))
         for ch in range(spec.channel_count):
             clean[ch, lo:hi] = _fir(spec.firs[seg, ch], dry[first:last])[lo - first : hi - first]
-        rtf, inv_rtf = true_rtfs(spec.firs[seg], n_fft=n_fft)
+        rtf, inv_rtf = true_rtfs(spec.firs[seg])
         rtf_list.append(SegmentRtf(start_sample=int(lo), rtf=rtf, inv_rtf=inv_rtf))
 
     clean_energy = float(np.sum(clean**2))

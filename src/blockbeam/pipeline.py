@@ -16,7 +16,7 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError
 from .postfilter import projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import StftConfig, analyze, chunk_slices, frame_count, synthesize
+from .stft import analyze, check_rate, chunk_slices, frame_count, frame_span, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -30,15 +30,11 @@ VALID_PAIRINGS = {
     "gev": {"none", "ban"},
 }
 
-# The one frame grid: 512-sample frames, hop 128, at 16 kHz.
-STFT = StftConfig()
-
-
 @dataclass
 class PipelineConfig:
     """Block-online enhancement settings.
 
-    block_frames is a count of frames of the fixed grid `STFT` per block, or
+    block_frames is a count of frames of the `stft` frame grid per block, or
     "batch" to process the whole recording as a single block. No statistics
     are carried between blocks. The post-filter must be one that
     VALID_PAIRINGS lists for the beamformer: the Wiener filter follows the
@@ -63,14 +59,15 @@ class PipelineConfig:
             raise ConfigError(f"unknown postfilter {self.postfilter!r}")
         if self.vad_mode not in VAD_MODES:
             raise ConfigError(f"unknown vad mode {self.vad_mode!r}")
-        if not self.is_batch:
-            if not isinstance(self.block_frames, int):
-                raise ConfigError(f"block_frames must be an int or 'batch', got {self.block_frames!r}")
-            if self.block_frames < 2 * self.sub_block_len:
-                raise ConfigError(
-                    f"block_frames {self.block_frames} < 2 * sub_block_len "
-                    f"({2 * self.sub_block_len}); the RTF estimator needs 2 sub-blocks"
-                )
+        for name in ("ref_channel", "sub_block_len") + (() if self.is_batch else ("block_frames",)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not self.is_batch and self.block_frames < 2 * self.sub_block_len:
+            raise ConfigError(
+                f"block_frames {self.block_frames} < 2 * sub_block_len "
+                f"({2 * self.sub_block_len}); the RTF estimator needs 2 sub-blocks"
+            )
         if self.sub_block_len < 1:
             raise ConfigError(f"sub_block_len must be >= 1, got {self.sub_block_len}")
         if self.ref_channel < 0:
@@ -187,10 +184,10 @@ def _pooled_mask(bins, cfg, network, oracle, channels, timings):
             # one forward pass for all channels: frame l of channel i is
             # column l * (M - 1) + i of the stacked input
             return infer_mask(network, bins[:, part, 1:].reshape(n_bins, -1)).reshape(n_bins, -1, n_ch - 1)
-        s_lo, s_hi = block_sample_range(part.start, part.stop - part.start, STFT)
+        s_lo, s_hi = frame_span(part.start, part.stop - part.start)
         with _stage_timer(timings, "oracle_stft"):
             clean, noise = (
-                analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate), STFT)
+                analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate))
                 for stem in (oracle.clean, oracle.noise)
             )
         return oracle_ibm(clean, noise, cfg.t_snr)
@@ -238,7 +235,7 @@ def process_block(
     if len(active) < 2:
         diag.passthrough = True
         with _stage_timer(timings, "stft"):
-            bins_ref = analyze(_channels(block, [cfg.ref_channel]), STFT)
+            bins_ref = analyze(_channels(block, [cfg.ref_channel]))
         return BlockResult(enhanced=bins_ref[:, :, 0], diagnostics=diag)
 
     if cfg.ref_channel in active:
@@ -249,7 +246,7 @@ def process_block(
     order = [ref] + [ch for ch in active if ch != ref]
 
     with _stage_timer(timings, "stft"):
-        bins = analyze(_channels(block, order), STFT)
+        bins = analyze(_channels(block, order))
 
     with _stage_timer(timings, "vad"):
         if cfg.vad_mode == "network" and network is None:
@@ -289,7 +286,7 @@ def process_block(
         if cfg.postfilter == "wiener":
             residual = projected_residual(weights, bins, noise_proj)
             speech_mask = None if cfg.vad_mode == "none" else pooled
-            gain = wiener_mask(beam_out, residual, speech_mask, STFT.bin_frequencies())
+            gain = wiener_mask(beam_out, residual, speech_mask)
             enhanced = beam_out * gain
         else:
             enhanced = beam_out
@@ -306,7 +303,7 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
     block shorter than two sub-blocks is merged into the previous block;
     longer remainders stand alone.
     """
-    total = frame_count(n_samples, STFT)
+    total = frame_count(n_samples)
     if cfg.is_batch:
         return [(0, total)]
     size = cfg.block_frames
@@ -321,12 +318,6 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
             counts.append(rem)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     return [(int(s), int(c)) for s, c in zip(starts, counts)]
-
-
-def block_sample_range(start_frame: int, n_frames: int, stft_cfg: StftConfig) -> tuple[int, int]:
-    """Sample interval covered by a run of STFT frames."""
-    start = start_frame * stft_cfg.hop
-    return start, start + stft_cfg.frame_len + (n_frames - 1) * stft_cfg.hop
 
 
 def _slice_signal(signal: MultichannelSignal, lo: int, hi: int) -> MultichannelSignal:
@@ -349,18 +340,14 @@ def run_with_diagnostics(
     spanned by full STFT frames, so up to hop - 1 trailing input samples are
     trimmed.
     """
-    if signal.sample_rate != STFT.sample_rate:
-        raise ConfigError(
-            f"input rate {signal.sample_rate} != {STFT.sample_rate}, the frame grid's rate; "
-            "resampling is out of scope"
-        )
+    check_rate(signal.sample_rate)
     if oracle is not None:
         _check_stems(oracle, signal)
 
     blocks = partition_frames(signal.n_samples, cfg)
     results = []
     for start_frame, n_frames in blocks:
-        lo, hi = block_sample_range(start_frame, n_frames, STFT)
+        lo, hi = frame_span(start_frame, n_frames)
         block_oracle = None
         if oracle is not None:
             block_oracle = OracleStems(
@@ -371,7 +358,7 @@ def run_with_diagnostics(
 
     start = time.perf_counter()
     enhanced = np.concatenate([r.enhanced for r in results], axis=1)
-    out = synthesize(enhanced[:, :, None], STFT)
+    out = synthesize(enhanced[:, :, None])
     elapsed = time.perf_counter() - start
     for (_, n_frames), result in zip(blocks, results):
         result.diagnostics.timings["synthesis"] = elapsed * n_frames / enhanced.shape[1]
@@ -387,8 +374,3 @@ def run(
     """Enhance a whole recording; single-channel output."""
     enhanced, _ = run_with_diagnostics(signal, cfg, network, oracle)
     return enhanced
-
-
-def frames_for_duration_ms(duration_ms: float, stft_cfg: StftConfig) -> int:
-    """Block length in frames whose hop grid spans the given duration."""
-    return max(1, round(duration_ms * stft_cfg.sample_rate / 1000.0 / stft_cfg.hop))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, SizeError
+from .errors import SizeError
+from .stft import BIN_FREQS, N_BINS
 from .vad import checked_mask
 
 # Division guard, relative to the block's mean beamformer output power.
@@ -32,40 +33,35 @@ def projected_residual(weights: np.ndarray, bins, projection) -> np.ndarray:
     return (np.asarray(bins) @ folded)[:, :, 0]
 
 
-def wiener_mask(beam_out, residual, speech_mask, bin_freqs) -> np.ndarray:
+def wiener_mask(beam_out, residual, speech_mask) -> np.ndarray:
     """Per-bin Wiener gain with the three practical overrides.
 
     Base gain: max(|u|^2 - |r|^2, delta) / (|u|^2 + delta) with delta
-    NOISE_FLOOR times the mean |u|^2. Overrides apply in order: bins below
-    LOW_CUTOFF_HZ are forced to LOW_GAIN, bins above HIGH_CUTOFF_HZ to 1,
-    and bins where the speech mask exceeds VAD_THRESHOLD to 1 (skipped when
-    speech_mask is None). The result is clamped into (0, 1]. A spectrogram
-    with no bins or no frames raises SizeError.
+    NOISE_FLOOR times the mean |u|^2. Overrides apply in order: bins whose
+    frame-grid center frequency is below LOW_CUTOFF_HZ are forced to
+    LOW_GAIN, bins above HIGH_CUTOFF_HZ to 1, and bins where the speech mask
+    exceeds VAD_THRESHOLD to 1 (skipped when speech_mask is None). The
+    result is clamped into (0, 1]. A spectrogram with another bin count than
+    the grid's, or with no frames, raises SizeError.
 
     Arguments:
-        beam_out, residual: complex spectrograms (K, L)
+        beam_out, residual: complex spectrograms (K, L) on the frame grid
         speech_mask: pooled speech-presence weights (K, L) in [0, 1], or None
-        bin_freqs: (K,) bin center frequencies in Hz
     """
     u = np.asarray(beam_out)
     r = np.asarray(residual)
     if u.shape != r.shape:
         raise SizeError(f"output/residual shape mismatch: {u.shape} vs {r.shape}")
-    if u.size == 0:
-        raise SizeError(f"the Wiener gain needs at least one bin and one frame, got shape {u.shape}")
-    freqs = np.asarray(bin_freqs, dtype=np.float64)
-    if freqs.shape != (u.shape[0],):
-        raise SizeError(f"bin frequency vector {freqs.shape} != bin count {u.shape[0]}")
-    if HIGH_CUTOFF_HZ > freqs[-1]:
-        raise ConfigError(f"the {HIGH_CUTOFF_HZ} Hz cutoff exceeds the Nyquist bin {freqs[-1]}")
+    if u.ndim != 2 or u.shape[0] != N_BINS or u.shape[1] == 0:
+        raise SizeError(f"expected a ({N_BINS}, frames >= 1) spectrogram, got shape {u.shape}")
 
     u_pow = u.real**2 + u.imag**2
     r_pow = r.real**2 + r.imag**2
     delta = max(NOISE_FLOOR * float(u_pow.mean()), np.finfo(np.float64).tiny)
 
     gain = np.maximum(u_pow - r_pow, delta) / (u_pow + delta)
-    gain[freqs < LOW_CUTOFF_HZ, :] = LOW_GAIN
-    gain[freqs > HIGH_CUTOFF_HZ, :] = 1.0
+    gain[BIN_FREQS < LOW_CUTOFF_HZ, :] = LOW_GAIN
+    gain[BIN_FREQS > HIGH_CUTOFF_HZ, :] = 1.0
     if speech_mask is not None:
         gain[checked_mask(speech_mask, u.shape) > VAD_THRESHOLD] = 1.0
     return np.clip(gain, np.finfo(np.float64).tiny, 1.0)

@@ -1,4 +1,5 @@
-"""Short-time Fourier analysis and weighted overlap-add synthesis.
+"""Short-time Fourier analysis and weighted overlap-add synthesis on the one
+frame grid, which no function takes as an argument, and its frame arithmetic.
 
 Layout contract: a spectrogram is a C-contiguous complex array of shape
 (bins, frames, channels). Every downstream stage works per frequency bin with
@@ -13,70 +14,69 @@ transformed on its own, so the result does not depend on the chunking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MultichannelSignal
 from .errors import ConfigError, DataError, SizeError
 
+# The one frame grid, CHiME-4's: 512-sample frames, hop 128, at 16 kHz.
+FRAME_LEN = 512
+HOP = 128
+SAMPLE_RATE = 16000
+N_BINS = FRAME_LEN // 2 + 1
+# Center frequency in Hz of each one-sided FFT bin.
+BIN_FREQS = np.arange(N_BINS) * (SAMPLE_RATE / FRAME_LEN)
+BIN_FREQS.setflags(write=False)
+
 # Floor for the summed squared synthesis window; the periodic Hamming window
-# never falls below 0.08, so the floor only matters for pathological configs.
+# never falls below 0.08, so the floor only matters for pathological grids.
 WINDOW_SUM_FLOOR = 1e-8
 
 # Frames windowed and transformed at a time by analyze.
 _CHUNK_FRAMES = 128
 
 
-@dataclass(frozen=True)
 class StftConfig:
-    """Framing of the analysis; every frame is weighted by the periodic
-    Hamming window of frame_len samples."""
+    """Read-only record of the frame grid."""
 
-    frame_len: int = 512
-    hop: int = 128
-    sample_rate: int = 16000
-
-    def __post_init__(self):
-        if self.frame_len <= 0 or self.frame_len % 2 != 0:
-            raise ConfigError(f"frame_len must be positive and even, got {self.frame_len}")
-        if not 0 < self.hop <= self.frame_len:
-            raise ConfigError(f"hop must be in (0, frame_len], got {self.hop}")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.frame_len // 2 + 1
-
-    def bin_frequencies(self) -> np.ndarray:
-        """Center frequency in Hz of each one-sided FFT bin."""
-        return np.arange(self.n_bins) * (self.sample_rate / self.frame_len)
+    __slots__ = ()
+    frame_len = FRAME_LEN
+    hop = HOP
+    sample_rate = SAMPLE_RATE
+    n_bins = N_BINS
 
 
 def periodic_hamming(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _checked(bins, cfg: StftConfig) -> np.ndarray:
-    """A one-sided complex STFT of shape (bins, frames, channels), checked
-    against cfg and for non-finite entries."""
-    bins = np.asarray(bins, dtype=np.complex128)
-    if bins.ndim != 3:
-        raise SizeError(f"expected (bins, frames, channels) tensor, got shape {bins.shape}")
-    if bins.shape[0] != cfg.n_bins:
-        raise SizeError(f"bin count {bins.shape[0]} != frame_len/2+1 = {cfg.n_bins}")
-    if not np.all(np.isfinite(bins)):
-        raise DataError("spectrogram contains non-finite entries")
-    return bins
+def check_rate(sample_rate: int) -> None:
+    """Input must be at the grid's rate; resampling is out of scope."""
+    if sample_rate != SAMPLE_RATE:
+        raise ConfigError(f"input rate {sample_rate} != {SAMPLE_RATE}, the frame grid's rate; no resampling")
 
 
-def frame_count(n_samples: int, cfg: StftConfig) -> int:
+def frame_count(n_samples: int) -> int:
     """Number of full frames covering a signal of the given length."""
-    if n_samples < cfg.frame_len:
-        raise SizeError(f"signal length {n_samples} shorter than one frame ({cfg.frame_len})")
-    return (n_samples - cfg.frame_len) // cfg.hop + 1
+    if n_samples < FRAME_LEN:
+        raise SizeError(f"signal length {n_samples} shorter than one frame ({FRAME_LEN})")
+    return (n_samples - FRAME_LEN) // HOP + 1
+
+
+def frame_span(start_frame: int, n_frames: int) -> tuple[int, int]:
+    """Sample interval covered by a run of frames."""
+    start = start_frame * HOP
+    return start, start + FRAME_LEN + (n_frames - 1) * HOP
+
+
+def frames_for_duration_ms(duration_ms: float) -> int:
+    """Block length in frames whose hop grid spans the given duration; the
+    duration must be positive and give a finite frame count."""
+    frames = duration_ms * SAMPLE_RATE / 1000.0 / HOP
+    if not (duration_ms > 0 and np.isfinite(frames)):
+        raise ConfigError(f"block duration must be positive and finite, got {duration_ms} ms")
+    return max(1, round(frames))
 
 
 def chunk_slices(n: int, size: int = _CHUNK_FRAMES) -> list[slice]:
@@ -89,8 +89,8 @@ def chunk_slices(n: int, size: int = _CHUNK_FRAMES) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> np.ndarray:
-    """STFT of every channel, shape (bins, frames, channels).
+def analyze(signal: MultichannelSignal) -> np.ndarray:
+    """STFT of every channel on the frame grid, shape (bins, frames, channels).
 
     Frame l covers samples [l*hop, l*hop + frame_len); frames are weighted by
     the periodic Hamming window and transformed with a one-sided FFT. No
@@ -102,20 +102,20 @@ def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> np.nda
 
     Every |X_k| is at most peak |x| * sum(window), so a DataError is raised
     unless that bound is finite and at most half the largest float64: a NaN
-    or inf in any sample (also one no frame reads) and, at the default
-    window, a peak above about 3.2e305 raise.
+    or inf in any sample (also one no frame reads) and, with the grid's
+    512-sample window, a peak above about 3.2e305 raise. A signal at another rate than
+    the grid's raises ConfigError.
     """
-    if cfg is None:
-        cfg = StftConfig(sample_rate=signal.sample_rate)
-    n_frames = frame_count(signal.n_samples, cfg)
-    window = periodic_hamming(cfg.frame_len)
+    check_rate(signal.sample_rate)
+    n_frames = frame_count(signal.n_samples)
+    window = periodic_hamming(FRAME_LEN)
     # NaN fails the comparison; max and min make no |x| temporary
     peak = np.maximum(signal.samples.max(), -signal.samples.min())
     if not peak <= np.finfo(np.float64).max / 2 / window.sum():
         raise DataError("signal samples must be finite with peak |x| below the STFT's overflow bound")
-    frames = sliding_window_view(signal.samples, cfg.frame_len, axis=1)[:, :: cfg.hop, :]
+    frames = sliding_window_view(signal.samples, FRAME_LEN, axis=1)[:, ::HOP, :]
     frames = frames[:, :n_frames, :].transpose(1, 0, 2)
-    bins = np.empty((cfg.n_bins, n_frames, signal.channel_count), dtype=np.complex128)
+    bins = np.empty((N_BINS, n_frames, signal.channel_count), dtype=np.complex128)
     out = bins.transpose(1, 2, 0)
     # Each chunk is windowed in C order so that consecutive transforms fill
     # neighbouring (frame, channel) entries of bins; in the view's
@@ -125,9 +125,10 @@ def analyze(signal: MultichannelSignal, cfg: StftConfig | None = None) -> np.nda
     return bins
 
 
-def synthesize(bins, cfg: StftConfig) -> MultichannelSignal:
-    """Weighted overlap-add inverse of analyze for a (bins, frames, channels)
-    spectrogram analyzed with cfg.
+def synthesize(bins) -> MultichannelSignal:
+    """Weighted overlap-add inverse of analyze for a finite complex
+    (bins, frames, channels) spectrogram of the grid's bins and at least one
+    frame; the output is at the grid's rate.
 
     Each frame is inverse-transformed, weighted by the synthesis window and
     accumulated; the result is normalized by the summed squared window, which
@@ -139,22 +140,25 @@ def synthesize(bins, cfg: StftConfig) -> MultichannelSignal:
     from the last to the first, so each sample sums its frames in frame
     order, as a per-frame loop would.
     """
-    bins = _checked(bins, cfg)
+    bins = np.asarray(bins, dtype=np.complex128)
+    if bins.ndim != 3 or bins.shape[0] != N_BINS or bins.shape[1] == 0:
+        raise SizeError(f"expected a ({N_BINS}, frames >= 1, channels) spectrogram, got shape {bins.shape}")
+    if not np.all(np.isfinite(bins)):
+        raise DataError("spectrogram contains non-finite entries")
     _, n_frames, n_channels = bins.shape
-    hop, frame_len = cfg.hop, cfg.frame_len
-    window = periodic_hamming(frame_len)
-    frames = np.fft.irfft(bins.transpose(2, 1, 0), n=frame_len, axis=-1)
+    window = periodic_hamming(FRAME_LEN)
+    frames = np.fft.irfft(bins.transpose(2, 1, 0), n=FRAME_LEN, axis=-1)
     frames *= window
 
-    n_chunks = -(-frame_len // hop)
-    out = np.zeros((n_channels, n_frames + n_chunks - 1, hop))
-    win_sum = np.zeros((n_frames + n_chunks - 1, hop))
+    n_chunks = -(-FRAME_LEN // HOP)
+    out = np.zeros((n_channels, n_frames + n_chunks - 1, HOP))
+    win_sum = np.zeros((n_frames + n_chunks - 1, HOP))
     win_sq = window * window
     for c in reversed(range(n_chunks)):
-        lo, hi = c * hop, min((c + 1) * hop, frame_len)
+        lo, hi = c * HOP, min((c + 1) * HOP, FRAME_LEN)
         out[:, c : c + n_frames, : hi - lo] += frames[:, :, lo:hi]
         win_sum[c : c + n_frames, : hi - lo] += win_sq[lo:hi]
-    out_len = frame_len + (n_frames - 1) * hop
+    out_len = frame_span(0, n_frames)[1]
     out = out.reshape(n_channels, -1)[:, :out_len]
     out /= np.maximum(win_sum.reshape(-1)[:out_len], WINDOW_SUM_FLOOR)
-    return MultichannelSignal(out, cfg.sample_rate)
+    return MultichannelSignal(out, SAMPLE_RATE)

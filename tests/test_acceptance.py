@@ -25,7 +25,6 @@ from blockbeam.evalsim import (
 from blockbeam.pipeline import (
     OracleStems,
     PipelineConfig,
-    block_sample_range,
     partition_frames,
     process_block,
     run,
@@ -33,12 +32,11 @@ from blockbeam.pipeline import (
 )
 from blockbeam.postfilter import LOW_GAIN, VAD_THRESHOLD, wiener_mask
 from blockbeam.rtf import _closed_form, build_rtf_set
-from blockbeam.stft import StftConfig, analyze, synthesize
+from blockbeam.stft import BIN_FREQS, N_BINS, analyze, frame_span, synthesize
 from blockbeam.vad import oracle_ibm
 from reference import estimate_noise
 
 FS = 16000
-STFT = StftConfig()
 
 
 def check(num, description, ok, detail=""):
@@ -89,7 +87,7 @@ def test_criterion_01_stft_round_trip():
     rng = np.random.default_rng(0)
     sig = MultichannelSignal(rng.uniform(-1, 1, size=(4, 2 * FS)), FS)
     start = time.perf_counter()
-    rec = synthesize(analyze(sig, STFT), STFT)
+    rec = synthesize(analyze(sig))
     elapsed = time.perf_counter() - start
     interior = slice(512, rec.n_samples - 512)
     err = np.linalg.norm(rec.samples[:, interior] - sig.samples[:, interior])
@@ -137,9 +135,9 @@ def _pooled_phase_error(seed, snr_db, n_blocks=6, delay=12):
     dry = band_limited_source(0.1 + 0.824 * n_blocks, FS, rng)
     firs = delay_firs([0, delay])
     sim = simulate(MixtureSpec(channel_count=2, firs=firs[np.newaxis], snr_db=snr_db), dry, pink_noise(2, dry.shape[0], rng))
-    spec = analyze(sim.mixture, STFT)
-    clean_spec = analyze(sim.clean, STFT)
-    noise_spec = analyze(sim.noise, STFT)
+    spec = analyze(sim.mixture)
+    clean_spec = analyze(sim.clean)
+    noise_spec = analyze(sim.noise)
     truth = true_rtfs(firs)[1][:, 1]
     errs = []
     for b in range(n_blocks):
@@ -245,15 +243,16 @@ def test_criterion_06_gev_residual_and_optimality():
 
 
 def test_criterion_07_wiener_mask_bounds_and_precedence():
-    freqs = np.array([50.0, 1000.0, 4000.0])  # below f_min, in band, above f_max
+    # the bins at 50, 1000 and 4000 Hz: below f_min, in band, above f_max
+    rows = np.searchsorted(BIN_FREQS, [50.0, 1000.0, 4000.0])
     ok = True
     for u2 in (0.0, 1e-9, 1.0, 100.0):
         for r2 in (0.0, 0.5 * u2, u2, 2.0 * u2 + 1.0):
             for mask_val in (0.0, 0.29, 0.3, 0.31, 1.0):
-                u = np.full((3, 1), np.sqrt(u2), dtype=complex)
-                r = np.full((3, 1), np.sqrt(r2), dtype=complex)
-                mask = np.full((3, 1), mask_val)
-                gain = wiener_mask(u, r, mask, freqs)
+                u = np.full((N_BINS, 1), np.sqrt(u2), dtype=complex)
+                r = np.full((N_BINS, 1), np.sqrt(r2), dtype=complex)
+                mask = np.full((N_BINS, 1), mask_val)
+                gain = wiener_mask(u, r, mask)[rows]
                 base = np.maximum(u2 - r2, 1e-30) / max(u2, 1e-30)
                 vad_hit = mask_val > VAD_THRESHOLD
                 expected_low = 1.0 if vad_hit else LOW_GAIN
@@ -371,9 +370,9 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
             dry,
             white_noise(2, dry.shape[0], rng),
         )
-        mix_spec = analyze(sim.mixture, STFT)
-        clean_spec = analyze(sim.clean, STFT)
-        noise_spec = analyze(sim.noise, STFT)
+        mix_spec = analyze(sim.mixture)
+        clean_spec = analyze(sim.clean)
+        noise_spec = analyze(sim.noise)
         truth = true_rtfs(firs)[1][:, 1]
         errs = {}
         for name in ("oracle", "unit"):
@@ -409,7 +408,7 @@ def test_criterion_12_determinism_and_block_independence():
 
     independent = True
     for (start, count), joint in zip(partition_frames(sim.mixture.n_samples, cfg), results1):
-        lo, hi = block_sample_range(start, count, STFT)
+        lo, hi = frame_span(start, count)
         block = MultichannelSignal(sim.mixture.samples[:, lo:hi], FS)
         block_oracle = OracleStems(
             clean=MultichannelSignal(sim.clean.samples[:, lo:hi], FS),

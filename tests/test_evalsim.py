@@ -62,7 +62,7 @@ class TestSimulate:
 
     def test_pure_delay_true_rtf(self):
         firs = delay_firs([0, 4])
-        rtf, inv_rtf = true_rtfs(firs, n_fft=512)
+        rtf, inv_rtf = true_rtfs(firs)
         k = np.arange(257)
         assert np.allclose(rtf[:, 1], np.exp(-1j * 2 * np.pi * k * 4 / 512))
         assert np.allclose(inv_rtf[:, 1], np.exp(1j * 2 * np.pi * k * 4 / 512))

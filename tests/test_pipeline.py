@@ -21,13 +21,10 @@ from blockbeam.evalsim import (
     white_noise,
 )
 from blockbeam.pipeline import (
-    STFT,
     OracleStems,
     PipelineConfig,
     VALID_PAIRINGS,
     _pooled_mask,
-    block_sample_range,
-    frames_for_duration_ms,
     partition_frames,
     process_block,
     run,
@@ -35,7 +32,7 @@ from blockbeam.pipeline import (
 )
 from blockbeam.postfilter import projected_residual
 from blockbeam.rtf import build_rtf_set
-from blockbeam.stft import StftConfig, analyze, synthesize
+from blockbeam.stft import analyze, frame_span, frames_for_duration_ms, synthesize
 from blockbeam.vad import infer_mask, oracle_ibm, pool_median
 from reference import estimate_noise
 
@@ -114,13 +111,23 @@ class TestPipelineConfig:
             PipelineConfig(vad_mode="blstm")
         with pytest.raises(ConfigError):
             PipelineConfig(block_frames="online")
+        # counts and indices must be ints: a bool or a fraction names its field
+        for field, value in [
+            ("ref_channel", 1.5), ("sub_block_len", 2.5), ("sub_block_len", True), ("block_frames", True)
+        ]:
+            with pytest.raises(ConfigError, match=f"{field} must be an int"):
+                PipelineConfig(**{field: value})
 
     def test_frames_for_duration(self):
-        cfg = StftConfig()
-        assert frames_for_duration_ms(250, cfg) == 31
-        assert frames_for_duration_ms(400, cfg) == 50
-        assert frames_for_duration_ms(800, cfg) == 100
-        assert frames_for_duration_ms(2000, cfg) == 250
+        assert frames_for_duration_ms(250) == 31
+        assert frames_for_duration_ms(400) == 50
+        assert frames_for_duration_ms(800) == 100
+        assert frames_for_duration_ms(2000) == 250
+        # one check, here and for the CLI's --block-ms: positive, with a
+        # finite frame count
+        for duration_ms in (np.nan, np.inf, -np.inf, -5.0, 0.0, 1e308):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                frames_for_duration_ms(duration_ms)
 
 
 class TestPartitionFrames:
@@ -150,8 +157,7 @@ class TestPartitionFrames:
             partition_frames(6400, cfg)
 
     def test_sample_ranges_cover_frames(self):
-        cfg = StftConfig()
-        lo, hi = block_sample_range(100, 100, cfg)
+        lo, hi = frame_span(100, 100)
         assert lo == 100 * 128
         assert hi - lo == 512 + 99 * 128
 
@@ -173,7 +179,7 @@ class TestProcessBlock:
             noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
         )
         result = process_block(block, cfg, oracle=block_oracle)
-        reference = analyze(block_oracle.clean, STFT)[:, :, 0]
+        reference = analyze(block_oracle.clean)[:, :, 0]
         err = np.linalg.norm(result.enhanced - reference)
         ref = np.linalg.norm(reference)
         assert 20 * np.log10(err / ref) < -60
@@ -292,7 +298,7 @@ class TestRun:
         _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
         parts = partition_frames(sim.mixture.n_samples, cfg)
         for (start, count), joint in zip(parts, results):
-            lo, hi = block_sample_range(start, count, STFT)
+            lo, hi = frame_span(start, count)
             block = MultichannelSignal(sim.mixture.samples[:, lo:hi], 16000)
             block_oracle = OracleStems(
                 clean=MultichannelSignal(sim.clean.samples[:, lo:hi], 16000),
@@ -436,6 +442,20 @@ def test_process_block_rejects_stems_at_another_rate():
         process_block(block, PipelineConfig(block_frames=100, vad_mode="oracle"), oracle=oracle)
 
 
+@pytest.mark.parametrize("live_channels", [4, 1])
+def test_process_block_rejects_another_rate(live_channels):
+    # the enhancing path and the one-live-channel passthrough path both
+    # analyze on the 16 kHz frame grid, so each rejects an 8 kHz block
+    block, _, _ = stem_block()
+    samples = block.samples.copy()
+    samples[live_channels:] = 0.0
+    cfg = PipelineConfig(block_frames=100, vad_mode="none")
+    at_grid_rate = process_block(MultichannelSignal(samples, 16000), cfg)
+    assert at_grid_rate.diagnostics.passthrough == (live_channels == 1)
+    with pytest.raises(ConfigError, match="rate 8000"):
+        process_block(MultichannelSignal(samples, 8000), cfg)
+
+
 PAIRINGS = [(bf, pf) for bf in sorted(VALID_PAIRINGS) for pf in sorted(VALID_PAIRINGS[bf])]
 
 
@@ -490,7 +510,7 @@ def test_stage_timings_cover_wall_time(beamformer, postfilter):
 def test_stacked_network_masks_match_per_channel_inference(active, ref):
     net = random_network(25)
     sim = gain_mixture(seed=26, duration=1.0)
-    bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000), StftConfig())
+    bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000))
     # the pipeline's reference-first order of the active channels
     order = [ref] + [ch for ch in active if ch != ref]
     cfg = PipelineConfig(block_frames=100, vad_mode="network")
@@ -598,8 +618,8 @@ def test_oracle_masks_use_the_right_stem_channels():
     assert result.diagnostics.active_channels == [0, 2, 3]
     assert not result.diagnostics.ref_fallback
 
-    full_clean = analyze(oracle.clean, STFT)
-    full_noise = analyze(oracle.noise, STFT)
+    full_clean = analyze(oracle.clean)
+    full_noise = analyze(oracle.noise)
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
@@ -627,7 +647,7 @@ def test_rtf_is_returned_in_active_channel_order():
 
     # column j of the estimate belongs to channel order[j]
     order = [2, 0, 1, 3]
-    estimate, _ = build_rtf_set(analyze(block, STFT)[:, :, order], result.pooled_mask)
+    estimate, _ = build_rtf_set(analyze(block)[:, :, order], result.pooled_mask)
     expected = np.empty_like(estimate)
     expected[:, order] = estimate
     assert np.array_equal(result.rtf, expected)
@@ -642,7 +662,7 @@ def test_blocks_are_synthesized_once():
     out, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     assert len(results) == 5
     frames = np.concatenate([r.enhanced for r in results], axis=1)
-    assert np.array_equal(out.samples, synthesize(frames[:, :, None], STFT).samples)
+    assert np.array_equal(out.samples, synthesize(frames[:, :, None]).samples)
 
 
 # every beamformer/post-filter pairing with oracle masks, and without a VAD
@@ -779,7 +799,7 @@ def test_block_changes_only_its_own_span(beamformer, postfilter, data):
     mixture, clean, noise = property_mixture()
     cfg = PipelineConfig(block_frames=50, beamformer=beamformer, postfilter=postfilter, vad_mode="oracle")
     blocks = partition_frames(mixture.shape[1], cfg)
-    spans = [block_sample_range(start, count, STFT) for start, count in blocks]
+    spans = [frame_span(start, count) for start, count in blocks]
     j = data.draw(st.integers(0, len(spans) - 1), label="block")
     lo, hi = spans[j]
     own_lo = spans[j - 1][1] if j > 0 else 0
@@ -857,6 +877,6 @@ def test_batch_oracle_masks_match_whole_stem_analysis():
     assert result.diagnostics.active_channels == [0, 1, 2, 3]
     assert result.pooled_mask.shape == (257, 397)
     masked = [0, 1, 3]
-    clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000), STFT)
-    noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000), STFT)
+    clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000))
+    noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000))
     assert np.array_equal(result.pooled_mask, pool_median(oracle_ibm(clean, noise, cfg.t_snr)))

@@ -11,7 +11,7 @@ from blockbeam.evalsim import (
     white_noise,
 )
 from blockbeam.rtf import _closed_form, _subblock_sums, build_rtf_set, reciprocal_rtf
-from blockbeam.stft import StftConfig, analyze
+from blockbeam.stft import analyze
 from blockbeam.vad import oracle_ibm
 
 
@@ -160,9 +160,9 @@ class TestDelaySimulation:
             dry,
             white_noise(2, dry.shape[0], rng),
         )
-        spec = analyze(sim.mixture, StftConfig())
-        clean_spec = analyze(sim.clean, StftConfig())
-        noise_spec = analyze(sim.noise, StftConfig())
+        spec = analyze(sim.mixture)
+        clean_spec = analyze(sim.clean)
+        noise_spec = analyze(sim.noise)
         mask = oracle_ibm(clean_spec[:, :100, 1], noise_spec[:, :100, 1], 5.0)
         g_inv = inverse_rtf(spec[:, :100], mask)
 
@@ -210,7 +210,7 @@ class TestBuildRtfSet:
             dry,
             white_noise(3, dry.shape[0], rng),
         )
-        spec = analyze(sim.mixture, StftConfig())
+        spec = analyze(sim.mixture)
         inv_rtf, _ = build_rtf_set(spec[:, :100], np.ones((257, 100)))
         _, inv_truth = true_rtfs(firs)
         for col, ch in [(1, 1), (2, 2)]:

@@ -12,7 +12,7 @@ from blockbeam.evalsim import MixtureSpec, delay_firs, pink_noise, simulate, spe
 from blockbeam.pipeline import PipelineConfig, _pooled_mask, run
 from blockbeam.postfilter import wiener_mask
 from blockbeam.rtf import build_rtf_set
-from blockbeam.stft import StftConfig, analyze
+from blockbeam.stft import analyze
 from blockbeam.vad import checked_mask, infer_mask, oracle_ibm, pool_median
 
 
@@ -126,7 +126,7 @@ def he_network(block, dims=(257, 1024, 1024, 257), seed=11):
         (rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in), 0.1 * rng.standard_normal(n_out), act)
         for n_in, n_out, act in zip(dims[:-1], dims[1:], ("relu", "relu", "sigmoid"))
     ]
-    mags = np.abs(analyze(block, StftConfig())).reshape(dims[0], -1)
+    mags = np.abs(analyze(block)).reshape(dims[0], -1)
     net = NetworkWeights(
         [NetworkLayer(w, b, act) for w, b, act in layers64],
         input_mean=mags.mean(axis=1),
@@ -143,7 +143,7 @@ def test_float32_forward_pass_matches_float64_reference():
             assert arr.dtype == np.float32 and arr.flags.c_contiguous
     assert net.input_mean.dtype == net.input_std.dtype == np.float64
 
-    bins = analyze(block, StftConfig()).reshape(257, -1)  # 4 channels side by side
+    bins = analyze(block).reshape(257, -1)  # 4 channels side by side
     h = (np.abs(bins) - net.input_mean[:, None]) / net.input_std[:, None]
     for w, b, act in layers64:
         h = w @ h + b[:, None]
@@ -256,24 +256,24 @@ class TestMask:
         assert checked_mask(np.zeros((2, 2), dtype=np.float32), (2, 2)).dtype == np.float64
 
     def test_consumers_check_masks(self):
-        # every function that weights by a mask rejects a bad one
-        x = np.ones((3, 20, 2), dtype=complex)
-        u = np.ones((3, 20), dtype=complex)
-        freqs = np.array([50.0, 1000.0, 4000.0])
+        # every function that weights by a mask rejects a bad one; the
+        # spectrograms have the frame grid's 257 bins, as the Wiener gain needs
+        x = np.ones((257, 20, 2), dtype=complex)
+        u = np.ones((257, 20), dtype=complex)
         consumers = (
             lambda m: masked_covariances(x, m),
             lambda m: gev_weights(x, m),
             lambda m: build_rtf_set(x, m),
-            lambda m: wiener_mask(u, u, m, freqs),
+            lambda m: wiener_mask(u, u, m),
         )
         for consume in consumers:
-            consume(np.full((3, 20), 0.5))  # accepted
+            consume(np.full((257, 20), 0.5))  # accepted
             with pytest.raises(DataError):
-                consume(np.full((3, 20), 1.5))
+                consume(np.full((257, 20), 1.5))
             with pytest.raises(DataError):
-                consume(np.full((3, 20), np.nan))
+                consume(np.full((257, 20), np.nan))
             with pytest.raises(SizeError):
-                consume(np.full((3, 19), 0.5))
+                consume(np.full((257, 19), 0.5))
             # one mask per non-reference channel is a stack, not a mask
             with pytest.raises(SizeError):
-                consume(np.full((3, 20, 1), 0.5))
+                consume(np.full((257, 20, 1), 0.5))
