@@ -28,9 +28,9 @@ from .pipeline import (
     _check_stems,
     run_with_diagnostics,
 )
-from .rtf import SUB_BLOCK_LEN_DEFAULT, dump_rtf_csv
+from .rtf import SUB_BLOCK_LEN_DEFAULT
 from .stft import FRAME_LEN, frames_for_duration_ms
-from .vad import T_SNR_DEFAULT, dump_mask_csv
+from .vad import T_SNR_DEFAULT
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,17 +108,6 @@ def _cmd_enhance(args) -> int:
             "blocks": [r.diagnostics.to_json_dict() for r in results],
         }
         Path(args.dump_diagnostics).write_text(json.dumps(payload, indent=2))
-    if args.dump_mask:
-        base = Path(args.dump_mask)
-        for i, r in enumerate(results):
-            if r.pooled_mask is not None:
-                dump_mask_csv(r.pooled_mask, base.with_name(f"{base.stem}_{i:03d}{base.suffix}"))
-    if args.dump_rtf:
-        base = Path(args.dump_rtf)
-        for i, r in enumerate(results):
-            if r.rtf is not None:
-                path = base.with_name(f"{base.stem}_{i:03d}{base.suffix}")
-                dump_rtf_csv(r.rtf, r.diagnostics.active_channels, path)
     return EXIT_OK
 
 
@@ -135,7 +124,7 @@ def _builtin_or_file(conf: dict, name: str, builtins: tuple[str, ...], config_pa
 
 
 def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str) -> evalsim.MixtureSpec:
-    channels = int(conf.get("channels", 4))
+    channels = evalsim.whole_number(conf.get("channels", 4), "channels", minimum=1)
     segments = conf.get("segments")
     if segments is None:
         segments = [{"start_s": 0.0, "delays": conf.get("delays", list(range(0, 2 * channels, 2)))}]
@@ -151,7 +140,7 @@ def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str
                 evalsim.decaying_firs(
                     seg["delays"],
                     rng,
-                    extra_taps=int(decay_conf.get("taps", 3)),
+                    extra_taps=evalsim.whole_number(decay_conf.get("taps", 3), "decay.taps"),
                     decay=float(decay_conf.get("factor", 0.5)),
                 )
             )
@@ -183,11 +172,11 @@ def _cmd_simulate(args) -> int:
     builtin_noises = tuple(kind for kind in evalsim.NOISE_KINDS if kind != "file")
     noise_kind, noise_path = _builtin_or_file(conf, "noise", builtin_noises, args.config)
     try:
-        sample_rate = int(conf.get("sample_rate", 16000))
+        sample_rate = evalsim.whole_number(conf.get("sample_rate", 16000), "sample_rate", minimum=1)
         duration_s = float(conf.get("duration_s", 4.0))
         if not 0 < duration_s < np.inf:
             raise ConfigError(f"{args.config}: duration_s must be positive and finite, got {duration_s}")
-        rng = np.random.default_rng(int(conf.get("seed", 0)))
+        rng = np.random.default_rng(evalsim.whole_number(conf.get("seed", 0), "seed"))
 
         if source_path is not None:
             # simulate rejects a source of more than one channel; the
@@ -350,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     enh.add_argument("--postfilter", choices=POSTFILTERS, default="none")
     enh.add_argument("--encoding", choices=("pcm16", "float32"), default="float32")
     enh.add_argument("--dump-diagnostics", default=None, help="write per-block diagnostics JSON")
-    enh.add_argument("--dump-mask", default=None, help="write per-block pooled masks as CSV")
-    enh.add_argument("--dump-rtf", default=None, help="write per-block inverse RTFs as CSV")
     enh.set_defaults(func=_cmd_enhance)
 
     sim = sub.add_parser("simulate", help="synthesize a mixture with known stems")

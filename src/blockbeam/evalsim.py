@@ -36,6 +36,7 @@ never imports it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +109,19 @@ class SimResult:
     true_rtf: list[SegmentRtf]
 
 
+def whole_number(value, name: str, minimum: int = 0) -> int:
+    """`value` as an int >= `minimum`. An integer-valued float such as JSON's
+    2.0 passes; a fraction, a bool, a non-number or a smaller value raises
+    ConfigError naming `name`."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def delay_firs(delays, gains=None, taps: int | None = None) -> np.ndarray:
-    """Pure-delay FIRs, one per channel: h_i[d_i] = gain_i."""
-    delays = np.asarray(delays, dtype=np.int64)
+    """Pure-delay FIRs, one per channel: h_i[d_i] = gain_i, d_i whole samples."""
+    delays = np.array([whole_number(d, f"delays[{i}]") for i, d in enumerate(delays)], dtype=np.int64)
     gains = np.ones(len(delays)) if gains is None else np.asarray(gains, dtype=np.float64)
     n_taps = int(delays.max()) + 1 if taps is None else taps
     firs = np.zeros((len(delays), n_taps))
@@ -122,7 +133,7 @@ def delay_firs(delays, gains=None, taps: int | None = None) -> np.ndarray:
 def decaying_firs(delays, rng, extra_taps: int = 3, decay: float = 0.5) -> np.ndarray:
     """Delay-plus-decaying-taps FIRs: a unit main tap followed by random-sign
     exponentially shrinking taps, a desk-scale stand-in for early reflections."""
-    delays = np.asarray(delays, dtype=np.int64)
+    delays = np.array([whole_number(d, f"delays[{i}]") for i, d in enumerate(delays)], dtype=np.int64)
     n_taps = int(delays.max()) + extra_taps + 1
     firs = np.zeros((len(delays), n_taps))
     for i, d in enumerate(delays):

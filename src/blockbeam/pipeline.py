@@ -4,6 +4,7 @@ resynthesis of the concatenated enhanced frames."""
 
 from __future__ import annotations
 
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -59,10 +60,13 @@ class PipelineConfig:
             raise ConfigError(f"unknown postfilter {self.postfilter!r}")
         if self.vad_mode not in VAD_MODES:
             raise ConfigError(f"unknown vad mode {self.vad_mode!r}")
-        for name in ("ref_channel", "sub_block_len") + (() if self.is_batch else ("block_frames",)):
+        kinds = {"ref_channel": int, "sub_block_len": int, "t_mu": numbers.Real, "t_snr": numbers.Real}
+        if not self.is_batch:
+            kinds["block_frames"] = int
+        for name, kind in kinds.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be {'an int' if kind is int else 'a number'}, got {value!r}")
         if not self.is_batch and self.block_frames < 2 * self.sub_block_len:
             raise ConfigError(
                 f"block_frames {self.block_frames} < 2 * sub_block_len "

@@ -121,19 +121,3 @@ def build_rtf_set(bins, masks, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
     counts = np.zeros(n_ch, dtype=np.int64)
     counts[1:] = np.count_nonzero(fallback, axis=0)
     return inv_rtf, counts
-
-
-def dump_rtf_csv(inv_rtf: np.ndarray, channels, path) -> None:
-    """Debug dump: per bin, magnitude and phase of each channel's inverse RTF.
-
-    Column i of inv_rtf belongs to microphone channels[i] (0-based), which
-    names its CSV columns.
-    """
-    cols = [np.arange(inv_rtf.shape[0])]
-    header = ["bin"]
-    for col, ch in enumerate(channels):
-        cols.append(np.abs(inv_rtf[:, col]))
-        cols.append(np.angle(inv_rtf[:, col]))
-        header.append(f"ch{ch}_mag")
-        header.append(f"ch{ch}_phase")
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=",".join(header), comments="")

@@ -125,8 +125,3 @@ def pool_median(masks) -> np.ndarray:
     if n % 2:
         return arrays[mid]
     return (arrays[mid - 1] + arrays[mid]) / 2
-
-
-def dump_mask_csv(mask: np.ndarray, path) -> None:
-    """Debug dump, one row per frequency bin, one column per frame."""
-    np.savetxt(path, mask, delimiter=",", fmt="%.6f")

@@ -1,12 +1,15 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from blockbeam.audio_io import MultichannelSignal, read_wav, write_wav
-from blockbeam.cli import EXIT_IO, main
+from blockbeam.cli import EXIT_IO, build_parser, main
 
 # the flag that once let any beamformer/post-filter/VAD combination through;
 # argparse now rejects it as unknown
@@ -53,24 +56,38 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize(
-        "text,code",
+        "text,code,message",
         [
-            pytest.param("{not json", 3, id="invalid-json"),
-            pytest.param("[1, 2]", 2, id="top-level-list"),
-            pytest.param('{"segments": [{"start_s": 0.0}]}', 2, id="segment-without-delays"),
-            pytest.param('{"channels": "x"}', 2, id="channels-not-int"),
-            pytest.param('{"duration_s": -1}', 2, id="negative-duration"),
-            pytest.param('{"segments": [1]}', 2, id="segment-not-object"),
-            pytest.param('{"segments": [{"firs": [1.0, 0.5]}]}', 2, id="firs-not-matrix"),
+            pytest.param("{not json", 3, "invalid JSON", id="invalid-json"),
+            pytest.param("[1, 2]", 2, "expected a JSON object", id="top-level-list"),
+            pytest.param('{"segments": [{"start_s": 0.0}]}', 2, "'delays'", id="segment-without-delays"),
+            pytest.param('{"channels": "x"}', 2, "channels", id="channels-not-int"),
+            pytest.param('{"duration_s": -1}', 2, "duration_s", id="negative-duration"),
+            pytest.param('{"segments": [1]}', 2, "malformed", id="segment-not-object"),
+            pytest.param('{"segments": [{"firs": [1.0, 0.5]}]}', 2, "malformed", id="firs-not-matrix"),
+            # a delay is a whole number of samples: a fraction is not cut to
+            # its integer part and a negative delay does not wrap round
+            pytest.param('{"channels": 2, "delays": [0, 2.7]}', 2, "delays[1]", id="fractional-delay"),
+            pytest.param('{"channels": 3, "delays": [0, -1, 3]}', 2, "delays[1]", id="negative-delay"),
+            pytest.param(
+                '{"channels": 2, "delays": [0, 2.7], "decay": {"taps": 2}}', 2, "delays[1]",
+                id="fractional-delay-with-decay",
+            ),
+            # the other integer fields follow the same rule
+            pytest.param('{"channels": 2.5}', 2, "channels", id="fractional-channels"),
+            pytest.param('{"seed": 1.5}', 2, "seed", id="fractional-seed"),
+            pytest.param('{"sample_rate": 16000.7}', 2, "sample_rate", id="fractional-sample-rate"),
+            pytest.param('{"decay": {"taps": 2.9}}', 2, "decay.taps", id="fractional-decay-taps"),
         ],
     )
-    def test_malformed_config_exit_code(self, tmp_path, capsys, text, code):
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text, code, message):
         # invalid JSON is a data error; valid JSON that describes no mixture
         # is a configuration error
         config = tmp_path / "mix.json"
         config.write_text(text)
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == code
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
         assert not (tmp_path / "out").exists()
 
     def test_duration_shorter_than_ramp_names_minimum(self, tmp_path, capsys):
@@ -162,37 +179,37 @@ class TestEnhanceCommand:
         assert "timings_s" in payload["blocks"][0]
 
     def test_batch_mode_and_dumps(self, sim_dir, tmp_path):
-        # one CSV of each kind per block: the 1.6 s input is one batch block
-        # or two 800 ms blocks
+        # one diagnostics record per block: the 1.6 s input is one batch
+        # block or two 800 ms blocks
         for block_ms, n_blocks in (("batch", 1), ("800", 2)):
             out_dir = tmp_path / block_ms
             out_dir.mkdir()
-            code = main(
-                [
-                    "enhance",
-                    "--input", str(sim_dir / "mixture.wav"),
-                    "--output", str(out_dir / "enh.wav"),
-                    "--beamformer", "irtf",
-                    "--block-ms", block_ms,
-                    "--vad", "none",
-                    "--postfilter", "none",
-                    "--dump-mask", str(out_dir / "mask.csv"),
-                    "--dump-rtf", str(out_dir / "rtf.csv"),
-                ]
-            )
-            assert code == 0
-            for kind in ("mask", "rtf"):
-                names = sorted(p.name for p in out_dir.glob(f"{kind}_*.csv"))
-                assert names == [f"{kind}_{i:03d}.csv" for i in range(n_blocks)]
-            mask = np.loadtxt(out_dir / "mask_000.csv", delimiter=",")
-            assert mask.shape[0] == 257
-            with open(out_dir / "rtf_000.csv") as fh:
-                header = fh.readline().strip().split(",")
-            assert header[0] == "bin"
-            assert "ch1_mag" in header
+            argv = [
+                "enhance",
+                "--input", str(sim_dir / "mixture.wav"),
+                "--output", str(out_dir / "enh.wav"),
+                "--beamformer", "irtf",
+                "--block-ms", block_ms,
+                "--vad", "none",
+                "--postfilter", "none",
+            ]
+            assert main([*argv, "--dump-diagnostics", str(out_dir / "diag.json")]) == 0
+            payload = json.loads((out_dir / "diag.json").read_text())
+            assert payload["block_frames"] == ("batch" if block_ms == "batch" else 100)
+            assert len(payload["blocks"]) == n_blocks
+        # the record is the one per-block output: argparse rejects the
+        # former CSV dumps as unknown, before anything is written
+        for removed in ("--dump-mask", "--dump-rtf"):
+            argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(tmp_path / "gone.wav")]
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, removed, str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "gone.wav").exists()
+        assert not list(tmp_path.glob("x*.csv"))
 
-    def test_dump_rtf_columns_named_by_microphone(self, sim_dir, tmp_path):
-        # channel 1 is dead, so the RTF columns belong to channels 0, 2 and 3
+    def test_diagnostics_name_active_microphones(self, sim_dir, tmp_path):
+        # channel 1 is dead, so each block's record names microphones 0, 2
+        # and 3, the 0-based channels that its RTFs and beam belong to
         mixture = read_wav(sim_dir / "mixture.wav")
         samples = mixture.samples.copy()
         samples[1] = 0.0
@@ -207,15 +224,12 @@ class TestEnhanceCommand:
                 "--block-ms", "batch",
                 "--vad", "none",
                 "--dump-diagnostics", str(tmp_path / "diag.json"),
-                "--dump-rtf", str(tmp_path / "rtf.csv"),
             ]
         )
         assert code == 0
         payload = json.loads((tmp_path / "diag.json").read_text())
-        assert payload["blocks"][0]["active_channels"] == [0, 2, 3]
-        with open(tmp_path / "rtf_000.csv") as fh:
-            header = fh.readline().strip()
-        assert header == "bin,ch0_mag,ch0_phase,ch2_mag,ch2_phase,ch3_mag,ch3_phase"
+        assert [block["active_channels"] for block in payload["blocks"]] == [[0, 2, 3]]
+        assert payload["blocks"][0]["passthrough"] is False
 
     def test_network_vad_weights(self, sim_dir, tmp_path):
         weights = tmp_path / "net.json"
@@ -602,6 +616,26 @@ def test_pairing_override_option_is_gone(sim_dir, tmp_path):
         main([*argv, "--beamformer", "gev", "--postfilter", "ban", REMOVED_OVERRIDE])
     assert exc.value.code == 2
     assert not (tmp_path / "o.wav").exists()
+
+
+def test_readme_documents_every_option():
+    # README's "Command line" section names each subcommand's options, and
+    # names no option that no subcommand has: a flag added or removed
+    # without the docs fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("\n## Command line\n") :]
+    section = section[: section.index("\n## ", 1)]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert sorted(options - documented) == []
+    assert sorted(documented - options) == []
 
 
 class TestTooShortInput:

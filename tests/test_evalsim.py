@@ -127,6 +127,26 @@ class TestSimulate:
         assert firs.shape == (2, 7)
         assert firs[0, 0] == 1.0 and firs[1, 3] == 1.0
 
+    @pytest.mark.parametrize(
+        "make", [delay_firs, lambda d: decaying_firs(d, np.random.default_rng(4))], ids=["delay", "decaying"]
+    )
+    @pytest.mark.parametrize(
+        "delays",
+        [[0, 2.7], [0, 1.9], [0, -1, 3], [0, -2, 5], [0, True], [0, "2"]],
+        ids=["fraction-2.7", "fraction-1.9", "negative-1", "negative-2", "bool", "string"],
+    )
+    def test_delay_not_a_whole_sample_rejected(self, make, delays):
+        # a fraction is not cut to its integer part, and a negative delay
+        # does not wrap round to the last tap
+        with pytest.raises(ConfigError, match=r"delays\[1\] must be an integer >= 0"):
+            make(delays)
+
+    def test_integer_valued_float_delay_accepted(self):
+        # JSON may write a whole delay as 2.0
+        assert np.array_equal(delay_firs([0, 2.0]), delay_firs([0, 2]))
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(decaying_firs([0.0, 3.0], rng_a), decaying_firs([0, 3], rng_b))
+
     def test_pink_noise_spectrum_tilts_down(self):
         x = pink_noise(1, 16384, np.random.default_rng(5))[0]
         spec = np.abs(np.fft.rfft(x)) ** 2

@@ -117,6 +117,11 @@ class TestPipelineConfig:
         ]:
             with pytest.raises(ConfigError, match=f"{field} must be an int"):
                 PipelineConfig(**{field: value})
+        # thresholds must be numbers: a bool is not read as 1 or 0, and a
+        # string names its field rather than failing a comparison
+        for field, value in [("t_mu", True), ("t_snr", True), ("t_snr", False), ("t_mu", "0.5"), ("t_snr", "5")]:
+            with pytest.raises(ConfigError, match=f"{field} must be a number"):
+                PipelineConfig(**{field: value})
 
     def test_frames_for_duration(self):
         assert frames_for_duration_ms(250) == 31
