@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, SizeError, UnsupportedEncodingError
+from .errors import DataError, FormatError, SizeError, UnsupportedEncodingError, whole_number
 
 # Symmetric 16 bit convention: sample value v maps to v / 32768.
 PCM16_SCALE = 32768.0
@@ -32,9 +32,7 @@ class MultichannelSignal:
             raise SizeError(f"expected (channels, samples) matrix, got ndim={self.samples.ndim}")
         if self.channel_count == 0:
             raise SizeError("a signal needs at least one channel")
-        if int(self.sample_rate) <= 0:
-            raise DataError(f"sample_rate must be positive, got {self.sample_rate}")
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = whole_number(self.sample_rate, "sample_rate", minimum=1)
 
     @property
     def channel_count(self) -> int:
@@ -74,7 +72,7 @@ def read_wav(path) -> MultichannelSignal:
         samples = samples[np.newaxis, :]
     else:
         samples = samples.T
-    return MultichannelSignal(samples, int(rate))
+    return MultichannelSignal(samples, rate)
 
 
 def write_wav(signal: MultichannelSignal, path, encoding: str = "float32") -> None:

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evalsim
-from .audio_io import MultichannelSignal, load_network, read_wav, write_wav
+from .audio_io import load_network, read_wav, write_wav
 from .channel_health import T_MU_SIMULATED
-from .errors import BlockbeamError, ConfigError, DataError, FormatError, SizeError
+from .errors import BlockbeamError, ConfigError, DataError, FormatError, SizeError, real_number, whole_number
 from .pipeline import (
     BEAMFORMERS,
     OracleStems,
@@ -124,26 +124,22 @@ def _builtin_or_file(conf: dict, name: str, builtins: tuple[str, ...], config_pa
 
 
 def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str) -> evalsim.MixtureSpec:
-    channels = evalsim.whole_number(conf.get("channels", 4), "channels", minimum=1)
+    channels = whole_number(conf.get("channels", 4), "channels", minimum=1)
     segments = conf.get("segments")
     if segments is None:
         segments = [{"start_s": 0.0, "delays": conf.get("delays", list(range(0, 2 * channels, 2)))}]
     decay_conf = conf.get("decay")
     firs = []
     starts = []
-    for seg in segments:
-        starts.append(int(round(float(seg.get("start_s", 0.0)) * sample_rate)))
+    for i, seg in enumerate(segments):
+        start_s = real_number(seg.get("start_s", 0.0), f"segments[{i}].start_s", low=0.0)
+        starts.append(int(round(start_s * sample_rate)))
         if "firs" in seg:
             firs.append(np.asarray(seg["firs"], dtype=np.float64))
         elif decay_conf:
-            firs.append(
-                evalsim.decaying_firs(
-                    seg["delays"],
-                    rng,
-                    extra_taps=evalsim.whole_number(decay_conf.get("taps", 3), "decay.taps"),
-                    decay=float(decay_conf.get("factor", 0.5)),
-                )
-            )
+            extra_taps = whole_number(decay_conf.get("taps", 3), "decay.taps")
+            decay = real_number(decay_conf.get("factor", 0.5), "decay.factor", 0.0, 1.0)
+            firs.append(evalsim.decaying_firs(seg["delays"], rng, extra_taps, decay))
         else:
             firs.append(evalsim.delay_firs(seg["delays"]))
     taps = max(f.shape[1] for f in firs)
@@ -157,7 +153,7 @@ def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str
         firs=padded,
         segment_starts=np.asarray(starts),
         noise_kind=noise_kind,
-        snr_db=float(conf.get("snr_db", evalsim.DEFAULT_SNR_DB)),
+        snr_db=conf.get("snr_db", evalsim.DEFAULT_SNR_DB),
     )
 
 
@@ -172,26 +168,24 @@ def _cmd_simulate(args) -> int:
     builtin_noises = tuple(kind for kind in evalsim.NOISE_KINDS if kind != "file")
     noise_kind, noise_path = _builtin_or_file(conf, "noise", builtin_noises, args.config)
     try:
-        sample_rate = evalsim.whole_number(conf.get("sample_rate", 16000), "sample_rate", minimum=1)
-        duration_s = float(conf.get("duration_s", 4.0))
-        if not 0 < duration_s < np.inf:
-            raise ConfigError(f"{args.config}: duration_s must be positive and finite, got {duration_s}")
-        rng = np.random.default_rng(evalsim.whole_number(conf.get("seed", 0), "seed"))
+        sample_rate = whole_number(conf.get("sample_rate", 16000), "sample_rate", minimum=1)
+        rng = np.random.default_rng(whole_number(conf.get("seed", 0), "seed"))
 
         if source_path is not None:
-            # simulate rejects a source of more than one channel; the
-            # configured rate labels the outputs, as for the built-in source
-            dry = MultichannelSignal(read_wav(source_path).samples, sample_rate)
-            n_samples = dry.n_samples
+            # the configured rate labels the outputs, as for the built-in source
+            source = read_wav(source_path)
+            if source.channel_count != 1:
+                raise ConfigError(f"{source_path}: the source must be a 1-channel file, got {source.channel_count}")
+            dry = source.samples[0]
         else:
-            dry = evalsim.speech_like_source(duration_s, sample_rate, rng)
-            n_samples = dry.shape[0]
+            dry = evalsim.speech_like_source(conf.get("duration_s", 4.0), sample_rate, rng)
+        n_samples = dry.shape[0]
 
         spec = _mixture_spec_from_config(conf, sample_rate, rng, noise_kind)
     except BlockbeamError:
         raise
     # a missing field or a value of the wrong JSON type surfaces as one of these
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: malformed mixture description ({exc!r})") from exc
     if noise_kind == "white":
         noise = evalsim.white_noise(spec.channel_count, n_samples, rng)

@@ -36,13 +36,12 @@ never imports it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio_io import MultichannelSignal
-from .errors import ConfigError, DataError, SizeError
+from .errors import ConfigError, DataError, SizeError, real_number, whole_number
 from .stft import FRAME_LEN
 
 MAX_FIR_TAPS = 64
@@ -80,14 +79,15 @@ class MixtureSpec:
             raise ConfigError(f"firs have {n_ch} channels, expected {self.channel_count}")
         if taps > MAX_FIR_TAPS:
             raise ConfigError(f"FIRs limited to {MAX_FIR_TAPS} taps, got {taps}")
+        if not np.all(np.isfinite(self.firs)):
+            raise DataError("FIRs hold non-finite taps")
         if np.any(np.all(self.firs == 0.0, axis=2)):
             raise ConfigError("every per-channel FIR must be nonzero")
         if self.segment_starts.shape != (n_seg,) or self.segment_starts[0] != 0:
             raise ConfigError("segment_starts must list one start per segment, beginning at 0")
         if np.any(np.diff(self.segment_starts) <= 0):
             raise ConfigError("segment_starts must be strictly increasing")
-        if not np.isfinite(self.snr_db):
-            raise DataError(f"global SNR must be finite, got {self.snr_db}")
+        self.snr_db = real_number(self.snr_db, "snr_db")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
 
@@ -109,21 +109,13 @@ class SimResult:
     true_rtf: list[SegmentRtf]
 
 
-def whole_number(value, name: str, minimum: int = 0) -> int:
-    """`value` as an int >= `minimum`. An integer-valued float such as JSON's
-    2.0 passes; a fraction, a bool, a non-number or a smaller value raises
-    ConfigError naming `name`."""
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not whole or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def delay_firs(delays, gains=None, taps: int | None = None) -> np.ndarray:
-    """Pure-delay FIRs, one per channel: h_i[d_i] = gain_i, d_i whole samples."""
+    """Pure-delay FIRs, one per channel: h_i[d_i] = gain_i, d_i whole samples,
+    with `taps` taps: at least, and by default, the largest delay plus one."""
     delays = np.array([whole_number(d, f"delays[{i}]") for i, d in enumerate(delays)], dtype=np.int64)
     gains = np.ones(len(delays)) if gains is None else np.asarray(gains, dtype=np.float64)
-    n_taps = int(delays.max()) + 1 if taps is None else taps
+    shortest = int(delays.max()) + 1
+    n_taps = shortest if taps is None else whole_number(taps, "taps", minimum=shortest)
     firs = np.zeros((len(delays), n_taps))
     for i, (d, g) in enumerate(zip(delays, gains)):
         firs[i, d] = g
@@ -131,9 +123,11 @@ def delay_firs(delays, gains=None, taps: int | None = None) -> np.ndarray:
 
 
 def decaying_firs(delays, rng, extra_taps: int = 3, decay: float = 0.5) -> np.ndarray:
-    """Delay-plus-decaying-taps FIRs: a unit main tap followed by random-sign
-    exponentially shrinking taps, a desk-scale stand-in for early reflections."""
+    """Delay-plus-decaying-taps FIRs: a unit main tap followed by `extra_taps` random-sign
+    taps shrinking by a factor `decay` in [0, 1] each, a desk-scale stand-in for early reflections."""
     delays = np.array([whole_number(d, f"delays[{i}]") for i, d in enumerate(delays)], dtype=np.int64)
+    extra_taps = whole_number(extra_taps, "extra_taps")
+    decay = real_number(decay, "decay", 0.0, 1.0)
     n_taps = int(delays.max()) + extra_taps + 1
     firs = np.zeros((len(delays), n_taps))
     for i, d in enumerate(delays):
@@ -215,7 +209,7 @@ def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: flo
     silence/activity contrast the oracle mask needs. The AR coloring keeps
     neighboring channels correlated under small relative delays.
     """
-    n = int(round(duration_s * sample_rate))
+    n = int(round(real_number(duration_s, "duration_s", low=0.0) * sample_rate))
     # short raised-cosine smoothing to avoid clicks at gain steps
     ramp = int(round(0.004 * sample_rate))
     shortest = max(ramp, 1)
@@ -238,30 +232,21 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> 
     """Mix x_i = (h_i * s) + alpha * y_i at the requested global SNR.
 
     Arguments:
-        dry_speech: 1-D dry source, or a 1-channel MultichannelSignal
-        noise: (channels, samples) noise, or a MultichannelSignal
+        dry_speech: 1-D dry source
+        noise: (channels, samples) noise
 
     alpha is chosen so that the total clean-to-noise energy ratio across all
     channels equals spec.snr_db exactly. Returned stems satisfy
     mixture = clean + noise sample for sample; true RTFs are reported per
     trajectory segment on the frame grid's one-sided bins.
     """
-    if isinstance(dry_speech, MultichannelSignal):
-        sample_rate = dry_speech.sample_rate
-        dry_speech = dry_speech.samples[0] if dry_speech.channel_count == 1 else dry_speech.samples
     dry = np.asarray(dry_speech, dtype=np.float64)
     if dry.ndim != 1:
-        raise SizeError(f"expected a 1-D dry source or a 1-channel signal, got shape {dry.shape}")
-    if isinstance(noise, MultichannelSignal):
-        noise_samples = noise.samples
-    else:
-        noise_samples = np.asarray(noise, dtype=np.float64)
-
+        raise SizeError(f"expected a 1-D dry source, got shape {dry.shape}")
+    noise_samples = np.asarray(noise, dtype=np.float64)
     n_samples = dry.shape[0]
-    if noise_samples.shape[0] != spec.channel_count:
-        raise SizeError(
-            f"noise has {noise_samples.shape[0]} channels, expected {spec.channel_count}"
-        )
+    if noise_samples.ndim != 2 or noise_samples.shape[0] != spec.channel_count:
+        raise SizeError(f"noise has shape {noise_samples.shape}, expected ({spec.channel_count}, samples)")
     if noise_samples.shape[1] < n_samples:
         raise SizeError("noise stems shorter than the dry source")
     noise_samples = noise_samples[:, :n_samples]

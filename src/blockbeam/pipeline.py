@@ -4,7 +4,6 @@ resynthesis of the concatenated enhanced frames."""
 
 from __future__ import annotations
 
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -14,7 +13,7 @@ import numpy as np
 from .audio_io import MultichannelSignal, NetworkWeights
 from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from .channel_health import T_MU_SIMULATED, detect_failures
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, SizeError, real_number, whole_number
 from .postfilter import projected_residual, wiener_mask
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
 from .stft import analyze, check_rate, chunk_slices, frame_count, frame_span, synthesize
@@ -41,7 +40,8 @@ class PipelineConfig:
     VALID_PAIRINGS lists for the beamformer: the Wiener filter follows the
     RTF-based beams, and the BAN gain comes only with GEV weights. Beamformer "gev" needs a VAD: without
     masks every GEV bin is degenerate and takes the principal eigenvector of
-    its sample covariance, not the max-SNR beam.
+    its sample covariance, not the max-SNR beam. The numeric fields are
+    stored as `errors.whole_number`/`real_number` return them.
     """
 
     block_frames: int | str = 100
@@ -60,26 +60,17 @@ class PipelineConfig:
             raise ConfigError(f"unknown postfilter {self.postfilter!r}")
         if self.vad_mode not in VAD_MODES:
             raise ConfigError(f"unknown vad mode {self.vad_mode!r}")
-        kinds = {"ref_channel": int, "sub_block_len": int, "t_mu": numbers.Real, "t_snr": numbers.Real}
+        self.ref_channel = whole_number(self.ref_channel, "ref_channel")
+        self.sub_block_len = whole_number(self.sub_block_len, "sub_block_len", minimum=1)
+        self.t_mu = real_number(self.t_mu, "t_mu", 0.0, 1.0)
+        self.t_snr = real_number(self.t_snr, "t_snr")
         if not self.is_batch:
-            kinds["block_frames"] = int
-        for name, kind in kinds.items():
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be {'an int' if kind is int else 'a number'}, got {value!r}")
-        if not self.is_batch and self.block_frames < 2 * self.sub_block_len:
-            raise ConfigError(
-                f"block_frames {self.block_frames} < 2 * sub_block_len "
-                f"({2 * self.sub_block_len}); the RTF estimator needs 2 sub-blocks"
-            )
-        if self.sub_block_len < 1:
-            raise ConfigError(f"sub_block_len must be >= 1, got {self.sub_block_len}")
-        if self.ref_channel < 0:
-            raise ConfigError(f"ref_channel must be >= 0, got {self.ref_channel}")
-        if not 0 <= self.t_mu <= 1:
-            raise ConfigError(f"t_mu must be in [0, 1], got {self.t_mu}")
-        if not np.isfinite(self.t_snr):
-            raise ConfigError(f"t_snr must be finite, got {self.t_snr}")
+            self.block_frames = whole_number(self.block_frames, "block_frames")
+            if self.block_frames < 2 * self.sub_block_len:
+                raise ConfigError(
+                    f"block_frames {self.block_frames} < 2 * sub_block_len "
+                    f"({2 * self.sub_block_len}); the RTF estimator needs 2 sub-blocks"
+                )
         if self.postfilter not in VALID_PAIRINGS[self.beamformer]:
             raise ConfigError(
                 f"postfilter {self.postfilter!r} is not paired with beamformer {self.beamformer!r}; "

@@ -10,7 +10,7 @@ from blockbeam.audio_io import (
     read_wav,
     write_wav,
 )
-from blockbeam.errors import DataError, FormatError, SizeError, UnsupportedEncodingError
+from blockbeam.errors import ConfigError, DataError, FormatError, SizeError, UnsupportedEncodingError
 from blockbeam.pipeline import PipelineConfig, run
 from blockbeam.stft import analyze
 
@@ -233,8 +233,10 @@ class TestMultichannelSignal:
             MultichannelSignal(np.zeros((2, 2, 2)), 8000)
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(DataError):
-            MultichannelSignal(np.zeros((1, 4)), 0)
+        # a rate is a whole number of hertz >= 1: nothing is truncated
+        for rate in (0, 16000.7, True, "16000"):
+            with pytest.raises(ConfigError, match="sample_rate"):
+                MultichannelSignal(np.zeros((1, 4)), rate)
 
     def test_no_channels_rejected(self):
         # a (0, N) matrix used to give a (257, F, 0) spectrogram from analyze

@@ -78,6 +78,20 @@ class TestSimulateCommand:
             pytest.param('{"seed": 1.5}', 2, "seed", id="fractional-seed"),
             pytest.param('{"sample_rate": 16000.7}', 2, "sample_rate", id="fractional-sample-rate"),
             pytest.param('{"decay": {"taps": 2.9}}', 2, "decay.taps", id="fractional-decay-taps"),
+            # the real-valued fields are finite numbers, never a bool
+            pytest.param('{"snr_db": true}', 2, "snr_db", id="bool-snr"),
+            pytest.param('{"duration_s": true}', 2, "duration_s", id="bool-duration"),
+            pytest.param('{"decay": {"factor": true}}', 2, "decay.factor", id="bool-decay-factor"),
+            pytest.param('{"decay": {"factor": NaN}}', 2, "decay.factor", id="nan-decay-factor"),
+            pytest.param(
+                '{"segments": [{"start_s": true, "delays": [0, 2, 4, 6]}]}', 2, "segments[0].start_s",
+                id="bool-start",
+            ),
+            # a start too late for a sample index ended in an OverflowError traceback
+            pytest.param(
+                '{"segments": [{"delays": [0, 2, 4, 6]}, {"start_s": 1e300, "delays": [0, 2, 4, 6]}]}', 2,
+                "malformed", id="start-beyond-sample-index",
+            ),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, code, message):
@@ -303,6 +317,17 @@ class TestEnhanceCommand:
             ["enhance", "--input", str(tmp_path / "missing.wav"), "--output", str(tmp_path / "o.wav")]
         )
         assert code == 3
+
+    def test_zero_rate_header_is_config_error(self, tmp_path, capsys):
+        # the header's rate follows the number rule of every other rate
+        wav = tmp_path / "zero.wav"
+        write_wav(MultichannelSignal(np.zeros((2, 1600)), 16000), wav)
+        header = bytearray(wav.read_bytes())
+        header[24:32] = bytes(8)  # sample rate and byte rate
+        wav.write_bytes(bytes(header))
+        assert main(["enhance", "--input", str(wav), "--output", str(tmp_path / "o.wav")]) == 2
+        assert "sample_rate must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
 
     def test_invalid_pairing_is_config_error(self, sim_dir, tmp_path):
         code = main(

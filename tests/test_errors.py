@@ -1,0 +1,72 @@
+"""The one rule for numbers from outside: `errors.whole_number` for counts,
+indices and rates, `errors.real_number` for real-valued settings. Every entry
+point that takes such a number rejects a bad one with a ConfigError that names
+the field, and stores the value that the rule returns."""
+
+import re
+
+import numpy as np
+import pytest
+
+from blockbeam.audio_io import MultichannelSignal
+from blockbeam.errors import ConfigError
+from blockbeam.evalsim import MixtureSpec, decaying_firs, delay_firs, speech_like_source
+from blockbeam.pipeline import PipelineConfig
+
+ENTRY_POINTS = {
+    "PipelineConfig": lambda **kw: PipelineConfig(**kw),
+    "MultichannelSignal": lambda **kw: MultichannelSignal(np.zeros((1, 4)), **kw),
+    "MixtureSpec": lambda **kw: MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis], **kw),
+    "delay_firs": lambda **kw: delay_firs([0, 5], **kw),
+    "decaying_firs": lambda **kw: decaying_firs([0, 5], np.random.default_rng(0), **kw),
+    "speech_like_source": lambda **kw: speech_like_source(sample_rate=16000, rng=np.random.default_rng(0), **kw),
+}
+
+WHOLE_FIELDS = [
+    ("PipelineConfig", "block_frames"),
+    ("PipelineConfig", "sub_block_len"),
+    ("PipelineConfig", "ref_channel"),
+    ("MultichannelSignal", "sample_rate"),
+    ("delay_firs", "taps"),
+    ("decaying_firs", "extra_taps"),
+]
+REAL_FIELDS = [
+    ("PipelineConfig", "t_mu"),
+    ("PipelineConfig", "t_snr"),
+    ("MixtureSpec", "snr_db"),
+    ("decaying_firs", "decay"),
+    ("speech_like_source", "duration_s"),
+]
+# values below a field's minimum or outside its range
+OUT_OF_RANGE = [
+    ("PipelineConfig", "sub_block_len", 0),
+    ("PipelineConfig", "ref_channel", -1),
+    ("MultichannelSignal", "sample_rate", 0),
+    ("delay_firs", "taps", 5),  # the largest delay is 5, so 6 taps at least
+    ("decaying_firs", "extra_taps", -1),
+    ("PipelineConfig", "t_mu", -0.1),
+    ("PipelineConfig", "t_mu", 1.5),
+    ("decaying_firs", "decay", -0.5),
+    ("decaying_firs", "decay", 1.5),
+    ("speech_like_source", "duration_s", -1.0),
+]
+
+ROWS = (
+    [(entry, field, value) for entry, field in WHOLE_FIELDS for value in (True, "1", 1.5)]
+    + [(entry, field, value) for entry, field in REAL_FIELDS for value in (np.nan, np.inf, -np.inf, True, "1")]
+    + OUT_OF_RANGE
+)
+
+
+@pytest.mark.parametrize(
+    "entry,field,value", ROWS, ids=[f"{entry}-{field}-{value!r}" for entry, field, value in ROWS]
+)
+def test_bad_number_names_its_field(entry, field, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be"):
+        ENTRY_POINTS[entry](**{field: value})
+
+
+@pytest.mark.parametrize("value", [np.int64(100), 100.0], ids=["int64", "float"])
+def test_whole_block_frames_stored_as_int(value):
+    cfg = PipelineConfig(block_frames=value)
+    assert type(cfg.block_frames) is int and cfg.block_frames == 100
