@@ -172,10 +172,11 @@ def _cmd_simulate(args) -> int:
         rng = np.random.default_rng(whole_number(conf.get("seed", 0), "seed"))
 
         if source_path is not None:
-            # the configured rate labels the outputs, as for the built-in source
             source = read_wav(source_path)
             if source.channel_count != 1:
                 raise ConfigError(f"{source_path}: the source must be a 1-channel file, got {source.channel_count}")
+            if source.sample_rate != sample_rate:
+                raise ConfigError(f"{source_path}: source rate {source.sample_rate} != sample_rate {sample_rate}")
             dry = source.samples[0]
         else:
             dry = evalsim.speech_like_source(conf.get("duration_s", 4.0), sample_rate, rng)
@@ -209,13 +210,13 @@ def _cmd_simulate(args) -> int:
         "n_fft": FRAME_LEN,
         "segments": [
             {
-                "start_sample": seg.start_sample,
-                "rtf_real": seg.rtf.real.tolist(),
-                "rtf_imag": seg.rtf.imag.tolist(),
-                "inv_rtf_real": seg.inv_rtf.real.tolist(),
-                "inv_rtf_imag": seg.inv_rtf.imag.tolist(),
+                "start_sample": int(start),
+                "rtf_real": rtf.real.tolist(),
+                "rtf_imag": rtf.imag.tolist(),
+                "inv_rtf_real": inv_rtf.real.tolist(),
+                "inv_rtf_imag": inv_rtf.imag.tolist(),
             }
-            for seg in sim.true_rtf
+            for start, rtf, inv_rtf in zip(spec.segment_starts, sim.true_rtf, 1.0 / sim.true_rtf)
         ],
     }
     (out_dir / "rtf.json").write_text(json.dumps(rtf_payload))

@@ -53,6 +53,8 @@ SENTINEL_DB = 200.0
 
 NOISE_KINDS = ("white", "pink", "file")
 
+PAUSE_PROB = 0.3  # share of the built-in source's 80 ms gain steps that are pauses
+
 
 @dataclass
 class MixtureSpec:
@@ -93,60 +95,55 @@ class MixtureSpec:
 
 
 @dataclass
-class SegmentRtf:
-    """Ground-truth transfer-function ratios for one trajectory segment."""
-
-    start_sample: int
-    rtf: np.ndarray  # (bins, channels), H_i / H_ref
-    inv_rtf: np.ndarray  # (bins, channels), H_ref / H_i
-
-
-@dataclass
 class SimResult:
     mixture: MultichannelSignal
     clean: MultichannelSignal  # target spatial images, noise-free
     noise: MultichannelSignal  # scaled noise stems; mixture = clean + noise
-    true_rtf: list[SegmentRtf]
+    true_rtf: np.ndarray  # (segments, bins, channels), H_i / H_0 per segment
 
 
-def delay_firs(delays, gains=None, taps: int | None = None) -> np.ndarray:
-    """Pure-delay FIRs, one per channel: h_i[d_i] = gain_i, d_i whole samples,
-    with `taps` taps: at least, and by default, the largest delay plus one."""
+def _whole_delays(delays) -> np.ndarray:
+    """Per-channel delays in whole samples; at least one channel."""
     delays = np.array([whole_number(d, f"delays[{i}]") for i, d in enumerate(delays)], dtype=np.int64)
-    gains = np.ones(len(delays)) if gains is None else np.asarray(gains, dtype=np.float64)
+    if delays.size == 0:
+        raise ConfigError("delays must list one delay per channel, got none")
+    return delays
+
+
+def delay_firs(delays, taps: int | None = None) -> np.ndarray:
+    """Pure-delay FIRs, one per channel: h_i[d_i] = 1, d_i whole samples,
+    with `taps` taps: at least, and by default, the largest delay plus one."""
+    delays = _whole_delays(delays)
     shortest = int(delays.max()) + 1
     n_taps = shortest if taps is None else whole_number(taps, "taps", minimum=shortest)
     firs = np.zeros((len(delays), n_taps))
-    for i, (d, g) in enumerate(zip(delays, gains)):
-        firs[i, d] = g
+    firs[np.arange(len(delays)), delays] = 1.0
     return firs
 
 
 def decaying_firs(delays, rng, extra_taps: int = 3, decay: float = 0.5) -> np.ndarray:
     """Delay-plus-decaying-taps FIRs: a unit main tap followed by `extra_taps` random-sign
     taps shrinking by a factor `decay` in [0, 1] each, a desk-scale stand-in for early reflections."""
-    delays = np.array([whole_number(d, f"delays[{i}]") for i, d in enumerate(delays)], dtype=np.int64)
+    delays = _whole_delays(delays)
     extra_taps = whole_number(extra_taps, "extra_taps")
     decay = real_number(decay, "decay", 0.0, 1.0)
-    n_taps = int(delays.max()) + extra_taps + 1
-    firs = np.zeros((len(delays), n_taps))
+    firs = delay_firs(delays, taps=int(delays.max()) + extra_taps + 1)
     for i, d in enumerate(delays):
-        firs[i, d] = 1.0
         for j in range(1, extra_taps + 1):
             firs[i, d + j] = rng.choice([-1.0, 1.0]) * decay**j * rng.uniform(0.5, 1.0)
     return firs
 
 
-def true_rtfs(firs: np.ndarray, ref: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency responses of the FIRs as ratios against the reference channel.
+def true_rtfs(firs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency responses of the FIRs as ratios against channel 0, the reference.
 
     Returns (rtf, inv_rtf), both (bins, channels) on the frame grid's
-    one-sided bins. The reference FIR must have no spectral nulls there.
+    one-sided bins. No FIR may have a spectral null there.
     """
     resp = np.fft.rfft(firs, n=FRAME_LEN, axis=1).T  # (bins, channels)
     if np.any(np.abs(resp) < 1e-12):
         raise DataError("FIR frequency response has a near-null bin; RTF undefined there")
-    rtf = resp / resp[:, ref : ref + 1]
+    rtf = resp / resp[:, :1]
     return rtf, 1.0 / rtf
 
 
@@ -201,15 +198,19 @@ def _ar1(x: np.ndarray, pole: float) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: float = 0.3) -> np.ndarray:
+def speech_like_source(duration_s: float, sample_rate: int, rng) -> np.ndarray:
     """Nonstationary low-pass test source: AR(1)-colored noise bursts.
 
-    The gain changes every 80 ms and occasionally drops to a pause, giving
-    the across-sub-block power variation the RTF estimator relies on and the
-    silence/activity contrast the oracle mask needs. The AR coloring keeps
-    neighboring channels correlated under small relative delays.
+    The gain changes every 80 ms and drops to a pause with probability
+    PAUSE_PROB, giving the across-sub-block power variation the RTF estimator
+    relies on and the silence/activity contrast the oracle mask needs. The AR
+    coloring keeps neighboring channels correlated under small relative delays.
     """
-    n = int(round(real_number(duration_s, "duration_s", low=0.0) * sample_rate))
+    samples = real_number(duration_s, "duration_s", low=0.0) * sample_rate
+    if samples > np.iinfo(np.intp).max:
+        most = np.iinfo(np.intp).max / sample_rate
+        raise ConfigError(f"duration_s must be at most {most:g} s at {sample_rate} Hz, got {duration_s!r}")
+    n = int(round(samples))
     # short raised-cosine smoothing to avoid clicks at gain steps
     ramp = int(round(0.004 * sample_rate))
     shortest = max(ramp, 1)
@@ -218,7 +219,7 @@ def speech_like_source(duration_s: float, sample_rate: int, rng, pause_prob: flo
             f"speech-like source needs at least {shortest} samples (its gain ramp), got {n}: "
             f"duration_s must be at least {shortest / sample_rate:g} s at {sample_rate} Hz"
         )
-    env = _gated_envelope(n, sample_rate, rng, pause_prob, 0.3)
+    env = _gated_envelope(n, sample_rate, rng, PAUSE_PROB, 0.3)
     if ramp > 1:
         kernel = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(ramp) / ramp)
         env = np.convolve(env, kernel / kernel.sum(), mode="same")
@@ -237,8 +238,8 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> 
 
     alpha is chosen so that the total clean-to-noise energy ratio across all
     channels equals spec.snr_db exactly. Returned stems satisfy
-    mixture = clean + noise sample for sample; true RTFs are reported per
-    trajectory segment on the frame grid's one-sided bins.
+    mixture = clean + noise sample for sample; true_rtf holds the RTFs of each
+    segment of spec.segment_starts on the frame grid's one-sided bins.
     """
     dry = np.asarray(dry_speech, dtype=np.float64)
     if dry.ndim != 1:
@@ -260,7 +261,6 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> 
     taps = spec.firs.shape[2]
     bounds = list(spec.segment_starts) + [n_samples]
     clean = np.zeros((spec.channel_count, n_samples))
-    rtf_list = []
     for seg in range(len(spec.segment_starts)):
         lo, hi = bounds[seg], bounds[seg + 1]
         # Filter only the span that reaches lo:hi, keeping it longer than the
@@ -270,8 +270,6 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> 
         last = min(n_samples, max(hi, first + taps + 1))
         for ch in range(spec.channel_count):
             clean[ch, lo:hi] = _fir(spec.firs[seg, ch], dry[first:last])[lo - first : hi - first]
-        rtf, inv_rtf = true_rtfs(spec.firs[seg])
-        rtf_list.append(SegmentRtf(start_sample=int(lo), rtf=rtf, inv_rtf=inv_rtf))
 
     clean_energy = float(np.sum(clean**2))
     noise_energy = float(np.sum(noise_samples**2))
@@ -284,7 +282,7 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> 
         mixture=MultichannelSignal(clean + noise_scaled, sample_rate),
         clean=MultichannelSignal(clean, sample_rate),
         noise=MultichannelSignal(noise_scaled, sample_rate),
-        true_rtf=rtf_list,
+        true_rtf=np.stack([true_rtfs(firs)[0] for firs in spec.firs]),
     )
 
 
@@ -361,8 +359,7 @@ def decompose(estimate, target_stem, noise_stems, filter_len: int = DEFAULT_FILT
     est = np.asarray(estimate, dtype=np.float64).ravel()
     target = np.asarray(target_stem, dtype=np.float64).ravel()
     noises = np.atleast_2d(np.asarray(noise_stems, dtype=np.float64))
-    if filter_len < 1:
-        raise SizeError(f"filter_len must be >= 1, got {filter_len}")
+    filter_len = whole_number(filter_len, "filter_len", minimum=1)
     if target.shape[0] != est.shape[0] or noises.shape[1] != est.shape[0]:
         raise SizeError("stems must match the estimate length")
     for name, samples in (("estimate", est), ("target stem", target), ("noise stems", noises)):
@@ -449,8 +446,10 @@ def evaluate_blockwise(
     est = np.asarray(estimate, dtype=np.float64).ravel()
     target = np.asarray(target_stem, dtype=np.float64).ravel()[: est.shape[0]]
     noises = np.atleast_2d(np.asarray(noise_stems, dtype=np.float64))[:, : est.shape[0]]
+    filter_len = whole_number(filter_len, "filter_len", minimum=1)
     if est.shape[0] < filter_len:
         raise SizeError(f"estimate of {est.shape[0]} samples shorter than the projection filter {filter_len}")
+    window = whole_number(window, "window", minimum=1)
     if window < filter_len:
         raise SizeError(f"window {window} shorter than the projection filter {filter_len}")
     if target.shape[0] < est.shape[0] or noises.shape[1] < est.shape[0]:

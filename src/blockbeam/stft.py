@@ -14,11 +14,13 @@ transformed on its own, so the result does not depend on the chunking.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MultichannelSignal
-from .errors import ConfigError, DataError, SizeError
+from .errors import ConfigError, DataError, SizeError, real_number
 
 # The one frame grid, CHiME-4's: 512-sample frames, hop 128, at 16 kHz.
 FRAME_LEN = 512
@@ -71,8 +73,10 @@ def frame_span(start_frame: int, n_frames: int) -> tuple[int, int]:
 
 
 def frames_for_duration_ms(duration_ms: float) -> int:
-    """Block length in frames whose hop grid spans the given duration; the
-    duration must be positive and give a finite frame count."""
+    """Block length in frames whose hop grid spans the given duration: a number
+    (`errors.real_number`), positive, that gives a finite frame count."""
+    if isinstance(duration_ms, bool) or not isinstance(duration_ms, numbers.Real):
+        real_number(duration_ms, "duration_ms")  # raises, naming the field
     frames = duration_ms * SAMPLE_RATE / 1000.0 / HOP
     if not (duration_ms > 0 and np.isfinite(frames)):
         raise ConfigError(f"block duration must be positive and finite, got {duration_ms} ms")

@@ -162,6 +162,25 @@ class TestSimulateCommand:
         assert "1-channel" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_source_file_at_another_rate_is_config_error(self, tmp_path, capsys):
+        # an 8 kHz dry source is refused, not relabelled 16 kHz and played
+        # at twice its speed
+        write_wav(MultichannelSignal(np.full((1, 1600), 0.1), 8000), tmp_path / "dry.wav")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"source": {"file": str(tmp_path / "dry.wav")}}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "source rate 8000 != sample_rate 16000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [{}, {"decay": {"taps": 2}}], ids=["delay", "decaying"])
+    def test_empty_delays_name_the_field(self, tmp_path, capsys, extra):
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"duration_s": 0.1, "delays": [], **extra}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "delays must list one delay per channel" in err and "malformed" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEnhanceCommand:
     def test_oracle_mvdr_end_to_end(self, sim_dir, tmp_path):

@@ -83,7 +83,7 @@ class TestSimulate:
         )
         sim = simulate(spec, dry, white_noise(2, dry.shape[0], rng))
         assert len(sim.true_rtf) == 2
-        assert sim.true_rtf[1].start_sample == 8000
+        assert sim.true_rtf[1].tobytes() == true_rtfs(firs[1])[0].tobytes()
         # second segment clean stems follow the second FIR
         manual = np.convolve(dry, firs[1, 1])[: dry.shape[0]]
         assert np.allclose(sim.clean.samples[1, 8000:], manual[8000:])
@@ -147,6 +147,14 @@ class TestSimulate:
         # does not wrap round to the last tap
         with pytest.raises(ConfigError, match=r"delays\[1\] must be an integer >= 0"):
             make(delays)
+
+    @pytest.mark.parametrize(
+        "make", [delay_firs, lambda d: decaying_firs(d, np.random.default_rng(4))], ids=["delay", "decaying"]
+    )
+    def test_empty_delays_rejected(self, make):
+        # no channel at all is named, not numpy's empty-reduction ValueError
+        with pytest.raises(ConfigError, match="^delays must list one delay per channel"):
+            make([])
 
     def test_integer_valued_float_delay_accepted(self):
         # JSON may write a whole delay as 2.0

@@ -42,7 +42,7 @@ def gain_mixture(seed=0, duration=1.0, gains=(1.0, 0.8, 1.2, 0.9), snr_db=5.0, n
     per-bin channel relations are exact on the STFT grid."""
     rng = np.random.default_rng(seed)
     dry = speech_like_source(duration, 16000, rng)
-    firs = delay_firs([0] * len(gains), gains=list(gains))
+    firs = delay_firs([0] * len(gains)) * np.asarray(gains)[:, np.newaxis]
     spec = MixtureSpec(channel_count=len(gains), firs=firs[np.newaxis], snr_db=snr_db)
     sim = simulate(spec, dry, noise_fn(len(gains), dry.shape[0], rng))
     return sim
@@ -173,7 +173,7 @@ class TestProcessBlock:
         # is distortionless and the output matches the reference clean stem
         rng = np.random.default_rng(1)
         dry = speech_like_source(1.0, 16000, rng)
-        firs = delay_firs([0, 0, 0], gains=[1.0, 0.8, 1.2])
+        firs = delay_firs([0, 0, 0]) * np.array([[1.0], [0.8], [1.2]])
         spec = MixtureSpec(channel_count=3, firs=firs[np.newaxis], snr_db=200.0)
         sim = simulate(spec, dry, white_noise(3, dry.shape[0], rng))
         cfg = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="none", vad_mode="oracle")
