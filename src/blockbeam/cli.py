@@ -128,6 +128,8 @@ def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str
     segments = conf.get("segments")
     if segments is None:
         segments = [{"start_s": 0.0, "delays": conf.get("delays", list(range(0, 2 * channels, 2)))}]
+    elif not segments:
+        raise ConfigError(f"segments must list at least one segment, got {segments!r}")
     decay_conf = conf.get("decay")
     firs = []
     starts = []

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import MultichannelSignal, NetworkWeights
-from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
+from .beamform import _bin_chunks, apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError, real_number, whole_number
-from .postfilter import projected_residual, wiener_mask
+from .postfilter import projected_residual, wiener_delta, wiener_gain
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
 from .stft import analyze, check_rate, chunk_slices, frame_count, frame_span, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
@@ -275,20 +275,26 @@ def process_block(
             weights, ban_gain, diag.gev_degenerate_bins, diag.gev_noise_loaded_bins = gev_weights(bins, pooled)
         beam_out = apply_weights(weights, bins)
         if cfg.postfilter == "ban":
-            beam_out = beam_out * ban_gain[:, None]
+            beam_out *= ban_gain[:, None]
 
     with _stage_timer(timings, "postfilter"):
         if cfg.postfilter == "wiener":
-            residual = projected_residual(weights, bins, noise_proj)
-            speech_mask = None if cfg.vad_mode == "none" else pooled
-            gain = wiener_mask(beam_out, residual, speech_mask)
-            enhanced = beam_out * gain
-        else:
-            enhanced = beam_out
+            # a bin slice at a time, in place: beside the spectrogram and
+            # the beam output only |u|^2 is block-sized, no residual or gain
+            parts = _bin_chunks(*beam_out.shape)
+            u_pow = np.empty(beam_out.shape)
+            for part in parts:
+                u = beam_out[part]
+                u_pow[part] = u.real**2 + u.imag**2
+            delta = wiener_delta(u_pow)
+            for part in parts:
+                residual = projected_residual(weights[part], bins[part], noise_proj[part])
+                speech_mask = None if cfg.vad_mode == "none" else pooled[part]
+                beam_out[part] *= wiener_gain(u_pow[part], residual, delta, part, speech_mask)
 
     if inv_rtf is not None:
         inv_rtf = inv_rtf[:, np.argsort(order)]
-    return BlockResult(enhanced=enhanced, diagnostics=diag, pooled_mask=pooled, rtf=inv_rtf)
+    return BlockResult(enhanced=beam_out, diagnostics=diag, pooled_mask=pooled, rtf=inv_rtf)
 
 
 def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int]]:

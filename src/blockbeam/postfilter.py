@@ -1,4 +1,12 @@
-"""Single-channel Wiener post-filtering of the beamformer output."""
+"""Single-channel Wiener post-filtering of the beamformer output.
+
+The gain has one formulation in two parts: `wiener_delta`, the division
+guard from the mean beam-output power of the whole block, and
+`wiener_gain`, the gain of a slice of bins given that guard. The pipeline
+takes the gain a bin slice at a time and scales the beam output in place,
+so no (bins, frames) residual or gain is formed beside it; `wiener_mask`
+is the gain of the whole block at once.
+"""
 
 from __future__ import annotations
 
@@ -33,16 +41,48 @@ def projected_residual(weights: np.ndarray, bins, projection) -> np.ndarray:
     return (np.asarray(bins) @ folded)[:, :, 0]
 
 
-def wiener_mask(beam_out, residual, speech_mask) -> np.ndarray:
-    """Per-bin Wiener gain with the three practical overrides.
+def wiener_delta(u_pow: np.ndarray) -> float:
+    """Division guard delta: NOISE_FLOOR times the mean of the block's
+    (K, L) beam-output power |u|^2, and at least the smallest normal float.
+    The mean is taken over the whole contiguous array, whose pairwise sum
+    fixes delta's bits."""
+    return max(NOISE_FLOOR * float(u_pow.mean()), np.finfo(np.float64).tiny)
 
-    Base gain: max(|u|^2 - |r|^2, delta) / (|u|^2 + delta) with delta
-    NOISE_FLOOR times the mean |u|^2. Overrides apply in order: bins whose
-    frame-grid center frequency is below LOW_CUTOFF_HZ are forced to
-    LOW_GAIN, bins above HIGH_CUTOFF_HZ to 1, and bins where the speech mask
-    exceeds VAD_THRESHOLD to 1 (skipped when speech_mask is None). The
-    result is clamped into (0, 1]. A spectrogram with another bin count than
-    the grid's, or with no frames, raises SizeError.
+
+def wiener_gain(u_pow: np.ndarray, residual: np.ndarray, delta: float, rows: slice, speech_mask) -> np.ndarray:
+    """Wiener gain of the bin slice `rows` of a block, given its delta.
+
+    Base gain: max(|u|^2 - |r|^2, delta) / (|u|^2 + delta). Overrides apply
+    in order: bins whose frame-grid center frequency is below LOW_CUTOFF_HZ
+    are forced to LOW_GAIN, bins above HIGH_CUTOFF_HZ to 1, and bins where
+    the speech mask exceeds VAD_THRESHOLD to 1 (skipped when speech_mask is
+    None). The result is clamped into (0, 1]. Each entry depends only on
+    its own bin and frame, so slices give the gain of the whole block bit
+    for bit.
+
+    Arguments:
+        u_pow: beam-output power |u|^2 of the slice's bins, (k, L)
+        residual: complex residual of the slice's bins, (k, L)
+        delta: `wiener_delta` of the whole block
+        rows: the slice of the frame grid's bins that the arrays cover
+        speech_mask: the slice's speech-presence weights (k, L), or None
+    """
+    gain = u_pow - (residual.real**2 + residual.imag**2)
+    np.maximum(gain, delta, out=gain)
+    gain /= u_pow + delta
+    freqs = BIN_FREQS[rows]
+    gain[freqs < LOW_CUTOFF_HZ, :] = LOW_GAIN
+    gain[freqs > HIGH_CUTOFF_HZ, :] = 1.0
+    if speech_mask is not None:
+        gain[speech_mask > VAD_THRESHOLD] = 1.0
+    return np.clip(gain, np.finfo(np.float64).tiny, 1.0, out=gain)
+
+
+def wiener_mask(beam_out, residual, speech_mask) -> np.ndarray:
+    """Per-bin Wiener gain of a whole block with the three practical
+    overrides: `wiener_gain` of all bins, given the block's `wiener_delta`.
+    A spectrogram with another bin count than the grid's, or with no
+    frames, raises SizeError, and so does a speech mask of another shape.
 
     Arguments:
         beam_out, residual: complex spectrograms (K, L) on the frame grid
@@ -54,14 +94,7 @@ def wiener_mask(beam_out, residual, speech_mask) -> np.ndarray:
         raise SizeError(f"output/residual shape mismatch: {u.shape} vs {r.shape}")
     if u.ndim != 2 or u.shape[0] != N_BINS or u.shape[1] == 0:
         raise SizeError(f"expected a ({N_BINS}, frames >= 1) spectrogram, got shape {u.shape}")
-
-    u_pow = u.real**2 + u.imag**2
-    r_pow = r.real**2 + r.imag**2
-    delta = max(NOISE_FLOOR * float(u_pow.mean()), np.finfo(np.float64).tiny)
-
-    gain = np.maximum(u_pow - r_pow, delta) / (u_pow + delta)
-    gain[BIN_FREQS < LOW_CUTOFF_HZ, :] = LOW_GAIN
-    gain[BIN_FREQS > HIGH_CUTOFF_HZ, :] = 1.0
     if speech_mask is not None:
-        gain[checked_mask(speech_mask, u.shape) > VAD_THRESHOLD] = 1.0
-    return np.clip(gain, np.finfo(np.float64).tiny, 1.0)
+        speech_mask = checked_mask(speech_mask, u.shape)
+    u_pow = u.real**2 + u.imag**2
+    return wiener_gain(u_pow, r, wiener_delta(u_pow), slice(None), speech_mask)

@@ -64,6 +64,7 @@ class TestSimulateCommand:
             pytest.param('{"channels": "x"}', 2, "channels", id="channels-not-int"),
             pytest.param('{"duration_s": -1}', 2, "duration_s", id="negative-duration"),
             pytest.param('{"segments": [1]}', 2, "malformed", id="segment-not-object"),
+            pytest.param('{"segments": []}', 2, "segments", id="empty-segments"),
             pytest.param('{"segments": [{"firs": [1.0, 0.5]}]}', 2, "malformed", id="firs-not-matrix"),
             # a delay is a whole number of samples: a fraction is not cut to
             # its integer part and a negative delay does not wrap round

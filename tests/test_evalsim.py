@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,28 @@ class TestSimulate:
         x = speech_like_source(2.0, 16000, np.random.default_rng(7))
         seg_energy = np.sum(x[: 24 * 1280].reshape(24, 1280) ** 2, axis=1)
         assert seg_energy.min() < 0.01 * seg_energy.max()
+
+    @pytest.mark.parametrize(
+        "make,bound",
+        [
+            pytest.param(lambda rng: speech_like_source(5.0, 16000, rng), 5.0, id="speech-like"),
+            pytest.param(lambda rng: pink_noise(4, 80000, rng), 2.6, id="pink"),
+        ],
+    )
+    def test_source_working_set_is_bounded(self, make, bound):
+        # the speech-like source, its gain envelope and their product are
+        # each one array of the output's size, and the AR(1) recurrence holds
+        # one chunk as Python floats: the traced peak is 4.0x the output
+        # (10.1x with the whole source as lists of floats). Pink noise holds
+        # its spectrum and the output, 2.25x (3.25x with the spectrum kept
+        # beside np.std's centred copy of the output)
+        tracemalloc.start()
+        try:
+            x = make(np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x.nbytes
 
 
 class TestDecompose:
