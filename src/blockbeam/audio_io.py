@@ -164,8 +164,8 @@ def load_network(path) -> NetworkWeights:
         raw_std = raw["std"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
-    if not raw_layers:
-        raise FormatError(f"{path}: empty layer list")
+    if not isinstance(raw_layers, list) or not raw_layers:
+        raise FormatError(f"{path}: layers must be a non-empty list, got {type(raw_layers).__name__}")
 
     layers = []
     for idx, entry in enumerate(raw_layers):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import SizeError
 from .rtf import reciprocal_rtf
-from .stft import _CHUNK_FRAMES, chunk_slices
+from .stft import bin_chunks
 from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
@@ -58,23 +58,16 @@ MVDR_DEN_GUARD = 1e-12
 MASK_SUM_FLOOR = np.finfo(np.float64).tiny
 
 
-def _bin_chunks(n_bins: int, n_frames: int) -> list[slice]:
-    """Slices (`stft.chunk_slices`) of the bin axis, each spanning about
-    n_bins * _CHUNK_FRAMES (bin, frame) entries, the working set `analyze`
-    chunks by; a block of at most _CHUNK_FRAMES frames is one slice."""
-    return chunk_slices(n_bins, max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1)))
-
-
 def sample_covariance(bins) -> np.ndarray:
     """Unnormalized per-bin sum of outer products, (K, M, M).
 
     The conjugated copy of x is made a chunk of bins at a time
-    (`_bin_chunks`); each bin is one `matmul`, so chunks do not change bits.
+    (`stft.bin_chunks`); each bin is one `matmul`, so chunks do not change bits.
     """
     x = np.asarray(bins)
     n_bins, n_frames, n_ch = x.shape
     cov = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
-    for part in _bin_chunks(n_bins, n_frames):
+    for part in bin_chunks(n_bins, n_frames):
         np.matmul(x[part].transpose(0, 2, 1), np.conj(x[part]), out=cov[part])
     return cov
 
@@ -205,7 +198,7 @@ def masked_covariances(bins, mask):
     they are replaced by the plain per-frame average of x x^H and flagged.
     A spectrogram with no frames raises SizeError.
 
-    Both weighted sums of a chunk of bins (`_bin_chunks`) go through one
+    Both weighted sums of a chunk of bins (`stft.bin_chunks`) go through one
     buffer holding that chunk's weighted conjugate frames,
     sum_l w_l x_l x_l^H = conj((w conj(x))^T x), so a long block makes no
     full-size temporary; each bin is still one `matmul`.
@@ -225,7 +218,7 @@ def masked_covariances(bins, mask):
 
     speech = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
     noise = np.empty_like(speech)
-    for part in _bin_chunks(n_bins, n_frames):
+    for part in bin_chunks(n_bins, n_frames):
         weighted = np.conj(x[part])
         weighted *= w[part, :, None]
         np.conj(weighted.transpose(0, 2, 1) @ x[part], out=speech[part])

@@ -25,7 +25,7 @@ from .pipeline import (
     PipelineConfig,
     POSTFILTERS,
     VAD_MODES,
-    _check_stems,
+    check_stems,
     run_with_diagnostics,
 )
 from .rtf import SUB_BLOCK_LEN_DEFAULT
@@ -73,11 +73,10 @@ def _pipeline_config(args, block_ms: str, beamformer: str, postfilter: str) -> P
     )
 
 
-def _load_oracle(args) -> OracleStems | None:
-    if args.vad != "oracle":
-        return None
+def _read_stems(args, user: str) -> OracleStems:
+    """The --clean and --noise stems, which `user` cannot do without."""
     if not args.clean or not args.noise:
-        raise ConfigError("oracle VAD mode requires --clean and --noise stems")
+        raise ConfigError(f"{user} requires --clean and --noise stems")
     return OracleStems(clean=read_wav(args.clean), noise=read_wav(args.noise))
 
 
@@ -93,7 +92,7 @@ def _cmd_enhance(args) -> int:
     mixture = read_wav(args.input)
     cfg = _pipeline_config(args, args.block_ms, args.beamformer, args.postfilter)
     network = _load_vad_network(args)
-    oracle = _load_oracle(args)
+    oracle = _read_stems(args, "oracle VAD mode") if args.vad == "oracle" else None
 
     enhanced, results = run_with_diagnostics(mixture, cfg, network, oracle)
     write_wav(enhanced, args.output, encoding=args.encoding)
@@ -226,25 +225,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_files(estimate_path, clean_path, noise_path, ref_channel: int, filter_len: int):
-    estimate = read_wav(estimate_path)
+def _cmd_evaluate(args) -> int:
+    estimate = read_wav(args.estimate)
     if estimate.channel_count != 1:
         raise ConfigError(f"estimate must be single-channel, got {estimate.channel_count}")
-    clean = read_wav(clean_path)
-    noise = read_wav(noise_path)
-    for name, stem in (("clean", clean), ("noise", noise)):
+    stems = _read_stems(args, "evaluate")
+    for name, stem in (("clean", stems.clean), ("noise", stems.noise)):
         if stem.sample_rate != estimate.sample_rate:
             raise ConfigError(f"{name} stem rate {stem.sample_rate} != estimate rate {estimate.sample_rate}")
-    if ref_channel >= clean.channel_count:
-        raise ConfigError(f"--ref-channel {ref_channel + 1} exceeds clean stem channels")
-    return evalsim.evaluate_estimate(
-        estimate.samples[0], clean.samples[ref_channel], noise.samples, filter_len
-    )
-
-
-def _cmd_evaluate(args) -> int:
-    report = _evaluate_files(
-        args.estimate, args.clean, args.noise, args.ref_channel - 1, args.filter_len
+    if args.ref_channel > stems.clean.channel_count:
+        raise ConfigError(f"--ref-channel {args.ref_channel} exceeds clean stem channels")
+    report = evalsim.evaluate_estimate(
+        estimate.samples[0], stems.clean.samples[args.ref_channel - 1], stems.noise.samples, args.filter_len
     )
     payload = {
         "sir_db": report.sir_db,
@@ -261,15 +253,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.clean or not args.noise:
-        raise ConfigError("sweep scores every run against known stems: it requires --clean and --noise")
+    stems = _read_stems(args, "sweep, which scores every run,")
     mixture = read_wav(args.input)
-    clean = read_wav(args.clean)
-    noise = read_wav(args.noise)
     # every run is scored against the stems, so they must fit the mixture in
     # every VAD mode; stems and configurations are checked before any run
-    stems = OracleStems(clean=clean, noise=noise)
-    _check_stems(stems, mixture)
+    check_stems(stems, mixture)
     oracle = stems if args.vad == "oracle" else None
     network = _load_vad_network(args)
 
@@ -286,8 +274,8 @@ def _cmd_sweep(args) -> int:
         enhanced, _ = run_with_diagnostics(mixture, cfg, network, oracle)
         report = evalsim.evaluate_estimate(
             enhanced.samples[0],
-            clean.samples[args.ref_channel - 1],
-            noise.samples,
+            stems.clean.samples[args.ref_channel - 1],
+            stems.noise.samples,
             args.filter_len,
         )
         rows.append(

@@ -61,11 +61,11 @@ _AR1_CHUNK = 4096  # samples per Python list of the AR(1) recurrence
 class MixtureSpec:
     """Mixing recipe: per-segment per-channel FIRs, noise type, global SNR.
 
-    firs has shape (segments, channels, taps); segment_starts holds the first
-    sample of each segment (first entry 0). A single segment models a static
-    source; several segments model a source that jumps between positions at
-    the segment boundaries, which callers should align with processing-block
-    boundaries.
+    firs has shape (segments, channels, taps), one segment too (SizeError
+    otherwise); segment_starts holds the first sample of each segment (first
+    entry 0). A single segment models a static source; several segments
+    model a source that jumps between positions at the segment boundaries,
+    which callers should align with processing-block boundaries.
     """
 
     channel_count: int
@@ -75,7 +75,9 @@ class MixtureSpec:
     snr_db: float = DEFAULT_SNR_DB
 
     def __post_init__(self):
-        self.firs = np.atleast_3d(np.asarray(self.firs, dtype=np.float64))
+        self.firs = np.asarray(self.firs, dtype=np.float64)
+        if self.firs.ndim != 3:
+            raise SizeError(f"firs must have shape (segments, channels, taps), got {self.firs.shape}")
         self.segment_starts = np.asarray(self.segment_starts, dtype=np.int64)
         n_seg, n_ch, taps = self.firs.shape
         if n_ch != self.channel_count:
@@ -153,7 +155,9 @@ def white_noise(n_channels: int, n_samples: int, rng) -> np.ndarray:
 
 
 def pink_noise(n_channels: int, n_samples: int, rng) -> np.ndarray:
-    """1/f-shaped noise via spectral weighting of white noise."""
+    """1/f-shaped noise via spectral weighting of white noise, at least 2 samples long."""
+    if n_samples < 2:
+        raise SizeError(f"pink noise needs at least 2 samples, got {n_samples}")
     spec = np.fft.rfft(rng.standard_normal((n_channels, n_samples)), axis=1)
     freqs = np.fft.rfftfreq(n_samples)
     weights = np.zeros_like(freqs)

@@ -4,19 +4,20 @@ resynthesis of the concatenated enhanced frames."""
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .audio_io import MultichannelSignal, NetworkWeights
-from .beamform import _bin_chunks, apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
+from .beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError, real_number, whole_number
 from .postfilter import projected_residual, wiener_delta, wiener_gain
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import analyze, check_rate, chunk_slices, frame_count, frame_span, synthesize
+from .stft import analyze, bin_chunks, check_rate, chunk_slices, frame_count, frame_span, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -29,6 +30,11 @@ VALID_PAIRINGS = {
     "mvdr": {"none", "wiener"},
     "gev": {"none", "ban"},
 }
+
+# BlockDiagnostics.fallbacks keys, in record order
+FALLBACK_COUNTERS = ("rtf_variance_guard_bins", "mvdr_fallback_bins", "gev_degenerate_bins",
+                     "gev_noise_loaded_bins", "noise_cov_loaded_bins")
+
 
 @dataclass
 class PipelineConfig:
@@ -97,30 +103,23 @@ class OracleStems:
 
 @dataclass
 class BlockDiagnostics:
+    """What one block decided; `to_json_dict` writes each field under its own
+    name, rounding the values of a field with "decimals" metadata."""
+
     active_channels: list[int] = field(default_factory=list)
     passthrough: bool = False
     ref_fallback: bool = False
-    rtf_fallback_bins: int = 0
-    mvdr_fallback_bins: int = 0
-    gev_degenerate_bins: int = 0
-    gev_noise_loaded_bins: int = 0
-    noise_loaded_bins: int = 0
-    timings: dict = field(default_factory=dict)
+    fallbacks: dict = field(default_factory=lambda: dict.fromkeys(FALLBACK_COUNTERS, 0))  # bins per guard
+    timings_s: dict = field(default_factory=dict, metadata={"decimals": 6})  # seconds per stage
 
     def to_json_dict(self) -> dict:
-        return {
-            "active_channels": list(self.active_channels),
-            "passthrough": self.passthrough,
-            "ref_fallback": self.ref_fallback,
-            "fallbacks": {
-                "rtf_variance_guard_bins": self.rtf_fallback_bins,
-                "mvdr_fallback_bins": self.mvdr_fallback_bins,
-                "gev_degenerate_bins": self.gev_degenerate_bins,
-                "gev_noise_loaded_bins": self.gev_noise_loaded_bins,
-                "noise_cov_loaded_bins": self.noise_loaded_bins,
-            },
-            "timings_s": {k: round(v, 6) for k, v in self.timings.items()},
-        }
+        record = {}
+        for f in fields(self):
+            value = copy.copy(getattr(self, f.name))
+            if "decimals" in f.metadata:
+                value = {k: round(v, f.metadata["decimals"]) for k, v in value.items()}
+            record[f.name] = value
+        return record
 
 
 @dataclass
@@ -149,7 +148,7 @@ def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSi
     return MultichannelSignal(signal.samples[channels], signal.sample_rate)
 
 
-def _check_stems(stems: OracleStems, signal: MultichannelSignal) -> None:
+def check_stems(stems: OracleStems, signal: MultichannelSignal) -> None:
     """Clean and noise stems must match the signal's sample rate and channel
     count and cover its samples; only their first signal.n_samples samples
     are read."""
@@ -218,7 +217,7 @@ def process_block(
             f"ref_channel {cfg.ref_channel} out of range for {block.channel_count} channels"
         )
     diag = BlockDiagnostics()
-    timings = diag.timings
+    timings, fallbacks = diag.timings_s, diag.fallbacks
 
     with _stage_timer(timings, "failure_detection"):
         if block.channel_count >= 2:
@@ -249,7 +248,7 @@ def process_block(
         if cfg.vad_mode == "oracle":
             if oracle is None:
                 raise ConfigError("oracle VAD mode needs clean/noise stems")
-            _check_stems(oracle, block)
+            check_stems(oracle, block)
         pooled = _pooled_mask(bins, cfg, network, oracle, order[1:], timings)
     # the `vad` stage ran the stem analysis, which is timed on its own
     timings["vad"] -= timings.get("oracle_stft", 0.0)
@@ -258,21 +257,22 @@ def process_block(
     if cfg.beamformer != "gev":
         with _stage_timer(timings, "rtf"):
             inv_rtf, guarded = build_rtf_set(bins, pooled, sub_block_len=cfg.sub_block_len)
-            diag.rtf_fallback_bins = int(guarded.sum())
+            fallbacks["rtf_variance_guard_bins"] = int(guarded.sum())
 
     if cfg.beamformer == "mvdr" or cfg.postfilter == "wiener":
         with _stage_timer(timings, "noise_est"):
             # the projection only: the postfilter folds w into it, so the
             # per-channel noise estimate is never formed
-            noise_proj, noise_cov, diag.noise_loaded_bins = noise_projection(bins, inv_rtf)
+            noise_proj, noise_cov, fallbacks["noise_cov_loaded_bins"] = noise_projection(bins, inv_rtf)
 
     with _stage_timer(timings, "beamform"):
         if cfg.beamformer == "irtf":
             weights = irtf_weights(inv_rtf)
         elif cfg.beamformer == "mvdr":
-            weights, diag.mvdr_fallback_bins = mvdr_weights(noise_cov, inv_rtf)
+            weights, fallbacks["mvdr_fallback_bins"] = mvdr_weights(noise_cov, inv_rtf)
         else:
-            weights, ban_gain, diag.gev_degenerate_bins, diag.gev_noise_loaded_bins = gev_weights(bins, pooled)
+            weights, ban_gain, *gev_counts = gev_weights(bins, pooled)
+            fallbacks["gev_degenerate_bins"], fallbacks["gev_noise_loaded_bins"] = gev_counts
         beam_out = apply_weights(weights, bins)
         if cfg.postfilter == "ban":
             beam_out *= ban_gain[:, None]
@@ -281,7 +281,7 @@ def process_block(
         if cfg.postfilter == "wiener":
             # a bin slice at a time, in place: beside the spectrogram and
             # the beam output only |u|^2 is block-sized, no residual or gain
-            parts = _bin_chunks(*beam_out.shape)
+            parts = bin_chunks(*beam_out.shape)
             u_pow = np.empty(beam_out.shape)
             for part in parts:
                 u = beam_out[part]
@@ -343,7 +343,7 @@ def run_with_diagnostics(
     """
     check_rate(signal.sample_rate)
     if oracle is not None:
-        _check_stems(oracle, signal)
+        check_stems(oracle, signal)
 
     blocks = partition_frames(signal.n_samples, cfg)
     results = []
@@ -362,7 +362,7 @@ def run_with_diagnostics(
     out = synthesize(enhanced[:, :, None])
     elapsed = time.perf_counter() - start
     for (_, n_frames), result in zip(blocks, results):
-        result.diagnostics.timings["synthesis"] = elapsed * n_frames / enhanced.shape[1]
+        result.diagnostics.timings_s["synthesis"] = elapsed * n_frames / enhanced.shape[1]
     return out, results
 
 

@@ -93,6 +93,13 @@ def chunk_slices(n: int, size: int = _CHUNK_FRAMES) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def bin_chunks(n_bins: int, n_frames: int) -> list[slice]:
+    """Slices (`chunk_slices`) of the bin axis, each spanning about
+    n_bins * _CHUNK_FRAMES (bin, frame) entries, the working set `analyze`
+    chunks by; a block of at most _CHUNK_FRAMES frames is one slice."""
+    return chunk_slices(n_bins, max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1)))
+
+
 def analyze(signal: MultichannelSignal) -> np.ndarray:
     """STFT of every channel on the frame grid, shape (bins, frames, channels).
 

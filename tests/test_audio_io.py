@@ -102,6 +102,12 @@ class TestWriteWav:
         with pytest.raises(DataError):
             write_wav(sig, tmp_path / "bad.wav")
 
+    def test_unknown_encoding_rejected(self, tmp_path):
+        sig = MultichannelSignal(np.zeros((1, 10)), 16000)
+        with pytest.raises(UnsupportedEncodingError, match="pcm24"):
+            write_wav(sig, tmp_path / "x.wav", encoding="pcm24")
+        assert not (tmp_path / "x.wav").exists()
+
     def test_unwritable_path(self, tmp_path):
         sig = MultichannelSignal(np.zeros((1, 10)), 16000)
         with pytest.raises(OSError):
@@ -209,6 +215,49 @@ class TestLoadNetwork:
         path = tmp_path / "act.json"
         path.write_text(json.dumps(d))
         with pytest.raises(FormatError):
+            load_network(path)
+
+    @pytest.mark.parametrize("layers", [5, True, 2.5])
+    def test_layers_not_a_list_rejected(self, tmp_path, layers):
+        d = network_dict([4, 3], ["sigmoid"])
+        d["layers"] = layers
+        path = tmp_path / "layers.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(FormatError, match="layers must be a non-empty list"):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("empty layer list", "empty"),
+            ("non-numeric weights", "layer 0 weights: not a numeric array"),
+            ("1-D weights", "layer 0 weights: expected 2-dimensional"),
+            ("2-D bias", "layer 0 bias: expected 1-dimensional"),
+            ("no activation", "layer 0 missing field 'act'"),
+            ("short mean", r"normalization length \(3, 4\) != input dim 4"),
+            ("long std", r"normalization length \(4, 5\) != input dim 4"),
+        ],
+    )
+    def test_malformed_entries_rejected(self, tmp_path, fault, message):
+        d = network_dict([4, 3], ["sigmoid"])
+        layer = d["layers"][0]
+        if fault == "empty layer list":
+            d["layers"] = []
+        elif fault == "non-numeric weights":
+            layer["w"] = [["a", "b", "c", "d"]] * 3
+        elif fault == "1-D weights":
+            layer["w"] = [0.0] * 4
+        elif fault == "2-D bias":
+            layer["b"] = [[0.0] * 3]
+        elif fault == "no activation":
+            del layer["act"]
+        elif fault == "short mean":
+            d["mean"] = d["mean"][:3]
+        else:
+            d["std"] = d["std"] + [1.0]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(FormatError, match=message):
             load_network(path)
 
     def test_invalid_json(self, tmp_path):

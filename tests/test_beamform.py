@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 from blockbeam.audio_io import MultichannelSignal
 from blockbeam.beamform import (
     PINV_RCOND,
-    _bin_chunks,
     apply_weights,
     blocking_matrix,
     gev_weights,
     irtf_weights,
     masked_covariances,
     mvdr_weights,
+    noise_projection,
     sample_covariance,
     solve_max_snr,
 )
 from blockbeam.errors import ConfigError, SizeError
 from blockbeam.evalsim import MixtureSpec, delay_firs, pink_noise, simulate, speech_like_source
 from blockbeam.pipeline import PipelineConfig
-from blockbeam.stft import analyze
+from blockbeam.stft import analyze, bin_chunks
 from reference import estimate_noise, masked_covariances_one_shot, sample_covariance_one_shot
 
 
@@ -127,6 +127,10 @@ class TestBlockingMatrix:
         g = 1.0 / inv_rtf
         assert np.max(np.abs(np.einsum("krm,km->kr", bmat, g))) < 1e-12
 
+    def test_needs_two_channels(self):
+        with pytest.raises(SizeError, match=">= 2 channels"):
+            blocking_matrix(np.ones((4, 1), dtype=complex))
+
 
 class TestEstimateNoise:
     def test_pure_target_gives_zero(self):
@@ -174,6 +178,11 @@ class TestEstimateNoise:
         x = random_bins(4, 10, 1, 14)
         with pytest.raises(SizeError):
             estimate_noise(x, np.ones((4, 1), dtype=complex))
+
+    def test_channel_count_mismatch_rejected(self):
+        x = random_bins(4, 10, 3, 15)
+        with pytest.raises(SizeError, match="inverse RTFs have 2 channels, spectrogram has 3"):
+            noise_projection(x, np.ones((4, 2), dtype=complex))
 
 
 class TestMvdrWeights:
@@ -329,6 +338,20 @@ class TestGevWeights:
         anchor = w[:, 0]
         assert np.all(anchor.real >= -1e-12)
         assert np.allclose(anchor.imag, 0.0, atol=1e-10)
+
+    def test_phase_fixed_on_largest_component_when_reference_is_zero(self):
+        # a reference channel that is silent in one bin gives that bin's
+        # beam no reference component; the phase is then fixed on the
+        # component of largest magnitude
+        x = random_bins(8, 24, 3, 40)
+        x[5, :, 0] = 0.0
+        mask = np.random.default_rng(41).uniform(0.05, 0.95, (8, 24))
+        w, _, _, _ = gev_weights(x, mask)
+        assert w[5, 0] == 0
+        assert np.linalg.norm(w[5]) == pytest.approx(1.0, abs=1e-12)
+        largest = w[5, np.argmax(np.abs(w[5]))]
+        assert largest.real > 0
+        assert abs(largest.imag) <= 1e-12 * abs(largest)
 
     def test_needs_two_channels(self):
         with pytest.raises(SizeError):
@@ -500,10 +523,10 @@ class TestBatchedKernels:
         # degenerate masks on both sides of the first chunk edge
         x = random_bins(257, 1000, 4, 64)
         w = np.random.default_rng(65).uniform(0.0, 1.0, (257, 1000))
-        edge = _bin_chunks(257, 1000)[1].start
+        edge = bin_chunks(257, 1000)[1].start
         assert edge == 32
         # the last chunk would hold the one bin 256; it joins the one before
-        assert _bin_chunks(257, 1000)[-1] == slice(224, 257)
+        assert bin_chunks(257, 1000)[-1] == slice(224, 257)
         w[edge - 1] = 1.0  # degenerate: no noise frames
         w[edge] = 0.0  # degenerate: no speech frames
         assert np.array_equal(sample_covariance(x), sample_covariance_one_shot(x))
@@ -514,8 +537,8 @@ class TestBatchedKernels:
             assert np.array_equal(a, b)
 
     def test_short_block_is_one_chunk(self):
-        assert _bin_chunks(257, 128) == [slice(0, 257)]
-        assert len(_bin_chunks(257, 1)) == 1
+        assert bin_chunks(257, 128) == [slice(0, 257)]
+        assert len(bin_chunks(257, 1)) == 1
 
     def test_no_frames(self):
         # an empty sum is zero, but an average over no frames is undefined

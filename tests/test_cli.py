@@ -65,6 +65,10 @@ class TestSimulateCommand:
             pytest.param('{"duration_s": -1}', 2, "duration_s", id="negative-duration"),
             pytest.param('{"segments": [1]}', 2, "malformed", id="segment-not-object"),
             pytest.param('{"segments": []}', 2, "segments", id="empty-segments"),
+            pytest.param(
+                '{"channels": 2, "segments": [{"delays": [0, 1]}, {"start_s": 0.05, "delays": [0, 1, 2]}]}', 2,
+                "segment 1 describes 3 channels, expected 2", id="segment-of-another-channel-count",
+            ),
             pytest.param('{"segments": [{"firs": [1.0, 0.5]}]}', 2, "malformed", id="firs-not-matrix"),
             # a delay is a whole number of samples: a fraction is not cut to
             # its integer part and a negative delay does not wrap round
@@ -171,6 +175,28 @@ class TestSimulateCommand:
         config.write_text(json.dumps({"source": {"file": str(tmp_path / "dry.wav")}}))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         assert "source rate 8000 != sample_rate 16000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_source_file_with_white_noise(self, tmp_path):
+        # the default noise is white; channel 0's FIR is a pure delay of 0
+        dry = 0.1 * np.random.default_rng(1).standard_normal((1, 3200))
+        write_wav(MultichannelSignal(dry, 16000), tmp_path / "dry.wav")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"source": {"file": str(tmp_path / "dry.wav")}}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        clean = read_wav(tmp_path / "out" / "clean.wav")
+        assert clean.samples.shape == (4, 3200)
+        assert np.array_equal(clean.samples[0], read_wav(tmp_path / "dry.wav").samples[0])
+        noise = read_wav(tmp_path / "out" / "noise.wav").samples
+        assert noise.shape == (4, 3200) and np.all(np.std(noise, axis=1) > 0)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_pink_noise_for_a_too_short_source_names_minimum(self, tmp_path, capsys, n_samples):
+        write_wav(MultichannelSignal(np.full((1, n_samples), 0.1), 16000), tmp_path / "dry.wav")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"source": {"file": str(tmp_path / "dry.wav")}, "noise": "pink"}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "pink noise needs at least 2 samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [{}, {"decay": {"taps": 2}}], ids=["delay", "decaying"])
@@ -321,6 +347,16 @@ class TestEnhanceCommand:
         assert "non-finite weights" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers", [5, True])
+    def test_network_layers_not_a_list_is_io_error(self, sim_dir, tmp_path, capsys, layers):
+        weights = tmp_path / "net.json"
+        weights.write_text(json.dumps({"layers": layers, "mean": [0.0] * 257, "std": [1.0] * 257}))
+        out = tmp_path / "o.wav"
+        argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(out)]
+        assert main([*argv, "--vad", "network", "--vad-weights", str(weights)]) == EXIT_IO
+        assert "layers must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_network_vad_without_weights_is_config_error(self, sim_dir, tmp_path):
         code = main(
             [
@@ -461,6 +497,12 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--estimate", str(est), *_stem_args(sim_dir)]) == EXIT_IO
         captured = capsys.readouterr()
         assert "non-finite" in captured.err and "sir_db" not in captured.out
+
+    def test_ref_channel_beyond_stems_is_config_error(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est.wav"
+        write_wav(MultichannelSignal(read_wav(sim_dir / "clean.wav").samples[0:1], 16000), est)
+        assert main(["evaluate", "--estimate", str(est), *_stem_args(sim_dir), "--ref-channel", "5"]) == 2
+        assert "--ref-channel 5 exceeds clean stem channels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stem", ["clean", "noise"])
     def test_stem_at_another_rate_is_config_error(self, sim_dir, tmp_path, capsys, stem):
@@ -637,6 +679,13 @@ class TestArgumentValidation:
         code = main([*argv, *_stem_args(sim_dir), f"{option}={value}"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_block_ms_not_a_number_is_config_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o.wav"
+        argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(out), "--block-ms", "abc"]
+        assert main(argv) == 2
+        assert "--block-ms must be a millisecond count or 'batch', got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -130,6 +130,43 @@ class TestSimulate:
         with pytest.raises(SizeError):
             simulate(spec, np.ones(4000), np.ones((2, 1000)))
 
+    @pytest.mark.parametrize("shape", [(3, 4000), (4000,), (1, 2, 4000)], ids=["channels", "1-D", "3-D"])
+    def test_noise_of_wrong_shape_rejected(self, shape):
+        spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
+        with pytest.raises(SizeError, match=r"expected \(2, samples\)"):
+            simulate(spec, np.ones(4000), np.ones(shape))
+
+    def test_segment_start_beyond_source_rejected(self):
+        firs = np.stack([delay_firs([0, 1], taps=3), delay_firs([0, 2])])
+        spec = MixtureSpec(channel_count=2, firs=firs, segment_starts=[0, 4000])
+        with pytest.raises(ConfigError, match="segment start beyond the end of the source"):
+            simulate(spec, np.ones(4000), np.ones((2, 4000)))
+
+    @pytest.mark.parametrize(
+        "starts,message",
+        [([1, 4000], "beginning at 0"), ([0], "one start per segment"), ([0, 0], "strictly increasing")],
+        ids=["not-at-0", "too-few", "not-increasing"],
+    )
+    def test_segment_starts_validated(self, starts, message):
+        firs = np.stack([delay_firs([0, 1], taps=3), delay_firs([0, 2])])
+        with pytest.raises(ConfigError, match=message):
+            MixtureSpec(channel_count=2, firs=firs, segment_starts=starts)
+
+    def test_unknown_noise_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown noise kind 'brown'"):
+            MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis], noise_kind="brown")
+
+    @pytest.mark.parametrize("delays", [[0, 2, 5, 7], [0, 1, 2, 3]])
+    def test_firs_of_one_segment_need_the_segment_axis(self, delays):
+        # a (channels, taps) matrix is not read as taps-many segments
+        with pytest.raises(SizeError, match=r"\(segments, channels, taps\), got \(4, \d+\)"):
+            MixtureSpec(channel_count=4, firs=delay_firs(delays))
+
+    def test_true_rtfs_reject_a_spectral_null(self):
+        # 1 + z^-1 is zero at the Nyquist bin
+        with pytest.raises(DataError, match="near-null bin"):
+            true_rtfs(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
     def test_decaying_firs_shape(self):
         firs = decaying_firs([0, 3], np.random.default_rng(4), extra_taps=3)
         assert firs.shape == (2, 7)
@@ -162,6 +199,12 @@ class TestSimulate:
         assert np.array_equal(delay_firs([0, 2.0]), delay_firs([0, 2]))
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
         assert np.array_equal(decaying_firs([0.0, 3.0], rng_a), decaying_firs([0, 3], rng_b))
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_pink_noise_needs_two_samples(self, n_samples):
+        # the 1/sqrt(f) weights of fewer samples are all zero
+        with pytest.raises(SizeError, match="at least 2 samples"):
+            pink_noise(2, n_samples, np.random.default_rng(0))
 
     def test_pink_noise_spectrum_tilts_down(self):
         x = pink_noise(1, 16384, np.random.default_rng(5))[0]

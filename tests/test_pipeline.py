@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import functools
+import json
 import time
 import tracemalloc
 from unittest import mock
@@ -21,6 +24,7 @@ from blockbeam.evalsim import (
     white_noise,
 )
 from blockbeam.pipeline import (
+    BlockDiagnostics,
     OracleStems,
     PipelineConfig,
     VALID_PAIRINGS,
@@ -197,6 +201,13 @@ class TestProcessBlock:
         assert result.diagnostics.active_channels == []
         assert np.all(result.enhanced == 0)
 
+    def test_one_channel_block_passes_through(self):
+        block = MultichannelSignal(gain_mixture(seed=9, duration=1.0).mixture.samples[:1, :13184], 16000)
+        result = process_block(block, PipelineConfig(block_frames=100, vad_mode="none"))
+        assert result.diagnostics.passthrough
+        assert result.diagnostics.active_channels == [0]
+        assert np.array_equal(result.enhanced, analyze(block)[:, :, 0])
+
     def test_dead_channel_excluded(self):
         sim = gain_mixture(seed=2, duration=1.0)
         samples = sim.mixture.samples.copy()
@@ -253,8 +264,8 @@ class TestProcessBlock:
         cfg = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="none", vad_mode="none")
         result = process_block(block, cfg)
         for stage in ("failure_detection", "stft", "vad", "rtf", "beamform", "postfilter"):
-            assert stage in result.diagnostics.timings
-        assert set(result.diagnostics.timings) == set(stage_set("irtf", "none", "none"))
+            assert stage in result.diagnostics.timings_s
+        assert set(result.diagnostics.timings_s) == set(stage_set("irtf", "none", "none"))
 
     def test_keep_intermediates(self):
         # every result carries the stages' intermediates; no setting gates them
@@ -484,13 +495,13 @@ def test_timing_stages_per_pairing(beamformer, postfilter, vad_mode):
     expected = set(stage_set(beamformer, postfilter, vad_mode))
     _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     for result in results:
-        assert set(result.diagnostics.timings) == expected | {"synthesis"}
+        assert set(result.diagnostics.timings_s) == expected | {"synthesis"}
     block = MultichannelSignal(sim.mixture.samples[:, :13184], 16000)
     block_oracle = OracleStems(
         clean=MultichannelSignal(sim.clean.samples[:, :13184], 16000),
         noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
     )
-    assert set(process_block(block, cfg, oracle=block_oracle).diagnostics.timings) == expected
+    assert set(process_block(block, cfg, oracle=block_oracle).diagnostics.timings_s) == expected
 
 
 @pytest.mark.parametrize(
@@ -629,7 +640,7 @@ def test_wiener_residual_matches_beamformed_noise_estimate(beamformer, duplicate
     )
     with mock.patch("blockbeam.pipeline.projected_residual", wraps=projected_residual) as spy:
         result = process_block(MultichannelSignal(samples, 16000), cfg)
-    assert (result.diagnostics.noise_loaded_bins > 0) == duplicate
+    assert (result.diagnostics.fallbacks["noise_cov_loaded_bins"] > 0) == duplicate
     weights, bins, projection = spy.call_args.args
     got = projected_residual(weights, bins, projection)
     expected = apply_weights(weights, estimate_noise(bins, result.rtf)[0])
@@ -922,3 +933,34 @@ def test_batch_oracle_masks_match_whole_stem_analysis():
     clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000))
     noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000))
     assert np.array_equal(result.pooled_mask, pool_median(oracle_ibm(clean, noise, cfg.t_snr)))
+
+
+@pytest.mark.parametrize("beamformer,postfilter", [("mvdr", "wiener"), ("gev", "ban")])
+def test_diagnostics_record_is_the_dataclass(beamformer, postfilter):
+    # the record writes every field under its own name and in field order,
+    # the five fallback counters are there from construction, and the record
+    # is a copy: changing it leaves the diagnostics as they were
+    counters = [
+        "rtf_variance_guard_bins",
+        "mvdr_fallback_bins",
+        "gev_degenerate_bins",
+        "gev_noise_loaded_bins",
+        "noise_cov_loaded_bins",
+    ]
+    assert list(BlockDiagnostics().fallbacks.items()) == [(name, 0) for name in counters]
+    sim = gain_mixture(seed=23, duration=1.0)
+    stems = OracleStems(clean=sim.clean, noise=sim.noise)
+    cfg = PipelineConfig(block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode="oracle")
+    _, results = run_with_diagnostics(sim.mixture, cfg, oracle=stems)
+    diag = results[0].diagnostics
+    record = diag.to_json_dict()
+    assert list(record) == [f.name for f in dataclasses.fields(BlockDiagnostics)]
+    assert list(record["fallbacks"]) == counters
+    assert record["timings_s"] == {stage: round(t, 6) for stage, t in diag.timings_s.items()}
+    assert json.loads(json.dumps(record)) == record
+    before = copy.deepcopy(diag)
+    record["active_channels"].append(9)
+    record["fallbacks"]["noise_cov_loaded_bins"] += 1
+    record["timings_s"]["stft"] = -1.0
+    record["passthrough"] = True
+    assert diag == before

@@ -54,6 +54,11 @@ class TestResidualNoise:
 
 
 class TestWienerMask:
+    def test_output_residual_shape_mismatch_rejected(self):
+        u = np.ones((257, 4), dtype=complex)
+        with pytest.raises(SizeError, match="shape mismatch"):
+            wiener_mask(u, u[:, :3], None)
+
     def test_no_residual_gain_near_one(self):
         u = np.full((257, 4), 10.0 + 0j)
         r = np.zeros((257, 4), dtype=complex)

@@ -174,6 +174,10 @@ class TestDelaySimulation:
 
 
 class TestBuildRtfSet:
+    def test_wrong_rank_rejected(self):
+        with pytest.raises(SizeError, match=r"\(bins, frames, channels\)"):
+            build_rtf_set(random_bins(8, 40, 2, 14)[:, :, 0], np.ones((8, 40)))
+
     def test_identical_channels(self):
         bins = random_bins(8, 40, 1, 12)
         x = np.concatenate([bins, bins, bins], axis=2)

@@ -95,6 +95,11 @@ class TestInferMask:
         with pytest.raises(SizeError):
             infer_mask(net, np.zeros((256, 3), dtype=complex))
 
+    def test_rank_checked(self):
+        net = make_net([257, 16, 257], ["relu", "sigmoid"])
+        with pytest.raises(SizeError, match=r"\(bins, frames\)"):
+            infer_mask(net, np.zeros((257, 3, 2), dtype=complex))
+
     def test_deterministic(self):
         net = make_net([16, 8, 16], ["relu", "sigmoid"], seed=6)
         bins = np.random.default_rng(7).standard_normal((16, 9)) + 0j
