@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio_io import MultichannelSignal
 from .errors import SizeError
 
 # Correlation thresholds calibrated for simulated and real recordings.
@@ -12,21 +11,20 @@ T_MU_SIMULATED = 0.05
 T_MU_REAL = 0.40
 
 
-def detect_failures(block: MultichannelSignal) -> np.ndarray:
-    """Per-channel best zero-lag Pearson correlation mu against the other
-    channels, (channels,) in [0, 1].
+def detect_failures(samples) -> np.ndarray:
+    """Per-channel best zero-lag Pearson correlation mu of a (channels,
+    samples) float array against the other channels, (channels,) in [0, 1].
 
     A failed microphone (disconnected, saturated to constant, pure local noise)
     decorrelates from every healthy channel, so a channel counts as active
     when mu >= the threshold (T_MU_SIMULATED or T_MU_REAL). Zero-variance
     channels get mu = 0.
     """
-    x = block.samples
-    n_ch, n_samples = x.shape
-    if n_ch < 2:
-        raise SizeError(f"failure detection needs >= 2 channels, got {n_ch}")
-    if n_samples < 2:
-        raise SizeError(f"failure detection needs >= 2 samples, got {n_samples}")
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise SizeError(f"failure detection needs a (channels >= 2, samples) array, got shape {x.shape}")
+    if x.shape[1] < 2:
+        raise SizeError(f"failure detection needs >= 2 samples, got {x.shape[1]}")
 
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.sum(centered * centered, axis=1))

@@ -29,7 +29,7 @@ from .pipeline import (
     run_with_diagnostics,
 )
 from .rtf import SUB_BLOCK_LEN_DEFAULT
-from .stft import FRAME_LEN, frames_for_duration_ms
+from .stft import FRAME_LEN, SAMPLE_RATE, check_rate, frames_for_duration_ms
 from .vad import T_SNR_DEFAULT
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _builtin_or_file(conf: dict, name: str, builtins: tuple[str, ...], config_pa
     raise ConfigError(f'{config_path}: "{name}" must be {allowed} or {{"file": path}}, got {value!r}')
 
 
-def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str) -> evalsim.MixtureSpec:
+def _mixture_spec_from_config(conf: dict, rng, noise_kind: str) -> evalsim.MixtureSpec:
     channels = whole_number(conf.get("channels", 4), "channels", minimum=1)
     segments = conf.get("segments")
     if segments is None:
@@ -134,7 +134,7 @@ def _mixture_spec_from_config(conf: dict, sample_rate: int, rng, noise_kind: str
     starts = []
     for i, seg in enumerate(segments):
         start_s = real_number(seg.get("start_s", 0.0), f"segments[{i}].start_s", low=0.0)
-        starts.append(int(round(start_s * sample_rate)))
+        starts.append(int(round(start_s * SAMPLE_RATE)))
         if "firs" in seg:
             firs.append(np.asarray(seg["firs"], dtype=np.float64))
         elif decay_conf:
@@ -169,21 +169,21 @@ def _cmd_simulate(args) -> int:
     builtin_noises = tuple(kind for kind in evalsim.NOISE_KINDS if kind != "file")
     noise_kind, noise_path = _builtin_or_file(conf, "noise", builtin_noises, args.config)
     try:
-        sample_rate = whole_number(conf.get("sample_rate", 16000), "sample_rate", minimum=1)
+        check_rate(whole_number(conf.get("sample_rate", SAMPLE_RATE), "sample_rate", minimum=1))
         rng = np.random.default_rng(whole_number(conf.get("seed", 0), "seed"))
 
         if source_path is not None:
             source = read_wav(source_path)
             if source.channel_count != 1:
                 raise ConfigError(f"{source_path}: the source must be a 1-channel file, got {source.channel_count}")
-            if source.sample_rate != sample_rate:
-                raise ConfigError(f"{source_path}: source rate {source.sample_rate} != sample_rate {sample_rate}")
+            if source.sample_rate != SAMPLE_RATE:
+                raise ConfigError(f"{source_path}: source rate {source.sample_rate} != sample_rate {SAMPLE_RATE}")
             dry = source.samples[0]
         else:
-            dry = evalsim.speech_like_source(conf.get("duration_s", 4.0), sample_rate, rng)
+            dry = evalsim.speech_like_source(conf.get("duration_s", 4.0), SAMPLE_RATE, rng)
         n_samples = dry.shape[0]
 
-        spec = _mixture_spec_from_config(conf, sample_rate, rng, noise_kind)
+        spec = _mixture_spec_from_config(conf, rng, noise_kind)
     except BlockbeamError:
         raise
     # a missing field or a value of the wrong JSON type surfaces as one of these
@@ -195,19 +195,21 @@ def _cmd_simulate(args) -> int:
         noise = evalsim.pink_noise(spec.channel_count, n_samples, rng)
     else:
         noise_file = read_wav(noise_path)
-        if noise_file.sample_rate != sample_rate:
-            raise ConfigError(f"{noise_path}: noise rate {noise_file.sample_rate} != sample_rate {sample_rate}")
+        if noise_file.sample_rate != SAMPLE_RATE:
+            raise ConfigError(f"{noise_path}: noise rate {noise_file.sample_rate} != sample_rate {SAMPLE_RATE}")
         noise = noise_file.samples
+    if n_samples < FRAME_LEN:  # after the noise, so that pink noise reports its 2-sample minimum first
+        raise SizeError(f"{source_path or 'built-in source'}: {n_samples} samples, under one frame ({FRAME_LEN})")
 
     # true RTFs on the bin grid that enhance analyses with
-    sim = evalsim.simulate(spec, dry, noise, sample_rate=sample_rate)
+    sim = evalsim.simulate(spec, dry, noise)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(sim.mixture, out_dir / "mixture.wav")
     write_wav(sim.clean, out_dir / "clean.wav")
     write_wav(sim.noise, out_dir / "noise.wav")
     rtf_payload = {
-        "sample_rate": sample_rate,
+        "sample_rate": SAMPLE_RATE,
         "n_fft": FRAME_LEN,
         "segments": [
             {

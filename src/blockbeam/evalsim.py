@@ -255,8 +255,8 @@ def simulate(spec: MixtureSpec, dry_speech, noise, sample_rate: int = 16000) -> 
     segment of spec.segment_starts on the frame grid's one-sided bins.
     """
     dry = np.asarray(dry_speech, dtype=np.float64)
-    if dry.ndim != 1:
-        raise SizeError(f"expected a 1-D dry source, got shape {dry.shape}")
+    if dry.ndim != 1 or dry.shape[0] == 0:
+        raise SizeError(f"expected a 1-D dry source of at least 1 sample, got shape {dry.shape}")
     noise_samples = np.asarray(noise, dtype=np.float64)
     n_samples = dry.shape[0]
     if noise_samples.ndim != 2 or noise_samples.shape[0] != spec.channel_count:

@@ -17,7 +17,7 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError, real_number, whole_number
 from .postfilter import projected_residual, wiener_delta, wiener_gain
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import analyze, bin_chunks, check_rate, chunk_slices, frame_count, frame_span, synthesize
+from .stft import SAMPLE_RATE, analyze, bin_chunks, check_rate, chunk_slices, frame_count, frame_span, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -144,10 +144,6 @@ def _stage_timer(timings: dict, name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def _channels(signal: MultichannelSignal, channels: list[int]) -> MultichannelSignal:
-    return MultichannelSignal(signal.samples[channels], signal.sample_rate)
-
-
 def check_stems(stems: OracleStems, signal: MultichannelSignal) -> None:
     """Clean and noise stems must match the signal's sample rate and channel
     count and cover its samples; only their first signal.n_samples samples
@@ -159,10 +155,23 @@ def check_stems(stems: OracleStems, signal: MultichannelSignal) -> None:
             raise SizeError(f"{name} stem must cover every channel and sample of the mixture")
 
 
-def _pooled_mask(bins, cfg, network, oracle, channels, timings):
+def _check_input(signal: MultichannelSignal, cfg: PipelineConfig, oracle: OracleStems | None):
+    """Check the audio entering the pipeline: the grid's rate, the reference
+    channel and any stems (`check_stems`); returns the stems' arrays or None."""
+    check_rate(signal.sample_rate)
+    if cfg.ref_channel >= signal.channel_count:
+        raise ConfigError(f"ref_channel {cfg.ref_channel} out of range for {signal.channel_count} channels")
+    if oracle is None:
+        return None
+    check_stems(oracle, signal)
+    return oracle.clean.samples, oracle.noise.samples
+
+
+def _pooled_mask(bins, cfg, network, stems, channels, timings):
     """(K, L) median pool of the VAD masks of the non-reference channels
     1..M-1 of the reference-first spectrogram bins. Those channels are the
-    microphones `channels`, whose stems give the oracle masks.
+    microphones `channels`, whose rows of the (clean, noise) sample arrays
+    `stems` give the oracle masks.
 
     Masks are made and pooled a frame chunk of `analyze` at a time, and
     freed before the next chunk's, so no full-length mask stack, activation
@@ -180,10 +189,7 @@ def _pooled_mask(bins, cfg, network, oracle, channels, timings):
             return infer_mask(network, bins[:, part, 1:].reshape(n_bins, -1)).reshape(n_bins, -1, n_ch - 1)
         s_lo, s_hi = frame_span(part.start, part.stop - part.start)
         with _stage_timer(timings, "oracle_stft"):
-            clean, noise = (
-                analyze(MultichannelSignal(stem.samples[channels, s_lo:s_hi], stem.sample_rate))
-                for stem in (oracle.clean, oracle.noise)
-            )
+            clean, noise = (analyze(stem[channels, s_lo:s_hi]) for stem in stems)
         return oracle_ibm(clean, noise, cfg.t_snr)
 
     pooled = np.empty((n_bins, n_frames))
@@ -198,7 +204,15 @@ def process_block(
     network: NetworkWeights | None = None,
     oracle: OracleStems | None = None,
 ) -> BlockResult:
-    """Enhance one block with no state from other blocks.
+    """Enhance one block with no state from other blocks (`_enhance_block`),
+    after `_check_input`, which checks any given stems whatever the VAD mode."""
+    return _enhance_block(block.samples, cfg, network, _check_input(block, cfg, oracle))
+
+
+def _enhance_block(samples, cfg, network, stems) -> BlockResult:
+    """Enhance the (channels, samples) array of one block, checked by its
+    caller; `stems` holds the (clean, noise) arrays of the same samples, or
+    is None.
 
     Sequence: microphone-failure detection, STFT, the per-bin median of the
     VAD masks of the non-reference channels (`_pooled_mask`, which pools
@@ -212,16 +226,12 @@ def process_block(
     followed by the others in channel order; BlockResult.rtf is returned in
     active-channel order.
     """
-    if cfg.ref_channel >= block.channel_count:
-        raise ConfigError(
-            f"ref_channel {cfg.ref_channel} out of range for {block.channel_count} channels"
-        )
     diag = BlockDiagnostics()
     timings, fallbacks = diag.timings_s, diag.fallbacks
 
     with _stage_timer(timings, "failure_detection"):
-        if block.channel_count >= 2:
-            active = [int(i) for i in np.flatnonzero(detect_failures(block) >= cfg.t_mu)]
+        if samples.shape[0] >= 2:
+            active = [int(i) for i in np.flatnonzero(detect_failures(samples) >= cfg.t_mu)]
         else:
             active = [0]
     diag.active_channels = active
@@ -229,7 +239,7 @@ def process_block(
     if len(active) < 2:
         diag.passthrough = True
         with _stage_timer(timings, "stft"):
-            bins_ref = analyze(_channels(block, [cfg.ref_channel]))
+            bins_ref = analyze(samples[[cfg.ref_channel]])
         return BlockResult(enhanced=bins_ref[:, :, 0], diagnostics=diag)
 
     if cfg.ref_channel in active:
@@ -240,16 +250,14 @@ def process_block(
     order = [ref] + [ch for ch in active if ch != ref]
 
     with _stage_timer(timings, "stft"):
-        bins = analyze(_channels(block, order))
+        bins = analyze(samples[order])
 
     with _stage_timer(timings, "vad"):
         if cfg.vad_mode == "network" and network is None:
             raise ConfigError("network VAD mode needs loaded weights")
-        if cfg.vad_mode == "oracle":
-            if oracle is None:
-                raise ConfigError("oracle VAD mode needs clean/noise stems")
-            check_stems(oracle, block)
-        pooled = _pooled_mask(bins, cfg, network, oracle, order[1:], timings)
+        if cfg.vad_mode == "oracle" and stems is None:
+            raise ConfigError("oracle VAD mode needs clean/noise stems")
+        pooled = _pooled_mask(bins, cfg, network, stems, order[1:], timings)
     # the `vad` stage ran the stem analysis, which is timed on its own
     timings["vad"] -= timings.get("oracle_stft", 0.0)
 
@@ -321,10 +329,6 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
     return [(int(s), int(c)) for s, c in zip(starts, counts)]
 
 
-def _slice_signal(signal: MultichannelSignal, lo: int, hi: int) -> MultichannelSignal:
-    return MultichannelSignal(signal.samples[:, lo:hi], signal.sample_rate)
-
-
 def run_with_diagnostics(
     signal: MultichannelSignal,
     cfg: PipelineConfig,
@@ -339,23 +343,15 @@ def run_with_diagnostics(
     smooths the seams, and the synthesis time is split across the blocks'
     `synthesis` stages by frame count. The output covers exactly the samples
     spanned by full STFT frames, so up to hop - 1 trailing input samples are
-    trimmed.
+    trimmed. The checks are `process_block`'s, made once for the recording.
     """
-    check_rate(signal.sample_rate)
-    if oracle is not None:
-        check_stems(oracle, signal)
-
+    stems = _check_input(signal, cfg, oracle)
     blocks = partition_frames(signal.n_samples, cfg)
     results = []
     for start_frame, n_frames in blocks:
         lo, hi = frame_span(start_frame, n_frames)
-        block_oracle = None
-        if oracle is not None:
-            block_oracle = OracleStems(
-                clean=_slice_signal(oracle.clean, lo, hi),
-                noise=_slice_signal(oracle.noise, lo, hi),
-            )
-        results.append(process_block(_slice_signal(signal, lo, hi), cfg, network, block_oracle))
+        block_stems = None if stems is None else [stem[:, lo:hi] for stem in stems]
+        results.append(_enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems))
 
     start = time.perf_counter()
     enhanced = np.concatenate([r.enhanced for r in results], axis=1)
@@ -363,7 +359,7 @@ def run_with_diagnostics(
     elapsed = time.perf_counter() - start
     for (_, n_frames), result in zip(blocks, results):
         result.diagnostics.timings_s["synthesis"] = elapsed * n_frames / enhanced.shape[1]
-    return out, results
+    return MultichannelSignal(out, SAMPLE_RATE), results
 
 
 def run(

@@ -19,7 +19,6 @@ import numbers
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import MultichannelSignal
 from .errors import ConfigError, DataError, SizeError, real_number
 
 # The one frame grid, CHiME-4's: 512-sample frames, hop 128, at 16 kHz.
@@ -100,8 +99,9 @@ def bin_chunks(n_bins: int, n_frames: int) -> list[slice]:
     return chunk_slices(n_bins, max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1)))
 
 
-def analyze(signal: MultichannelSignal) -> np.ndarray:
-    """STFT of every channel on the frame grid, shape (bins, frames, channels).
+def analyze(samples) -> np.ndarray:
+    """STFT of every channel of a (channels >= 1, samples) float array at the
+    grid's rate, shape (bins, frames, channels); other shapes raise SizeError.
 
     Frame l covers samples [l*hop, l*hop + frame_len); frames are weighted by
     the periodic Hamming window and transformed with a one-sided FFT. No
@@ -114,19 +114,20 @@ def analyze(signal: MultichannelSignal) -> np.ndarray:
     Every |X_k| is at most peak |x| * sum(window), so a DataError is raised
     unless that bound is finite and at most half the largest float64: a NaN
     or inf in any sample (also one no frame reads) and, with the grid's
-    512-sample window, a peak above about 3.2e305 raise. A signal at another rate than
-    the grid's raises ConfigError.
+    512-sample window, a peak above about 3.2e305 raise.
     """
-    check_rate(signal.sample_rate)
-    n_frames = frame_count(signal.n_samples)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] == 0:
+        raise SizeError(f"expected a (channels >= 1, samples) array, got shape {samples.shape}")
+    n_frames = frame_count(samples.shape[1])
     window = periodic_hamming(FRAME_LEN)
     # NaN fails the comparison; max and min make no |x| temporary
-    peak = np.maximum(signal.samples.max(), -signal.samples.min())
+    peak = np.maximum(samples.max(), -samples.min())
     if not peak <= np.finfo(np.float64).max / 2 / window.sum():
         raise DataError("signal samples must be finite with peak |x| below the STFT's overflow bound")
-    frames = sliding_window_view(signal.samples, FRAME_LEN, axis=1)[:, ::HOP, :]
+    frames = sliding_window_view(samples, FRAME_LEN, axis=1)[:, ::HOP, :]
     frames = frames[:, :n_frames, :].transpose(1, 0, 2)
-    bins = np.empty((N_BINS, n_frames, signal.channel_count), dtype=np.complex128)
+    bins = np.empty((N_BINS, n_frames, samples.shape[0]), dtype=np.complex128)
     out = bins.transpose(1, 2, 0)
     # Each chunk is windowed in C order so that consecutive transforms fill
     # neighbouring (frame, channel) entries of bins; in the view's
@@ -136,10 +137,10 @@ def analyze(signal: MultichannelSignal) -> np.ndarray:
     return bins
 
 
-def synthesize(bins) -> MultichannelSignal:
+def synthesize(bins) -> np.ndarray:
     """Weighted overlap-add inverse of analyze for a finite complex
     (bins, frames, channels) spectrogram of the grid's bins and at least one
-    frame; the output is at the grid's rate.
+    frame; returns the (channels, samples) float array, at the grid's rate.
 
     Each frame is inverse-transformed, weighted by the synthesis window and
     accumulated; the result is normalized by the summed squared window, which
@@ -172,4 +173,4 @@ def synthesize(bins) -> MultichannelSignal:
     out_len = frame_span(0, n_frames)[1]
     out = out.reshape(n_channels, -1)[:, :out_len]
     out /= np.maximum(win_sum.reshape(-1)[:out_len], WINDOW_SUM_FLOOR)
-    return MultichannelSignal(out, SAMPLE_RATE)
+    return out

@@ -87,10 +87,10 @@ def test_criterion_01_stft_round_trip():
     rng = np.random.default_rng(0)
     sig = MultichannelSignal(rng.uniform(-1, 1, size=(4, 2 * FS)), FS)
     start = time.perf_counter()
-    rec = synthesize(analyze(sig))
+    rec = synthesize(analyze(sig.samples))
     elapsed = time.perf_counter() - start
-    interior = slice(512, rec.n_samples - 512)
-    err = np.linalg.norm(rec.samples[:, interior] - sig.samples[:, interior])
+    interior = slice(512, rec.shape[1] - 512)
+    err = np.linalg.norm(rec[:, interior] - sig.samples[:, interior])
     ref = np.linalg.norm(sig.samples[:, interior])
     rel = err / ref
     check(
@@ -135,9 +135,9 @@ def _pooled_phase_error(seed, snr_db, n_blocks=6, delay=12):
     dry = band_limited_source(0.1 + 0.824 * n_blocks, FS, rng)
     firs = delay_firs([0, delay])
     sim = simulate(MixtureSpec(channel_count=2, firs=firs[np.newaxis], snr_db=snr_db), dry, pink_noise(2, dry.shape[0], rng))
-    spec = analyze(sim.mixture)
-    clean_spec = analyze(sim.clean)
-    noise_spec = analyze(sim.noise)
+    spec = analyze(sim.mixture.samples)
+    clean_spec = analyze(sim.clean.samples)
+    noise_spec = analyze(sim.noise.samples)
     truth = true_rtfs(firs)[1][:, 1]
     errs = []
     for b in range(n_blocks):
@@ -370,9 +370,9 @@ def test_criterion_11_postfilter_and_vad_benefits(criterion8_results):
             dry,
             white_noise(2, dry.shape[0], rng),
         )
-        mix_spec = analyze(sim.mixture)
-        clean_spec = analyze(sim.clean)
-        noise_spec = analyze(sim.noise)
+        mix_spec = analyze(sim.mixture.samples)
+        clean_spec = analyze(sim.clean.samples)
+        noise_spec = analyze(sim.noise.samples)
         truth = true_rtfs(firs)[1][:, 1]
         errs = {}
         for name in ("oracle", "unit"):

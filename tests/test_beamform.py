@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockbeam.audio_io import MultichannelSignal
 from blockbeam.beamform import (
     PINV_RCOND,
     apply_weights,
@@ -366,7 +365,7 @@ class TestGevWeights:
         dry = speech_like_source(1.7, 16000, rng)
         spec = MixtureSpec(channel_count=4, firs=delay_firs([0, 2, 5, 7])[np.newaxis], snr_db=5.0)
         sim = simulate(spec, dry, pink_noise(4, dry.shape[0], rng))
-        x = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000))
+        x = analyze(sim.mixture.samples[:, :13184])
         ones = np.ones(x.shape[:2])
         w, ban_gain, n_degenerate, _ = gev_weights(x, ones)
         w_scaled, ban_scaled, _, _ = gev_weights(alpha * x, ones)

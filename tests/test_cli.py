@@ -82,6 +82,8 @@ class TestSimulateCommand:
             pytest.param('{"channels": 2.5}', 2, "channels", id="fractional-channels"),
             pytest.param('{"seed": 1.5}', 2, "seed", id="fractional-seed"),
             pytest.param('{"sample_rate": 16000.7}', 2, "sample_rate", id="fractional-sample-rate"),
+            # the simulator works at the frame grid's rate only, as enhance does
+            pytest.param('{"sample_rate": 8000}', 2, "input rate 8000 != 16000", id="another-sample-rate"),
             pytest.param('{"decay": {"taps": 2.9}}', 2, "decay.taps", id="fractional-decay-taps"),
             # the real-valued fields are finite numbers, never a bool
             pytest.param('{"snr_db": true}', 2, "snr_db", id="bool-snr"),
@@ -197,6 +199,22 @@ class TestSimulateCommand:
         config.write_text(json.dumps({"source": {"file": str(tmp_path / "dry.wav")}, "noise": "pink"}))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         assert "pink noise needs at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 100, None], ids=["file-0", "file-1", "file-100", "built-in-10ms"])
+    def test_source_shorter_than_one_frame_names_minimum(self, tmp_path, capsys, n_samples):
+        # with white noise, which any length allows, a source under one STFT
+        # frame is refused instead of giving a mixture that enhance refuses
+        if n_samples is None:
+            conf, name, n_samples = {"duration_s": 0.01}, "built-in source", 160
+        else:
+            write_wav(MultichannelSignal(np.full((1, n_samples), 0.1), 16000), tmp_path / "dry.wav")
+            conf, name = {"source": {"file": str(tmp_path / "dry.wav")}}, "dry.wav"
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps(conf))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and f"{n_samples} samples, under one frame (512)" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [{}, {"decay": {"taps": 2}}], ids=["delay", "decaying"])

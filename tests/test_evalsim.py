@@ -125,6 +125,12 @@ class TestSimulate:
         with pytest.raises(SizeError, match="1-D dry source"):
             simulate(spec, dry, np.ones((2, 4000)))
 
+    def test_empty_dry_source_rejected_before_segment_starts(self):
+        # an empty source is named as such, not as a segment starting beyond it
+        spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
+        with pytest.raises(SizeError, match="at least 1 sample"):
+            simulate(spec, np.ones(0), np.ones((2, 0)))
+
     def test_noise_shorter_than_source_rejected(self):
         spec = MixtureSpec(channel_count=2, firs=delay_firs([0, 1])[np.newaxis])
         with pytest.raises(SizeError):

@@ -27,6 +27,7 @@ from blockbeam.pipeline import (
     BlockDiagnostics,
     OracleStems,
     PipelineConfig,
+    VAD_MODES,
     VALID_PAIRINGS,
     _pooled_mask,
     partition_frames,
@@ -188,7 +189,7 @@ class TestProcessBlock:
             noise=MultichannelSignal(sim.noise.samples[:, :13184], 16000),
         )
         result = process_block(block, cfg, oracle=block_oracle)
-        reference = analyze(block_oracle.clean)[:, :, 0]
+        reference = analyze(block_oracle.clean.samples)[:, :, 0]
         err = np.linalg.norm(result.enhanced - reference)
         ref = np.linalg.norm(reference)
         assert 20 * np.log10(err / ref) < -60
@@ -206,7 +207,7 @@ class TestProcessBlock:
         result = process_block(block, PipelineConfig(block_frames=100, vad_mode="none"))
         assert result.diagnostics.passthrough
         assert result.diagnostics.active_channels == [0]
-        assert np.array_equal(result.enhanced, analyze(block)[:, :, 0])
+        assert np.array_equal(result.enhanced, analyze(block.samples)[:, :, 0])
 
     def test_dead_channel_excluded(self):
         sim = gain_mixture(seed=2, duration=1.0)
@@ -305,23 +306,45 @@ class TestRun:
         b = run(sim.mixture, cfg, oracle=oracle)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_block_independence(self):
-        # per-block spectra are identical whether blocks run in the stream
-        # or standalone on the same samples
+    @pytest.mark.parametrize(
+        "beamformer,postfilter,vad_mode,dead_ref",
+        [
+            pytest.param(bf, pf, vad, False, id=f"{bf}-{pf}-{vad}")
+            for bf in sorted(VALID_PAIRINGS)
+            for pf in sorted(VALID_PAIRINGS[bf])
+            for vad in VAD_MODES
+            if (bf, vad) != ("gev", "none")
+        ]
+        + [pytest.param("mvdr", "wiener", "oracle", True, id="dead-reference")],
+    )
+    def test_block_independence(self, beamformer, postfilter, vad_mode, dead_ref):
+        # every block's result is the same, bit for bit, whether the block
+        # runs in the stream or standalone through process_block on the
+        # same samples; a dead reference channel forces ref_fallback
         sim = gain_mixture(seed=13, duration=2.0)
+        mixture = sim.mixture.samples.copy()
+        if dead_ref:
+            mixture[0] = 0.0
         oracle = OracleStems(clean=sim.clean, noise=sim.noise)
-        cfg = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="wiener", vad_mode="oracle")
-        _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
-        parts = partition_frames(sim.mixture.n_samples, cfg)
-        for (start, count), joint in zip(parts, results):
+        network = random_network(13)
+        cfg = PipelineConfig(block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode=vad_mode)
+        _, results = run_with_diagnostics(MultichannelSignal(mixture, 16000), cfg, network, oracle)
+        parts = partition_frames(mixture.shape[1], cfg)
+        assert len(parts) == 3
+        for (start, count), joint in zip(parts, results, strict=True):
             lo, hi = frame_span(start, count)
-            block = MultichannelSignal(sim.mixture.samples[:, lo:hi], 16000)
+            block = MultichannelSignal(mixture[:, lo:hi], 16000)
             block_oracle = OracleStems(
                 clean=MultichannelSignal(sim.clean.samples[:, lo:hi], 16000),
                 noise=MultichannelSignal(sim.noise.samples[:, lo:hi], 16000),
             )
-            alone = process_block(block, cfg, oracle=block_oracle)
-            assert np.array_equal(alone.enhanced, joint.enhanced)
+            alone = process_block(block, cfg, network, block_oracle)
+            for name in ("enhanced", "pooled_mask", "rtf"):
+                a, b = getattr(alone, name), getattr(joint, name)
+                assert a is b is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), name
+            for name in ("active_channels", "ref_fallback", "fallbacks"):
+                assert getattr(alone.diagnostics, name) == getattr(joint.diagnostics, name), name
+            assert joint.diagnostics.ref_fallback == dead_ref
 
     def test_passthrough_recovers_reference_for_identity_blocks(self):
         # an all-dead-channel recording passes the reference through; the
@@ -381,7 +404,7 @@ class TestRun:
         for postfilter in ("none", "ban"):
             cfg = PipelineConfig(block_frames=100, beamformer="gev", postfilter=postfilter, vad_mode="network")
             results[postfilter] = process_block(block, cfg, net)
-        _, ban_gain, _, _ = gev_weights(analyze(block), results["ban"].pooled_mask)
+        _, ban_gain, _, _ = gev_weights(analyze(block.samples), results["ban"].pooled_mask)
         assert not np.allclose(ban_gain, 1.0)
         assert np.allclose(results["ban"].enhanced, ban_gain[:, None] * results["none"].enhanced)
 
@@ -428,12 +451,15 @@ def stem_block(seed=32):
     )
 
 
-def test_process_block_rejects_stems_with_too_few_channels():
+@pytest.mark.parametrize("vad_mode", VAD_MODES)
+def test_process_block_rejects_stems_with_too_few_channels(vad_mode):
+    # given stems are checked whatever the VAD mode, as run checks them
     block, clean, noise = stem_block()
     n = block.n_samples
     oracle = OracleStems(MultichannelSignal(clean[:2, :n], 16000), MultichannelSignal(noise[:2, :n], 16000))
+    cfg = PipelineConfig(block_frames=100, vad_mode=vad_mode)
     with pytest.raises(SizeError, match="clean stem must cover"):
-        process_block(block, PipelineConfig(block_frames=100, vad_mode="oracle"), oracle=oracle)
+        process_block(block, cfg, random_network(33), oracle=oracle)
 
 
 def test_process_block_reads_the_first_samples_of_longer_stems():
@@ -450,12 +476,14 @@ def test_process_block_reads_the_first_samples_of_longer_stems():
     assert np.array_equal(longer.enhanced, exact.enhanced)
 
 
-def test_process_block_rejects_stems_at_another_rate():
+@pytest.mark.parametrize("vad_mode", VAD_MODES)
+def test_process_block_rejects_stems_at_another_rate(vad_mode):
     block, clean, noise = stem_block()
     n = block.n_samples
     oracle = OracleStems(MultichannelSignal(clean[:, :n], 8000), MultichannelSignal(noise[:, :n], 8000))
+    cfg = PipelineConfig(block_frames=100, vad_mode=vad_mode)
     with pytest.raises(ConfigError, match="rate"):
-        process_block(block, PipelineConfig(block_frames=100, vad_mode="oracle"), oracle=oracle)
+        process_block(block, cfg, random_network(33), oracle=oracle)
 
 
 @pytest.mark.parametrize("live_channels", [4, 1])
@@ -535,7 +563,7 @@ def test_stage_timings_cover_wall_time(beamformer, postfilter, block_frames):
 def test_stacked_network_masks_match_per_channel_inference(active, ref):
     net = random_network(25)
     sim = gain_mixture(seed=26, duration=1.0)
-    bins = analyze(MultichannelSignal(sim.mixture.samples[:, :13184], 16000))
+    bins = analyze(sim.mixture.samples[:, :13184])
     # the pipeline's reference-first order of the active channels
     order = [ref] + [ch for ch in active if ch != ref]
     cfg = PipelineConfig(block_frames=100, vad_mode="network")
@@ -614,7 +642,7 @@ def test_wiener_gain_in_bin_chunks_equals_whole_block_gain(beamformer, block_fra
     for (start, n_frames), plain, filtered in zip(blocks, results["none"], results["wiener"], strict=True):
         assert filtered.diagnostics.active_channels == [0, 1, 2, 3]
         lo, hi = frame_span(start, n_frames)
-        bins = analyze(MultichannelSignal(sim.mixture.samples[:, lo:hi], 16000))
+        bins = analyze(sim.mixture.samples[:, lo:hi])
         projection, noise_cov, _ = noise_projection(bins, filtered.rtf)
         weights = irtf_weights(filtered.rtf) if beamformer == "irtf" else mvdr_weights(noise_cov, filtered.rtf)[0]
         residual = projected_residual(weights, bins, projection)
@@ -669,8 +697,8 @@ def test_oracle_masks_use_the_right_stem_channels():
     assert result.diagnostics.active_channels == [0, 2, 3]
     assert not result.diagnostics.ref_fallback
 
-    full_clean = analyze(oracle.clean)
-    full_noise = analyze(oracle.noise)
+    full_clean = analyze(oracle.clean.samples)
+    full_noise = analyze(oracle.noise.samples)
     expected = pool_median(oracle_ibm(full_clean[:, :, [0, 3]], full_noise[:, :, [0, 3]], cfg.t_snr))
     assert np.array_equal(result.pooled_mask, expected)
 
@@ -698,7 +726,7 @@ def test_rtf_is_returned_in_active_channel_order():
 
     # column j of the estimate belongs to channel order[j]
     order = [2, 0, 1, 3]
-    estimate, _ = build_rtf_set(analyze(block)[:, :, order], result.pooled_mask)
+    estimate, _ = build_rtf_set(analyze(block.samples)[:, :, order], result.pooled_mask)
     expected = np.empty_like(estimate)
     expected[:, order] = estimate
     assert np.array_equal(result.rtf, expected)
@@ -713,7 +741,7 @@ def test_blocks_are_synthesized_once():
     out, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
     assert len(results) == 5
     frames = np.concatenate([r.enhanced for r in results], axis=1)
-    assert np.array_equal(out.samples, synthesize(frames[:, :, None]).samples)
+    assert np.array_equal(out.samples, synthesize(frames[:, :, None]))
 
 
 # every beamformer/post-filter pairing with oracle masks, and without a VAD
@@ -930,8 +958,8 @@ def test_batch_oracle_masks_match_whole_stem_analysis():
     assert result.diagnostics.active_channels == [0, 1, 2, 3]
     assert result.pooled_mask.shape == (257, 397)
     masked = [0, 1, 3]
-    clean = analyze(MultichannelSignal(sim.clean.samples[masked], 16000))
-    noise = analyze(MultichannelSignal(sim.noise.samples[masked], 16000))
+    clean = analyze(sim.clean.samples[masked])
+    noise = analyze(sim.noise.samples[masked])
     assert np.array_equal(result.pooled_mask, pool_median(oracle_ibm(clean, noise, cfg.t_snr)))
 
 

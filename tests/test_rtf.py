@@ -160,9 +160,9 @@ class TestDelaySimulation:
             dry,
             white_noise(2, dry.shape[0], rng),
         )
-        spec = analyze(sim.mixture)
-        clean_spec = analyze(sim.clean)
-        noise_spec = analyze(sim.noise)
+        spec = analyze(sim.mixture.samples)
+        clean_spec = analyze(sim.clean.samples)
+        noise_spec = analyze(sim.noise.samples)
         mask = oracle_ibm(clean_spec[:, :100, 1], noise_spec[:, :100, 1], 5.0)
         g_inv = inverse_rtf(spec[:, :100], mask)
 
@@ -214,7 +214,7 @@ class TestBuildRtfSet:
             dry,
             white_noise(3, dry.shape[0], rng),
         )
-        spec = analyze(sim.mixture)
+        spec = analyze(sim.mixture.samples)
         inv_rtf, _ = build_rtf_set(spec[:, :100], np.ones((257, 100)))
         _, inv_truth = true_rtfs(firs)
         for col, ch in [(1, 1), (2, 2)]:

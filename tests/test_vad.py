@@ -131,7 +131,7 @@ def he_network(block, dims=(257, 1024, 1024, 257), seed=11):
         (rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in), 0.1 * rng.standard_normal(n_out), act)
         for n_in, n_out, act in zip(dims[:-1], dims[1:], ("relu", "relu", "sigmoid"))
     ]
-    mags = np.abs(analyze(block)).reshape(dims[0], -1)
+    mags = np.abs(analyze(block.samples)).reshape(dims[0], -1)
     net = NetworkWeights(
         [NetworkLayer(w, b, act) for w, b, act in layers64],
         input_mean=mags.mean(axis=1),
@@ -148,7 +148,7 @@ def test_float32_forward_pass_matches_float64_reference():
             assert arr.dtype == np.float32 and arr.flags.c_contiguous
     assert net.input_mean.dtype == net.input_std.dtype == np.float64
 
-    bins = analyze(block).reshape(257, -1)  # 4 channels side by side
+    bins = analyze(block.samples).reshape(257, -1)  # 4 channels side by side
     h = (np.abs(bins) - net.input_mean[:, None]) / net.input_std[:, None]
     for w, b, act in layers64:
         h = w @ h + b[:, None]

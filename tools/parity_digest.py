@@ -15,6 +15,14 @@ trees that produce the same output and score bits print the same lines:
 Comparing the output of two checkouts line by line shows which
 configurations changed their output bits (fourth field) or their scores
 (fifth field).
+
+The score digest depends on the BLAS thread count: the evaluator's BLAS
+products round differently with more threads. One tree at seed 0 printed
+different score digests in 15 of its 32 lines with `OPENBLAS_NUM_THREADS=1`
+and `=2` (2-core machine, OpenBLAS 0.3.31), and the same output digests.
+So run both checkouts at one fixed count:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=path/to/checkout/src python tools/parity_digest.py --seed 0
 """
 
 from __future__ import annotations
