@@ -28,9 +28,10 @@ run as a few batched numpy calls over bins rather than a Python loop:
 
 A GEV bin whose mask (or complement) sums to zero has no speech/noise
 contrast: both covariances are the sample covariance and the pencil is the
-identity. Such a bin takes the principal eigenvector of its sample
-covariance, which makes the beam independent of the input scale, and is
-counted.
+identity. Such a bin enters the one `solve_max_snr` call with the identity
+as its noise matrix (rung 0, not counted as loaded), so it takes the
+principal eigenvector of its sample covariance, which makes the beam
+independent of the input scale, and is counted as degenerate.
 """
 
 from __future__ import annotations
@@ -58,17 +59,23 @@ MVDR_DEN_GUARD = 1e-12
 MASK_SUM_FLOOR = np.finfo(np.float64).tiny
 
 
-def sample_covariance(bins) -> np.ndarray:
-    """Unnormalized per-bin sum of outer products, (K, M, M).
+def sample_covariance(bins, weights=None) -> np.ndarray:
+    """Unnormalized per-bin sum of weighted outer products
+    sum_l w_l x_l x_l^H = conj((w conj(x))^T x), (K, M, M), for (K, L)
+    frame weights w; None weights every frame by 1.
 
-    The conjugated copy of x is made a chunk of bins at a time
-    (`stft.bin_chunks`); each bin is one `matmul`, so chunks do not change bits.
+    The weighted conjugate copy of x is made a chunk of bins at a time
+    (`stft.bin_chunks`), so a long block makes no full-size temporary; each
+    bin is one `matmul`, so chunks do not change bits.
     """
     x = np.asarray(bins)
     n_bins, n_frames, n_ch = x.shape
     cov = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
     for part in bin_chunks(n_bins, n_frames):
-        np.matmul(x[part].transpose(0, 2, 1), np.conj(x[part]), out=cov[part])
+        weighted = np.conj(x[part])
+        if weights is not None:
+            weighted *= weights[part, :, None]
+        np.conj(weighted.transpose(0, 2, 1) @ x[part], out=cov[part])
     return cov
 
 
@@ -196,17 +203,13 @@ def masked_covariances(bins, mask):
 
     Bins where the mask (or its complement) sums to zero cannot be averaged;
     they are replaced by the plain per-frame average of x x^H and flagged.
-    A spectrogram with no frames raises SizeError.
-
-    Both weighted sums of a chunk of bins (`stft.bin_chunks`) go through one
-    buffer holding that chunk's weighted conjugate frames,
-    sum_l w_l x_l x_l^H = conj((w conj(x))^T x), so a long block makes no
-    full-size temporary; each bin is still one `matmul`.
+    A spectrogram with no frames raises SizeError. Both sums are
+    `sample_covariance` with the frame weights w and 1 - w.
 
     Returns (speech cov, noise cov, degenerate flags), covs (K, M, M).
     """
     x = np.asarray(bins)
-    n_bins, n_frames, n_ch = x.shape
+    n_bins, n_frames, _ = x.shape
     if n_frames == 0:
         raise SizeError("masked covariances need at least one frame")
     w = checked_mask(mask, (n_bins, n_frames))
@@ -215,16 +218,8 @@ def masked_covariances(bins, mask):
     sum_speech = w.sum(axis=1)
     sum_noise = w_noise.sum(axis=1)
     degenerate = (sum_speech <= MASK_SUM_FLOOR) | (sum_noise <= MASK_SUM_FLOOR)
-
-    speech = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
-    noise = np.empty_like(speech)
-    for part in bin_chunks(n_bins, n_frames):
-        weighted = np.conj(x[part])
-        weighted *= w[part, :, None]
-        np.conj(weighted.transpose(0, 2, 1) @ x[part], out=speech[part])
-        np.conjugate(x[part], out=weighted)
-        weighted *= w_noise[part, :, None]
-        np.conj(weighted.transpose(0, 2, 1) @ x[part], out=noise[part])
+    speech = sample_covariance(x, w)
+    noise = sample_covariance(x, w_noise)
 
     # the two weights add up to one, so for a degenerate bin the two sums add
     # up to the plain sum of x x^H
@@ -296,17 +291,15 @@ def gev_weights(bins, mask):
     of the other bins whose noise covariance was loaded).
     """
     x = np.asarray(bins)
-    if x.shape[2] < 2:
+    n_ch = x.shape[2]
+    if n_ch < 2:
         raise SizeError("the max-SNR beamformer needs >= 2 channels")
     speech_cov, noise_cov, degenerate = masked_covariances(x, mask)
-    vecs = np.empty(speech_cov.shape[:2], dtype=np.complex128)
-    vecs[~degenerate], _, n_loaded = solve_max_snr(speech_cov[~degenerate], noise_cov[~degenerate])
-    if np.any(degenerate):
-        # both covariances are the sample covariance: take its principal axis
-        vecs[degenerate] = np.linalg.eigh(speech_cov[degenerate])[1][:, :, -1]
+    # degenerate bins are whitened by I; their BAN gain reads noise_cov
+    whitening = np.where(degenerate[:, None, None], np.eye(n_ch), noise_cov)
+    vecs, _, n_loaded = solve_max_snr(speech_cov, whitening)
     vecs = _fix_phase(vecs)
 
-    n_ch = x.shape[2]
     noise_w = np.einsum("kmn,kn->km", noise_cov, vecs)
     num = np.einsum("km,km->k", np.conj(noise_w), noise_w).real  # w^H C C^H w
     den = np.einsum("km,km->k", np.conj(vecs), noise_w).real  # w^H C w

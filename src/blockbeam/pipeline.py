@@ -17,7 +17,7 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError, real_number, whole_number
 from .postfilter import projected_residual, wiener_delta, wiener_gain
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import SAMPLE_RATE, analyze, bin_chunks, check_rate, chunk_slices, frame_count, frame_span, synthesize
+from .stft import N_BINS, SAMPLE_RATE, analyze, bin_chunks, check_rate, chunk_slices, frame_count, frame_span, synthesize
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -155,12 +155,19 @@ def check_stems(stems: OracleStems, signal: MultichannelSignal) -> None:
             raise SizeError(f"{name} stem must cover every channel and sample of the mixture")
 
 
-def _check_input(signal: MultichannelSignal, cfg: PipelineConfig, oracle: OracleStems | None):
-    """Check the audio entering the pipeline: the grid's rate, the reference
-    channel and any stems (`check_stems`); returns the stems' arrays or None."""
+def _check_input(signal: MultichannelSignal, cfg: PipelineConfig, network, oracle):
+    """Check what enters the pipeline before any data is read: the rate, the
+    reference channel, the VAD mode's stems or weights, a network's bins in
+    and out, and any stems (`check_stems`); returns the stems' arrays or None."""
     check_rate(signal.sample_rate)
     if cfg.ref_channel >= signal.channel_count:
         raise ConfigError(f"ref_channel {cfg.ref_channel} out of range for {signal.channel_count} channels")
+    if cfg.vad_mode == "network" and network is None:
+        raise ConfigError("network VAD mode needs loaded weights")
+    if cfg.vad_mode == "oracle" and oracle is None:
+        raise ConfigError("oracle VAD mode needs clean/noise stems")
+    if network is not None and not network.input_dim == network.output_dim == N_BINS:
+        raise SizeError(f"VAD network maps {network.input_dim} bins to {network.output_dim}, not {N_BINS} to {N_BINS}")
     if oracle is None:
         return None
     check_stems(oracle, signal)
@@ -206,7 +213,7 @@ def process_block(
 ) -> BlockResult:
     """Enhance one block with no state from other blocks (`_enhance_block`),
     after `_check_input`, which checks any given stems whatever the VAD mode."""
-    return _enhance_block(block.samples, cfg, network, _check_input(block, cfg, oracle))
+    return _enhance_block(block.samples, cfg, network, _check_input(block, cfg, network, oracle))
 
 
 def _enhance_block(samples, cfg, network, stems) -> BlockResult:
@@ -253,10 +260,6 @@ def _enhance_block(samples, cfg, network, stems) -> BlockResult:
         bins = analyze(samples[order])
 
     with _stage_timer(timings, "vad"):
-        if cfg.vad_mode == "network" and network is None:
-            raise ConfigError("network VAD mode needs loaded weights")
-        if cfg.vad_mode == "oracle" and stems is None:
-            raise ConfigError("oracle VAD mode needs clean/noise stems")
         pooled = _pooled_mask(bins, cfg, network, stems, order[1:], timings)
     # the `vad` stage ran the stem analysis, which is timed on its own
     timings["vad"] -= timings.get("oracle_stft", 0.0)
@@ -282,11 +285,11 @@ def _enhance_block(samples, cfg, network, stems) -> BlockResult:
             weights, ban_gain, *gev_counts = gev_weights(bins, pooled)
             fallbacks["gev_degenerate_bins"], fallbacks["gev_noise_loaded_bins"] = gev_counts
         beam_out = apply_weights(weights, bins)
-        if cfg.postfilter == "ban":
-            beam_out *= ban_gain[:, None]
 
     with _stage_timer(timings, "postfilter"):
-        if cfg.postfilter == "wiener":
+        if cfg.postfilter == "ban":
+            beam_out *= ban_gain[:, None]
+        elif cfg.postfilter == "wiener":
             # a bin slice at a time, in place: beside the spectrogram and
             # the beam output only |u|^2 is block-sized, no residual or gain
             parts = bin_chunks(*beam_out.shape)
@@ -308,12 +311,15 @@ def _enhance_block(samples, cfg, network, stems) -> BlockResult:
 def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int]]:
     """(start_frame, frame_count) per block on the stream's STFT frame grid.
 
-    Batch mode yields a single block covering every frame. A trailing partial
-    block shorter than two sub-blocks is merged into the previous block;
-    longer remainders stand alone.
+    Batch mode yields a single block covering every frame, two sub-blocks at
+    least unless the beamformer is "gev". A trailing partial block shorter
+    than two sub-blocks is merged into the previous block; longer remainders
+    stand alone.
     """
     total = frame_count(n_samples)
     if cfg.is_batch:
+        if cfg.beamformer != "gev" and total < 2 * cfg.sub_block_len:
+            raise SizeError(f"signal has {total} frames; the RTF estimator needs 2 sub-blocks ({2 * cfg.sub_block_len})")
         return [(0, total)]
     size = cfg.block_frames
     if total < size:
@@ -345,7 +351,7 @@ def run_with_diagnostics(
     spanned by full STFT frames, so up to hop - 1 trailing input samples are
     trimmed. The checks are `process_block`'s, made once for the recording.
     """
-    stems = _check_input(signal, cfg, oracle)
+    stems = _check_input(signal, cfg, network, oracle)
     blocks = partition_frames(signal.n_samples, cfg)
     results = []
     for start_frame, n_frames in blocks:

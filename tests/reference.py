@@ -17,16 +17,20 @@ def estimate_noise(bins, inv_rtf):
     return x @ proj_b.transpose(0, 2, 1), noise_cov, n_loaded
 
 
-def sample_covariance_one_shot(bins):
-    """Per-bin sum of outer products x^T conj(x) in one batched `matmul` over
-    every bin, as `beamform.sample_covariance` computes it chunk by chunk."""
+def sample_covariance_one_shot(bins, weights=None):
+    """Per-bin weighted sum of outer products conj((w conj(x))^T x) in one
+    batched `matmul` over every bin, as `beamform.sample_covariance`
+    computes it chunk by chunk; None weights every frame by 1."""
     x = np.asarray(bins)
-    return x.transpose(0, 2, 1) @ np.conj(x)
+    weighted = np.conj(x)
+    if weights is not None:
+        weighted *= np.asarray(weights)[:, :, None]
+    return np.conj(weighted.transpose(0, 2, 1) @ x)
 
 
 def masked_covariances_one_shot(bins, mask):
     """`beamform.masked_covariances` with both weighted sums taken over every
-    bin at once, through one (K, L, M) buffer of weighted conjugate frames."""
+    bin at once by `sample_covariance_one_shot`."""
     x = np.asarray(bins)
     n_frames = x.shape[1]
     w = np.asarray(mask, dtype=np.float64)
@@ -34,13 +38,8 @@ def masked_covariances_one_shot(bins, mask):
     sum_speech = w.sum(axis=1)
     sum_noise = w_noise.sum(axis=1)
     degenerate = (sum_speech <= MASK_SUM_FLOOR) | (sum_noise <= MASK_SUM_FLOOR)
-
-    weighted = np.conj(x)
-    weighted *= w[:, :, None]
-    speech = np.conj(weighted.transpose(0, 2, 1) @ x)
-    np.conjugate(x, out=weighted)
-    weighted *= w_noise[:, :, None]
-    noise = np.conj(weighted.transpose(0, 2, 1) @ x)
+    speech = sample_covariance_one_shot(x, w)
+    noise = sample_covariance_one_shot(x, w_noise)
 
     speech[degenerate] += noise[degenerate]
     noise[degenerate] = speech[degenerate]

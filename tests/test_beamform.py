@@ -529,6 +529,9 @@ class TestBatchedKernels:
         w[edge - 1] = 1.0  # degenerate: no noise frames
         w[edge] = 0.0  # degenerate: no speech frames
         assert np.array_equal(sample_covariance(x), sample_covariance_one_shot(x))
+        # the weighted kernel that masked_covariances calls for w and 1 - w
+        assert np.array_equal(sample_covariance(x, w), sample_covariance_one_shot(x, w))
+        assert np.array_equal(sample_covariance(x, 1.0 - w), sample_covariance_one_shot(x, 1.0 - w))
         got = masked_covariances(x, w)
         expected = masked_covariances_one_shot(x, w)
         assert np.flatnonzero(got[2]).tolist() == [edge - 1, edge]
@@ -660,10 +663,30 @@ class TestBatchedKernels:
         assert calls == [(257, 4, 4)]
         assert n_loaded == 257
 
-    def test_degenerate_gev_bin_takes_principal_eigenvector(self):
-        x = random_bins(6, 20, 3, 75)
-        w, _, n_degenerate, _ = gev_weights(x, np.ones((6, 20)))
-        assert n_degenerate == 6
-        for k in range(6):
+    @pytest.mark.parametrize("mixed", [False, True], ids=["all-ones", "mixed"])
+    def test_degenerate_gev_bin_takes_principal_eigenvector(self, mixed):
+        if mixed:
+            # degenerate and solved bins in one block, degenerate ones on
+            # both sides of the first chunk edge
+            x = random_bins(257, 1000, 3, 75)
+            mask = np.random.default_rng(78).uniform(0.0, 1.0, (257, 1000))
+            edge = bin_chunks(257, 1000)[1].start
+            degenerate = [edge - 2, edge - 1, edge, edge + 1]
+            mask[[edge - 2, edge]] = 1.0
+            mask[[edge - 1, edge + 1]] = 0.0
+        else:
+            x = random_bins(6, 20, 3, 75)
+            mask = np.ones((6, 20))
+            degenerate = list(range(6))
+        w, ban, n_degenerate, n_loaded = gev_weights(x, mask)
+        assert n_degenerate == len(degenerate)
+        # the identity that whitens a degenerate bin is not a loading
+        assert n_loaded == 0
+        for k in degenerate:
             principal = np.linalg.eigh(x[k].T @ np.conj(x[k]))[1][:, -1]
             assert abs(np.vdot(principal, w[k])) == pytest.approx(1.0, abs=1e-12)
+        solved = np.setdiff1d(np.arange(len(x)), degenerate)
+        speech, noise, _ = masked_covariances(x[solved], mask[solved])
+        expected = solve_max_snr(speech, noise)[0]
+        assert np.allclose(np.abs(np.einsum("km,km->k", np.conj(expected), w[solved])), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(ban)) and np.all(ban > 0)

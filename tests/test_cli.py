@@ -375,6 +375,19 @@ class TestEnhanceCommand:
         assert "layers must be a non-empty list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_in,n_out", [(257, 10), (257, 514), (100, 257)])
+    def test_network_of_another_size_is_config_error(self, sim_dir, tmp_path, capsys, n_in, n_out):
+        # checked before any block runs, with both sizes named
+        weights = tmp_path / "net.json"
+        layer = {"w": np.zeros((n_out, n_in)).tolist(), "b": [0.0] * n_out, "act": "sigmoid"}
+        weights.write_text(json.dumps({"layers": [layer], "mean": [0.0] * n_in, "std": [1.0] * n_in}))
+        out = tmp_path / "o.wav"
+        argv = ["enhance", "--input", str(sim_dir / "mixture.wav"), "--output", str(out)]
+        assert main([*argv, "--vad", "network", "--vad-weights", str(weights)]) == 2
+        err = capsys.readouterr().err
+        assert f"maps {n_in} bins to {n_out}, not 257 to 257" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_network_vad_without_weights_is_config_error(self, sim_dir, tmp_path):
         code = main(
             [

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -30,6 +31,7 @@ from blockbeam.pipeline import (
     VAD_MODES,
     VALID_PAIRINGS,
     _pooled_mask,
+    _stage_timer,
     partition_frames,
     process_block,
     run,
@@ -114,6 +116,8 @@ class TestPipelineConfig:
             PipelineConfig(beamformer="mwf")
         with pytest.raises(ConfigError):
             PipelineConfig(vad_mode="blstm")
+        with pytest.raises(ConfigError, match="unknown postfilter"):
+            PipelineConfig(postfilter="median")
         with pytest.raises(ConfigError):
             PipelineConfig(block_frames="online")
         # counts and indices must be ints: a bool or a fraction names its field
@@ -195,7 +199,7 @@ class TestProcessBlock:
         assert 20 * np.log10(err / ref) < -60
 
     def test_silent_block_passthrough(self):
-        cfg = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="wiener")
+        cfg = PipelineConfig(block_frames=100, beamformer="irtf", postfilter="wiener", vad_mode="none")
         block = MultichannelSignal(np.zeros((3, 13184)), 16000)
         result = process_block(block, cfg)
         assert result.diagnostics.passthrough
@@ -484,6 +488,81 @@ def test_process_block_rejects_stems_at_another_rate(vad_mode):
     cfg = PipelineConfig(block_frames=100, vad_mode=vad_mode)
     with pytest.raises(ConfigError, match="rate"):
         process_block(block, cfg, random_network(33), oracle=oracle)
+
+
+ENTRIES = {"process_block": process_block, "run_with_diagnostics": run_with_diagnostics, "run": run}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("vad_mode", ["oracle", "network"])
+def test_missing_vad_input_is_refused_on_silent_input(vad_mode, entry):
+    # the check does not depend on the data: a silent block, which passes
+    # through without reaching the VAD, is refused as a loud one is
+    cfg = PipelineConfig(block_frames=100, vad_mode=vad_mode)
+    with pytest.raises(ConfigError, match=f"{vad_mode} VAD mode needs"):
+        ENTRIES[entry](MultichannelSignal(np.zeros((3, 13184)), 16000), cfg)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("dims", [(257, 64, 10), (257, 64, 514), (100, 64, 257)], ids=str)
+def test_network_of_another_size_is_refused_at_entry(dims, entry):
+    # a network must map the 257 bins to 257 masks; it is checked before any
+    # block runs, so a silent input is refused too
+    cfg = PipelineConfig(block_frames=100, vad_mode="network")
+    net = random_network(45, dims)
+    for samples in (stem_block()[0].samples, np.zeros((3, 13184))):
+        with pytest.raises(SizeError, match=f"maps {dims[0]} bins to {dims[-1]}, not 257 to 257"):
+            ENTRIES[entry](MultichannelSignal(samples, 16000), cfg, net)
+
+
+def test_batch_pass_too_short_for_the_rtf_estimator_is_refused():
+    # 15 frames hold one 10-frame sub-block: irtf/mvdr are refused before
+    # the block runs, on loud and silent input; gev needs no RTF
+    loud = MultichannelSignal(stem_block()[0].samples[:, :2304], 16000)
+    assert (loud.n_samples - 512) // 128 + 1 == 15
+    silent = MultichannelSignal(np.zeros((3, 2304)), 16000)
+    for beamformer, postfilter in [("irtf", "wiener"), ("mvdr", "none")]:
+        cfg = PipelineConfig(block_frames="batch", beamformer=beamformer, postfilter=postfilter, vad_mode="none")
+        for signal in (loud, silent):
+            with pytest.raises(SizeError, match="15 frames; the RTF estimator needs 2 sub-blocks"):
+                run_with_diagnostics(signal, cfg)
+    cfg = PipelineConfig(block_frames="batch", beamformer="gev", postfilter="ban", vad_mode="network")
+    (result,) = run_with_diagnostics(loud, cfg, random_network(46))[1]
+    assert not result.diagnostics.passthrough
+
+
+def test_ban_gain_is_applied_in_the_postfilter_stage():
+    # the BAN scaling reads the gain while the `postfilter` stage is timed
+    stages, reads = [], []
+
+    @contextlib.contextmanager
+    def recording_timer(timings, name):
+        stages.append(name)
+        try:
+            with _stage_timer(timings, name):
+                yield
+        finally:
+            stages.pop()
+
+    class Gain(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(stages[-1] if stages else None)
+            return np.asarray(self)[key]
+
+    def spy(bins, mask):
+        weights, ban, *counts = gev_weights(bins, mask)
+        return weights, ban.view(Gain), *counts
+
+    block, clean, noise = stem_block()
+    n = block.n_samples
+    oracle = OracleStems(MultichannelSignal(clean[:, :n], 16000), MultichannelSignal(noise[:, :n], 16000))
+    cfg = PipelineConfig(block_frames=100, beamformer="gev", postfilter="ban", vad_mode="oracle")
+    with (
+        mock.patch("blockbeam.pipeline._stage_timer", recording_timer),
+        mock.patch("blockbeam.pipeline.gev_weights", spy),
+    ):
+        process_block(block, cfg, oracle=oracle)
+    assert reads == ["postfilter"]
 
 
 @pytest.mark.parametrize("live_channels", [4, 1])
@@ -850,7 +929,7 @@ def test_gev_noise_loading_is_counted(duplicate):
     records = [r.diagnostics.to_json_dict()["fallbacks"] for r in results]
     loaded = [rec["gev_noise_loaded_bins"] for rec in records]
     if duplicate:
-        # mask-degenerate bins skip the solver and are counted apart
+        # mask-degenerate bins are whitened by the identity and counted apart
         assert all(0 < n <= 257 - rec["gev_degenerate_bins"] for n, rec in zip(loaded, records))
     else:
         assert loaded == [0] * len(results)
