@@ -1,20 +1,30 @@
 """Multichannel WAV input/output and VAD network weight files.
 
-`scipy.io.wavfile` is imported by `read_wav` and `write_wav` when they run,
-so importing the package does not load scipy.
+`read_wav` and `write_wav` are a numpy + `struct` codec for 16 bit PCM and
+32 bit float samples in a RIFF/WAVE container, so no audio path loads scipy.
+RIFX and RF64 are not read. `write_wav` writes `scipy.io.wavfile.write`'s
+header, and refuses what RIFF's header fields cannot hold before the file is
+created: frames over 65535 bytes, a byte rate or a file of 4 GiB or more.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, SizeError, UnsupportedEncodingError, whole_number
+from .errors import ConfigError, DataError, FormatError, SizeError, UnsupportedEncodingError, whole_number
 
 # Symmetric 16 bit convention: sample value v maps to v / 32768.
 PCM16_SCALE = 32768.0
+
+# (format code, bits per sample) -> sample dtype, for PCM (1) and IEEE float (3)
+_SAMPLE_DTYPES = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4")}
+_WRITE_FORMATS = {"pcm16": (1, 16), "float32": (3, 32)}
+_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"  # of an extensible sub-format
 
 ACTIVATIONS = ("relu", "sigmoid")
 
@@ -51,27 +61,37 @@ def read_wav(path) -> MultichannelSignal:
     """Read a RIFF/WAVE file holding 16 bit PCM or 32 bit float samples.
 
     16 bit samples are scaled by 1/32768; float samples pass through unchanged.
-    Raises FormatError for broken containers and UnsupportedEncodingError for
-    any other sample encoding.
+    Chunks other than `fmt ` and `data` are skipped. Raises FormatError for a
+    broken container and UnsupportedEncodingError for another sample encoding.
     """
-    from scipy.io import wavfile  # see the module docstring
-
-    try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / PCM16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise UnsupportedEncodingError(
-            f"{path}: unsupported sample encoding {data.dtype}, expected int16 or float32"
-        )
-    if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
-    else:
-        samples = samples.T
+    with open(path, "rb") as fh:
+        end, head = os.fstat(fh.fileno()).st_size, fh.read(12)
+        if head[:4] != b"RIFF" or head[8:12] != b"WAVE":  # RIFX and RF64 too
+            raise FormatError(f"{path}: not a RIFF/WAVE file (starts {head!r})")
+        fmt = name = None
+        while len(chunk := fh.read(8)) == 8:
+            name, size = struct.unpack("<4sI", chunk)
+            if fh.tell() + size > end:
+                raise FormatError(f"{path}: {name!r} chunk of {size} bytes runs past the end of the file")
+            if name == b"data":
+                break
+            next_chunk = fh.tell() + size + size % 2  # an odd-sized chunk is followed by a pad byte
+            fmt = fh.read(size) if name == b"fmt " else fmt
+            fh.seek(next_chunk)
+        if name != b"data" or len(fmt or b"") < 16:
+            raise FormatError(f"{path}: needs a fmt chunk of 16 bytes or more, then a data chunk")
+        tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", fmt)
+        if tag == 0xFFFE and fmt[26:40] == _GUID_TAIL:  # WAVE_FORMAT_EXTENSIBLE
+            (tag,) = struct.unpack_from("<H", fmt, 24)
+        dtype = _SAMPLE_DTYPES.get((tag, bits))
+        if dtype is None:
+            raise UnsupportedEncodingError(f"{path}: unsupported sample encoding: format {tag:#x}, {bits} bit")
+        if channels == 0 or align != channels * dtype.itemsize:
+            raise FormatError(f"{path}: block align {align} for {channels} channels of {dtype.itemsize} bytes")
+        if size % align:
+            raise FormatError(f"{path}: data chunk of {size} bytes is not a whole number of frames")
+        data = np.frombuffer(fh.read(size), dtype).reshape(-1, channels).T
+    samples = data / PCM16_SCALE if dtype.kind == "i" else data.astype(np.float64)
     return MultichannelSignal(samples, rate)
 
 
@@ -82,19 +102,31 @@ def write_wav(signal: MultichannelSignal, path, encoding: str = "float32") -> No
     32767 and -1.0 as -32768. float32 output round-trips bit-exactly through
     read_wav.
     """
-    from scipy.io import wavfile  # see the module docstring
-
+    if encoding not in _WRITE_FORMATS:
+        raise UnsupportedEncodingError(f"unsupported encoding {encoding!r}")
+    tag, bits = _WRITE_FORMATS[encoding]
+    (channels, n), rate = signal.samples.shape, signal.sample_rate
+    align = channels * bits // 8
+    if align > 0xFFFF:
+        raise SizeError(f"{channels} channels of {bits} bit samples exceed a WAV frame's 65535 bytes")
+    if rate * align > 0xFFFFFFFF:
+        raise ConfigError(f"sample_rate must be <= {0xFFFFFFFF // align} for {align}-byte WAV frames, got {rate}")
+    # scipy's layout: float32 adds a cbSize of 0 to the 16-byte fmt, and a fact chunk
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits) + (b"" if tag == 1 else b"\0\0")
+    header_len = 12 + 8 + len(fmt) + (0 if tag == 1 else 12) + 8  # RIFF, fmt, fact and data headers
+    if header_len + n * align >= 2**32:
+        raise SizeError(f"{n} frames of {align} bytes make a WAV file of 4 GiB or more")
     if not np.all(np.isfinite(signal.samples)):
         raise DataError("cannot write non-finite samples")
-    if encoding == "pcm16":
-        clipped = np.clip(signal.samples, -1.0, 1.0 - 1.0 / PCM16_SCALE)
-        data = np.round(clipped * PCM16_SCALE).astype(np.int16)
-    elif encoding == "float32":
-        data = signal.samples.astype(np.float32)
-    else:
-        raise UnsupportedEncodingError(f"unsupported encoding {encoding!r}")
-    out = data[0] if signal.channel_count == 1 else data.T
-    wavfile.write(path, signal.sample_rate, out)
+    samples = signal.samples
+    if tag == 1:
+        samples = np.round(np.clip(samples, -1.0, 1.0 - 1.0 / PCM16_SCALE) * PCM16_SCALE)
+    data = np.ascontiguousarray(samples.T, dtype=_SAMPLE_DTYPES[tag, bits])  # interleaved frames
+    fact = b"" if tag == 1 else struct.pack("<4sII", b"fact", 4, n)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI4s4sI", b"RIFF", header_len - 8 + data.nbytes, b"WAVE", b"fmt ", len(fmt)))
+        fh.write(fmt + fact + struct.pack("<4sI", b"data", data.nbytes))
+        fh.write(data)
 
 
 @dataclass

@@ -332,9 +332,10 @@ def _delay_gram(stems: np.ndarray, n_delays: int) -> np.ndarray:
     d = np.arange(n_delays)
     gram = both[d[:, None] - d[None, :] + n_delays - 1]  # [a, b, i, j]
     gram = gram.transpose(2, 0, 3, 1).reshape(k * n_delays, k * n_delays)
+    lo = max(n - n_delays, 0)  # the tail reads only the stems' last L - 1 samples
     src = n + np.arange(n_delays - 1)[:, None] - d  # stem sample in tail row t, delay a
-    src = np.where((src >= 0) & (src < n), src, n)  # index n reads the zero pad
-    tail = np.pad(stems, ((0, 0), (0, 1)))[:, src]  # (K, L-1, L)
+    src = np.where((src >= 0) & (src < n), src - lo, n - lo)  # index n - lo reads the zero pad
+    tail = np.pad(stems[:, lo:], ((0, 0), (0, 1)))[:, src]  # (K, L-1, L)
     tail = tail.transpose(1, 0, 2).reshape(n_delays - 1, k * n_delays)
     return gram - tail.T @ tail
 

@@ -211,9 +211,11 @@ def process_block(
     network: NetworkWeights | None = None,
     oracle: OracleStems | None = None,
 ) -> BlockResult:
-    """Enhance one block with no state from other blocks (`_enhance_block`),
-    after `_check_input`, which checks any given stems whatever the VAD mode."""
-    return _enhance_block(block.samples, cfg, network, _check_input(block, cfg, network, oracle))
+    """Enhance one block with no state from other blocks (`_enhance_block`), after
+    `_check_input` (any given stems whatever the VAD mode) and `_check_rtf_frames`."""
+    stems = _check_input(block, cfg, network, oracle)
+    _check_rtf_frames(frame_count(block.n_samples), cfg, "block")
+    return _enhance_block(block.samples, cfg, network, stems)
 
 
 def _enhance_block(samples, cfg, network, stems) -> BlockResult:
@@ -308,6 +310,12 @@ def _enhance_block(samples, cfg, network, stems) -> BlockResult:
     return BlockResult(enhanced=beam_out, diagnostics=diag, pooled_mask=pooled, rtf=inv_rtf)
 
 
+def _check_rtf_frames(n_frames: int, cfg: PipelineConfig, what: str) -> None:
+    """irtf/mvdr estimate RTFs from at least 2 sub-blocks of frames; gev needs none."""
+    if cfg.beamformer != "gev" and n_frames < 2 * cfg.sub_block_len:
+        raise SizeError(f"{what} has {n_frames} frames; the RTF estimator needs 2 sub-blocks ({2 * cfg.sub_block_len})")
+
+
 def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int]]:
     """(start_frame, frame_count) per block on the stream's STFT frame grid.
 
@@ -318,8 +326,7 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
     """
     total = frame_count(n_samples)
     if cfg.is_batch:
-        if cfg.beamformer != "gev" and total < 2 * cfg.sub_block_len:
-            raise SizeError(f"signal has {total} frames; the RTF estimator needs 2 sub-blocks ({2 * cfg.sub_block_len})")
+        _check_rtf_frames(total, cfg, "signal")
         return [(0, total)]
     size = cfg.block_frames
     if total < size:

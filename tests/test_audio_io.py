@@ -1,5 +1,7 @@
 import json
+import struct
 import wave
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,6 +114,189 @@ class TestWriteWav:
         sig = MultichannelSignal(np.zeros((1, 10)), 16000)
         with pytest.raises(OSError):
             write_wav(sig, tmp_path / "no" / "such" / "dir.wav")
+
+
+def chunk(name: bytes, body: bytes) -> bytes:
+    """One RIFF chunk, with the pad byte that follows an odd-sized body."""
+    return struct.pack("<4sI", name, len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def riff(*chunks: bytes, form: bytes = b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return form + struct.pack("<I", len(body)) + body
+
+
+def fmt_body(tag=1, channels=2, bits=16, align=None, rate=16000) -> bytes:
+    """The 16-byte WAVEFORMAT fields; block align follows the others unless given."""
+    align = channels * bits // 8 if align is None else align
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+def extensible_fmt(code, channels, bits, guid_tail=b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE body whose sub-format GUID holds `code`."""
+    return fmt_body(0xFFFE, channels, bits) + struct.pack("<HHI", 22, bits, 0) + struct.pack("<H", code) + guid_tail
+
+
+def scipy_read_reference(path):
+    """(rate, samples) as read_wav gave them on scipy.io.wavfile: int16 / 32768,
+    float32 widened to float64, one row per channel."""
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(path)
+    samples = data.astype(np.float64) / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
+    return rate, samples[np.newaxis, :] if samples.ndim == 1 else samples.T
+
+
+# three stereo frames of 16 bit PCM
+FRAMES = np.arange(-3, 3, dtype="<i2").tobytes()
+
+
+class TestRiffCodec:
+    """read_wav/write_wav against scipy.io.wavfile, the codec they replace."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 51200])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_write_matches_scipy_bytes_and_reads_back_as_before(self, tmp_path, encoding, n):
+        from scipy.io import wavfile
+
+        rng = np.random.default_rng(n)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+        for channels in range(1, 9):
+            samples = rng.uniform(-1.2, 1.2, (channels, n))
+            write_wav(MultichannelSignal(samples, 16000), ours, encoding)
+            if encoding == "pcm16":
+                data = np.round(np.clip(samples, -1.0, 1.0 - 1.0 / 32768) * 32768).astype(np.int16)
+            else:
+                data = samples.astype(np.float32)
+            wavfile.write(theirs, 16000, data[0] if channels == 1 else data.T)
+            assert ours.read_bytes() == theirs.read_bytes(), (encoding, channels, n)
+            rate, want = scipy_read_reference(theirs)
+            got = read_wav(theirs)
+            assert got.sample_rate == rate == 16000
+            assert got.samples.dtype == np.float64 and np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(riff(chunk(b"fmt ", extensible_fmt(1, 3, 16)), chunk(b"data", bytes(range(60)))), id="extensible-pcm16"),
+            pytest.param(
+                riff(
+                    chunk(b"fmt ", extensible_fmt(3, 2, 32)),
+                    chunk(b"fact", struct.pack("<I", 3)),
+                    chunk(b"data", np.array([0.5, -1.5, 1e-30, 3.0, -0.0, 7.25], dtype="<f4").tobytes()),
+                ),
+                id="extensible-float32",
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body()), chunk(b"LIST", b"INFOabc"), chunk(b"data", FRAMES)), id="odd-list-chunk"
+            ),
+        ],
+    )
+    def test_read_matches_scipy(self, tmp_path, body):
+        path = tmp_path / "in.wav"
+        path.write_bytes(body)
+        rate, want = scipy_read_reference(path)
+        got = read_wav(path)
+        assert got.sample_rate == rate and np.array_equal(got.samples, want)
+
+    def test_read_matches_scipy_on_wave_module_files(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "wave.wav"
+        write_pcm16_reference(path, rng.integers(-32768, 32768, (3, 101)).astype(np.int16), sample_rate=8000)
+        rate, want = scipy_read_reference(path)
+        got = read_wav(path)
+        assert got.sample_rate == rate == 8000 and np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize(
+        "body,error,match",
+        [
+            pytest.param(b"", FormatError, "not a RIFF/WAVE", id="empty"),
+            pytest.param(riff(chunk(b"fmt ", fmt_body()), chunk(b"data", FRAMES), form=b"RIFX"), FormatError, "RIFX", id="rifx"),
+            pytest.param(riff(chunk(b"fmt ", fmt_body()), chunk(b"data", FRAMES), form=b"RF64"), FormatError, "RF64", id="rf64"),
+            pytest.param(b"RIFF" + struct.pack("<I", 4) + b"AVI ", FormatError, "not a RIFF/WAVE", id="riff-avi"),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body()), struct.pack("<4sI", b"LIST", 100) + b"INFO"),
+                FormatError, "runs past the end", id="chunk-past-end",
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body()), struct.pack("<4sI", b"data", 16) + FRAMES),
+                FormatError, "runs past the end", id="data-past-end",
+            ),
+            pytest.param(riff(chunk(b"data", FRAMES)), FormatError, "fmt chunk", id="no-fmt"),
+            pytest.param(riff(chunk(b"data", FRAMES), chunk(b"fmt ", fmt_body())), FormatError, "fmt chunk", id="data-before-fmt"),
+            pytest.param(riff(chunk(b"fmt ", fmt_body()), chunk(b"LIST", b"INFO")), FormatError, "data chunk", id="no-data"),
+            pytest.param(riff(chunk(b"fmt ", fmt_body()[:14]), chunk(b"data", FRAMES)), FormatError, "16 bytes", id="short-fmt"),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(channels=0)), chunk(b"data", FRAMES)), FormatError, "0 channels", id="zero-channels"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(align=3)), chunk(b"data", FRAMES)), FormatError, "block align 3", id="block-align"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body()), chunk(b"data", FRAMES[:10])),
+                FormatError, "whole number of frames", id="partial-frame",
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(1, 1, 8)), chunk(b"data", FRAMES)), UnsupportedEncodingError, "0x1, 8 bit", id="pcm8"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(1, 2, 24)), chunk(b"data", FRAMES)), UnsupportedEncodingError, "0x1, 24 bit", id="pcm24"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(1, 1, 32)), chunk(b"data", FRAMES)), UnsupportedEncodingError, "0x1, 32 bit", id="pcm32"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(3, 1, 64)), chunk(b"data", FRAMES)), UnsupportedEncodingError, "0x3, 64 bit", id="float64"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(6, 2, 8)), chunk(b"data", FRAMES)), UnsupportedEncodingError, "0x6, 8 bit", id="a-law"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", fmt_body(7, 2, 8)), chunk(b"data", FRAMES)), UnsupportedEncodingError, "0x7, 8 bit", id="mu-law"
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", extensible_fmt(1, 2, 24)), chunk(b"data", FRAMES)),
+                UnsupportedEncodingError, "0x1, 24 bit", id="extensible-pcm24",
+            ),
+            pytest.param(
+                riff(chunk(b"fmt ", extensible_fmt(1, 2, 16, guid_tail=bytes(14))), chunk(b"data", FRAMES)),
+                UnsupportedEncodingError, "0xfffe, 16 bit", id="extensible-unknown-guid",
+            ),
+        ],
+    )
+    def test_broken_and_unsupported_files(self, tmp_path, body, error, match):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(body)
+        with pytest.raises(FormatError, match=match) as exc:
+            read_wav(path)
+        assert type(exc.value) is error
+
+    @pytest.mark.parametrize("encoding,channels", [("pcm16", 32767), ("float32", 16383)])
+    def test_widest_frame_matches_scipy_bytes(self, tmp_path, encoding, channels):
+        from scipy.io import wavfile
+
+        data = np.zeros((2, channels), dtype=np.int16 if encoding == "pcm16" else np.float32)
+        write_wav(MultichannelSignal(data.T, 16000), tmp_path / "ours.wav", encoding)
+        wavfile.write(tmp_path / "scipy.wav", 16000, data)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize(
+        "encoding,channels,n,match",
+        [
+            ("pcm16", 32768, 0, "32768 channels of 16 bit samples exceed"),
+            ("float32", 16384, 0, "16384 channels of 32 bit samples exceed"),
+            ("pcm16", 1, 2**31, "4 GiB"),
+            ("float32", 1, 2**30, "4 GiB"),
+            ("float32", 4, 2**28 - 3, "4 GiB"),  # the smallest: 58 + 2**32 - 48 bytes
+        ],
+    )
+    def test_header_limits_refused_before_the_file_is_created(self, tmp_path, encoding, channels, n, match):
+        # a stand-in that holds only a shape, so the refusal comes before any
+        # sample is read and nothing of the file's size is allocated
+        signal = SimpleNamespace(samples=SimpleNamespace(shape=(channels, n)), sample_rate=16000)
+        with pytest.raises(SizeError, match=match):
+            write_wav(signal, tmp_path / "big.wav", encoding)
+        assert not (tmp_path / "big.wav").exists()
 
 
 def network_dict(dims, acts, seed=0):

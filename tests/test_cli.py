@@ -1,13 +1,17 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import blockbeam
 from blockbeam.audio_io import MultichannelSignal, read_wav, write_wav
 from blockbeam.cli import EXIT_IO, build_parser, main
 
@@ -791,3 +795,57 @@ class TestTooShortInput:
         write_wav(MultichannelSignal(np.zeros((1, clean.n_samples + 100)), 16000), est)
         code = main(["evaluate", "--estimate", str(est), *_stem_args(sim_dir)])
         assert code == 2
+
+
+# every subcommand in one process: argv is the scipy mode, the output
+# directory, the weight file and the mixture config
+CLI_WITHOUT_SCIPY = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # `import scipy` and `import scipy.x` now raise ImportError
+from blockbeam.cli import main
+out, weights, config = sys.argv[2:]
+stems = ["--clean", f"{out}/clean.wav", "--noise", f"{out}/noise.wav"]
+mixture = ["--input", f"{out}/mixture.wav"]
+codes = [
+    main(["simulate", "--config", config, "--out-dir", out]),
+    main(["enhance", *mixture, "--output", f"{out}/oracle.wav", "--beamformer", "mvdr", "--postfilter", "wiener",
+          "--vad", "oracle", *stems]),
+    main(["enhance", *mixture, "--output", f"{out}/network.wav", "--vad", "network", "--vad-weights", weights,
+          "--encoding", "pcm16"]),
+    main(["evaluate", "--estimate", f"{out}/oracle.wav", *stems, "--json", f"{out}/report.json"]),
+    main(["sweep", *mixture, *stems, "--vad", "oracle", "--beamformer", "irtf,gev", "--block-ms", "800,batch",
+          "--csv", f"{out}/sweep.csv"]),
+]
+print(codes)
+print(sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module is not None))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # with scipy unimportable every subcommand exits 0 and writes the bytes
+    # it writes with scipy importable; neither run loads a scipy module
+    config = tmp_path / "mix.json"
+    config.write_text(json.dumps({"channels": 3, "duration_s": 1.0, "seed": 5, "delays": [0, 2, 5]}))
+    rng = np.random.default_rng(0)
+    weights = tmp_path / "net.json"
+    layers = [
+        {"w": (0.05 * rng.standard_normal((16, 257))).tolist(), "b": [0.0] * 16, "act": "relu"},
+        {"w": (0.05 * rng.standard_normal((257, 16))).tolist(), "b": [1.0] * 257, "act": "sigmoid"},
+    ]
+    weights.write_text(json.dumps({"layers": layers, "mean": [0.0] * 257, "std": [1.0] * 257}))
+    src = str(Path(blockbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for mode in ("blocked", "importable"):
+        out = tmp_path / mode
+        out.mkdir()
+        argv = [sys.executable, "-c", CLI_WITHOUT_SCIPY, mode, str(out), str(weights), str(config)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+        outputs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(outputs["blocked"]) == [
+        "clean.wav", "mixture.wav", "network.wav", "noise.wav", "oracle.wav", "report.json", "rtf.json", "sweep.csv"
+    ]
+    assert outputs["blocked"] == outputs["importable"]

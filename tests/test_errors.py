@@ -4,13 +4,14 @@ point that takes such a number rejects a bad one with a ConfigError that names
 the field, and stores the value that the rule returns."""
 
 import inspect
+import os
 import re
 
 import numpy as np
 import pytest
 
 import blockbeam
-from blockbeam.audio_io import MultichannelSignal
+from blockbeam.audio_io import MultichannelSignal, write_wav
 from blockbeam.errors import ConfigError
 from blockbeam.evalsim import (
     MixtureSpec,
@@ -38,6 +39,8 @@ ENTRY_POINTS = {
     "evaluate_estimate": lambda **kw: evaluate_estimate(SIGNAL, SIGNAL, SIGNAL[np.newaxis], **kw),
     "evaluate_blockwise": lambda **kw: evaluate_blockwise(SIGNAL, SIGNAL, SIGNAL[np.newaxis], **{"window": 64, **kw}),
     "frames_for_duration_ms": lambda **kw: frames_for_duration_ms(**kw),
+    # a 1-channel float32 file; a rate the header holds is written to the null device
+    "write_wav": lambda **kw: write_wav(MultichannelSignal(np.zeros((1, 4)), **kw), os.devnull),
 }
 
 WHOLE_FIELDS = [
@@ -80,6 +83,8 @@ OUT_OF_RANGE = [
     ("speech_like_source", "duration_s", 1e308),  # a sample count that overflows to inf
     ("decompose", "filter_len", 0),
     ("evaluate_blockwise", "window", 0),
+    ("write_wav", "sample_rate", 2**32),  # beyond the header's 32-bit rate field
+    ("write_wav", "sample_rate", 2**30),  # 4-byte frames: a byte rate of 2**32
 ]
 
 ROWS = (

@@ -485,6 +485,28 @@ def decaying_burst(n, lead, rng):
     return np.r_[np.zeros(lead), 0.6 ** np.arange(n - lead) * rng.choice([-1.0, 1.0], n - lead)]
 
 
+@pytest.mark.parametrize(
+    "k,n,n_delays",
+    [(1, 1, 1), (3, 5, 32), (2, 31, 32), (2, 32, 32), (2, 33, 32), (4, 20000, 8)],
+    ids=["one-sample", "n-below-l", "n-is-l-minus-1", "n-is-l", "n-is-l-plus-1", "n-far-above-l"],
+)
+def test_delay_gram_matches_the_dense_product(k, n, n_delays):
+    # the tail rows read only the stems' last L - 1 samples, so no copy of
+    # the whole stems is made: the peak stays below half their size
+    stems = np.random.default_rng(n).standard_normal((k, n))
+    tracemalloc.start()
+    try:
+        gram = evalsim._delay_gram(stems, n_delays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = np.hstack([reference_delay_matrix(stem, n_delays) for stem in stems])
+    want = dense.T @ dense
+    assert np.allclose(gram, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    if n > 100 * n_delays:
+        assert peak < stems.nbytes / 2
+
+
 class TestDecomposeMatchesDenseReference:
     def test_enhanced_pipeline_output(self):
         sim, _ = make_sim(seed=30)
@@ -687,19 +709,21 @@ class TestFiltersMatchScipy:
 
 
 def test_import_leaves_scipy_signal_unloaded(tmp_path):
-    # importing scipy takes most of a cold start, so the package imports no
-    # scipy module; only the WAV reader and writer load one (scipy.io), and
-    # nothing loads scipy.signal
+    # importing scipy takes most of a cold start, so no run-time path loads
+    # a scipy module: not the package import, the WAV reader and writer, the
+    # network VAD, the simulator or the evaluator
     wav = tmp_path / "one.wav"
     write_wav(MultichannelSignal(np.zeros((2, 160)), 16000), wav)
     code = (
         "import sys, numpy as np, blockbeam, blockbeam.cli\n"
         "from blockbeam.audio_io import NetworkLayer, NetworkWeights\n"
         "def loaded():\n"
-        "    return [m for m in ('scipy.io', 'scipy.special', 'scipy.signal') if m in sys.modules]\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "blockbeam.audio_io.read_wav(sys.argv[1])\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded())\n"
+        "sig = blockbeam.audio_io.read_wav(sys.argv[1])\n"
         "print('read_wav', loaded())\n"
+        "blockbeam.audio_io.write_wav(sig, sys.argv[1], 'pcm16')\n"
+        "print('write_wav', loaded())\n"
         "net = NetworkWeights([NetworkLayer(np.zeros((3, 3)), np.zeros(3), 'sigmoid')], np.zeros(3), np.ones(3))\n"
         "blockbeam.vad.infer_mask(net, np.ones((3, 2)))\n"
         "print('infer_mask', loaded())\n"
@@ -714,9 +738,10 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
     src = str(Path(blockbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code, str(wav)], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:4] == [
+    assert out.stdout.split("\n")[:5] == [
         "[]",
-        "read_wav ['scipy.io']",
-        "infer_mask ['scipy.io']",
-        "simulate and evaluate_estimate ['scipy.io']",
+        "read_wav []",
+        "write_wav []",
+        "infer_mask []",
+        "simulate and evaluate_estimate []",
     ]

@@ -517,7 +517,8 @@ def test_network_of_another_size_is_refused_at_entry(dims, entry):
 
 def test_batch_pass_too_short_for_the_rtf_estimator_is_refused():
     # 15 frames hold one 10-frame sub-block: irtf/mvdr are refused before
-    # the block runs, on loud and silent input; gev needs no RTF
+    # the block runs, on loud and silent input, by a batch pass and by
+    # process_block; gev needs no RTF
     loud = MultichannelSignal(stem_block()[0].samples[:, :2304], 16000)
     assert (loud.n_samples - 512) // 128 + 1 == 15
     silent = MultichannelSignal(np.zeros((3, 2304)), 16000)
@@ -526,9 +527,12 @@ def test_batch_pass_too_short_for_the_rtf_estimator_is_refused():
         for signal in (loud, silent):
             with pytest.raises(SizeError, match="15 frames; the RTF estimator needs 2 sub-blocks"):
                 run_with_diagnostics(signal, cfg)
+            with pytest.raises(SizeError, match="^block has 15 frames; the RTF estimator needs 2 sub-blocks"):
+                process_block(signal, cfg)
     cfg = PipelineConfig(block_frames="batch", beamformer="gev", postfilter="ban", vad_mode="network")
     (result,) = run_with_diagnostics(loud, cfg, random_network(46))[1]
     assert not result.diagnostics.passthrough
+    assert not process_block(loud, cfg, random_network(46)).diagnostics.passthrough
 
 
 def test_ban_gain_is_applied_in_the_postfilter_stage():
