@@ -1,11 +1,17 @@
 """Block-online orchestration: failure detection, STFT, VAD, RTF, beamforming
 and post-filtering, applied independently to each block, then one
-resynthesis of the concatenated enhanced frames."""
+resynthesis of the concatenated enhanced frames. A recording's blocks are
+enhanced on as many threads as the cores hold beside each BLAS call's own
+(`_block_threads`); the output does not depend on the count."""
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import os
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -195,9 +201,13 @@ def _pooled_mask(bins, cfg, network, stems, channels, timings):
             # column l * (M - 1) + i of the stacked input
             return infer_mask(network, bins[:, part, 1:].reshape(n_bins, -1)).reshape(n_bins, -1, n_ch - 1)
         s_lo, s_hi = frame_span(part.start, part.stop - part.start)
-        with _stage_timer(timings, "oracle_stft"):
-            clean, noise = (analyze(stem[channels, s_lo:s_hi]) for stem in stems)
-        return oracle_ibm(clean, noise, cfg.t_snr)
+        masks = np.empty((n_bins, part.stop - part.start, n_ch - 1))
+        for i, ch in enumerate(channels):  # one stem channel's spectra at a time
+            with _stage_timer(timings, "oracle_stft"):
+                clean, noise = (analyze(stem[ch : ch + 1, s_lo:s_hi])[:, :, 0] for stem in stems)
+            masks[:, :, i] = oracle_ibm(clean, noise, cfg.t_snr)
+            del clean, noise  # before the next channel's are made
+        return masks
 
     pooled = np.empty((n_bins, n_frames))
     for part in chunk_slices(n_frames):
@@ -342,6 +352,16 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
     return [(int(s), int(c)) for s, c in zip(starts, counts)]
 
 
+def _block_threads() -> int:
+    """Usable CPUs over the threads of one BLAS call, which OpenBLAS takes from
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (first field), else all CPUs."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdecimal() and int(value) > 0:
+            return max(1, len(os.sched_getaffinity(0)) // int(value))
+    return 1
+
+
 def run_with_diagnostics(
     signal: MultichannelSignal,
     cfg: PipelineConfig,
@@ -357,14 +377,45 @@ def run_with_diagnostics(
     `synthesis` stages by frame count. The output covers exactly the samples
     spanned by full STFT frames, so up to hop - 1 trailing input samples are
     trimmed. The checks are `process_block`'s, made once for the recording.
+
+    The caller and `_block_threads()` - 1 helper threads (none for one block),
+    each in a copy of the caller's `contextvars` context (so `np.errstate`
+    holds), take the blocks in order; once all have joined, the first failing
+    block's error is raised. `timings_s` are per-block wall times, which
+    overlap, and each block in flight adds its working set to peak memory.
     """
     stems = _check_input(signal, cfg, network, oracle)
     blocks = partition_frames(signal.n_samples, cfg)
-    results = []
-    for start_frame, n_frames in blocks:
-        lo, hi = frame_span(start_frame, n_frames)
-        block_stems = None if stems is None else [stem[:, lo:hi] for stem in stems]
-        results.append(_enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems))
+    results, errors, pending = [None] * len(blocks), {}, deque(enumerate(blocks))
+
+    def enhance_pending():
+        # blocks are taken in order, so when one fails every earlier one is taken
+        while not errors:
+            try:
+                i, (start_frame, n_frames) = pending.popleft()  # thread-safe
+            except IndexError:
+                return
+            lo, hi = frame_span(start_frame, n_frames)
+            block_stems = None if stems is None else [stem[:, lo:hi] for stem in stems]
+            try:
+                results[i] = _enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems)
+            except Exception as exc:
+                errors[i] = exc
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(enhance_pending,))
+        for _ in range(min(_block_threads(), len(blocks)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        enhance_pending()
+    finally:
+        pending.clear()  # on an interrupt, helpers stop after their current block
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
     start = time.perf_counter()
     enhanced = np.concatenate([r.enhanced for r in results], axis=1)

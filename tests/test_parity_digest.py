@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blockbeam
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "parity_digest.py"
@@ -23,3 +25,27 @@ def test_parity_digest_prints_one_digest_per_reachable_configuration():
     # the fourth field digests the enhanced samples, the fifth their report
     assert all(re.fullmatch(r"[0-9a-f]{64}", f[3]) and re.fullmatch(r"[0-9a-f]{64}", f[4]) for f in fields)
     assert len({f[4] for f in fields}) == 32
+
+
+def test_parity_digest_is_independent_of_the_cpu_count():
+    # with one BLAS thread per call, run_with_diagnostics enhances blocks on
+    # one thread per usable CPU: one CPU and two give the same 32 lines
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("needs 2 usable CPUs")
+    src = str(Path(blockbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    outputs = []
+    for pinned in (cpus[:1], cpus[:2]):
+        outputs.append(
+            subprocess.run(
+                [sys.executable, str(TOOL), "--seed", "0"],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                preexec_fn=lambda pinned=pinned: os.sched_setaffinity(0, pinned),
+            ).stdout.splitlines()
+        )
+    assert len(outputs[0]) == 32
+    assert outputs[0] == outputs[1]

@@ -3,6 +3,9 @@ import copy
 import dataclasses
 import functools
 import json
+import os
+import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockbeam import pipeline
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
 from blockbeam.beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from blockbeam.errors import ConfigError, SizeError
@@ -691,8 +695,9 @@ def test_chunked_network_masks_match_one_pass(n_frames, n_ch, n_calls):
 
 @pytest.mark.parametrize("vad_mode", ["network", "oracle"])
 def test_short_block_makes_one_vad_pass(vad_mode):
-    # a block of at most 128 frames is one chunk: one forward pass, or one
-    # analysis of each stem beside the mixture's
+    # a block of at most 128 frames is one chunk: one forward pass, or
+    # beside the mixture's analysis one of each stem per non-reference
+    # channel (3 here), none per frame chunk beyond one
     sim = gain_mixture(seed=42, duration=1.0)
     mixture, clean, noise = (
         MultichannelSignal(sig.samples[:, :13184], 16000) for sig in (sim.mixture, sim.clean, sim.noise)
@@ -704,7 +709,7 @@ def test_short_block_makes_one_vad_pass(vad_mode):
     ):
         process_block(mixture, cfg, random_network(43), OracleStems(clean=clean, noise=noise))
     assert network_spy.call_count == (vad_mode == "network")
-    assert stft_spy.call_count == (3 if vad_mode == "oracle" else 1)
+    assert stft_spy.call_count == (1 + 2 * 3 if vad_mode == "oracle" else 1)
 
 
 @pytest.mark.parametrize("block_frames", [100, "batch"])
@@ -1075,3 +1080,230 @@ def test_diagnostics_record_is_the_dataclass(beamformer, postfilter):
     record["timings_s"]["stft"] = -1.0
     record["passthrough"] = True
     assert diag == before
+
+
+def test_oracle_block_working_set_is_bounded():
+    # oracle masks are made one stem channel at a time, so beside the
+    # mixture spectrogram a 100-frame block holds one channel's two stem
+    # spectra and its mask, not every channel's: the traced peak is ~2.4x
+    # the spectrogram, set by the mixture analysis itself. With all three
+    # channels' stem spectra and power temporaries at once it was 3.8x
+    sim = reverberant_mixture(seed=35, duration=1.0)
+    n = frame_span(0, 100)[1]
+    block, clean, noise = (MultichannelSignal(sig.samples[:, :n], 16000) for sig in (sim.mixture, sim.clean, sim.noise))
+    spectrogram_bytes = 257 * 100 * 4 * 16
+    for bf, pf in (("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban")):
+        cfg = PipelineConfig(block_frames=100, beamformer=bf, postfilter=pf, vad_mode="oracle")
+        tracemalloc.start()
+        try:
+            process_block(block, cfg, oracle=OracleStems(clean=clean, noise=noise))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * spectrogram_bytes, (bf, pf, peak / spectrogram_bytes)
+
+
+# ---------------------------------------------------------------- block threads
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """One BLAS thread per call, so run_with_diagnostics enhances blocks on
+    every usable CPU; tests that need two blocks in flight at once skip
+    below 2 CPUs."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cpus = len(os.sched_getaffinity(0))
+    return cpus
+
+
+@contextlib.contextmanager
+def block_hook(hook):
+    """Call hook(samples) before each block that run_with_diagnostics
+    enhances, on the thread that enhances it; yields the wrapper's records
+    {id(result): (thread ident, elapsed seconds)}."""
+    enhance = pipeline._enhance_block
+    records = {}
+
+    def wrapper(samples, *args):
+        hook(samples)
+        start = time.perf_counter()
+        result = enhance(samples, *args)
+        records[id(result)] = (threading.get_ident(), time.perf_counter() - start)
+        return result
+
+    with mock.patch("blockbeam.pipeline._enhance_block", wrapper):
+        yield records
+
+
+def start_sample(samples, signal):
+    """First sample of the block view `samples` within `signal`."""
+    return (samples.ctypes.data - signal.samples.ctypes.data) // samples.itemsize
+
+
+def dying_mixture():
+    """312 frames, so 31-, 50- and 100-frame blocks all end in a merged
+    remainder; channel 1 dies at 0.5 s and channels 2 and 3 at 1.25 s,
+    leaving blocks of 4, 3 and 1 live channels (passthrough)."""
+    sim = reverberant_mixture(seed=36, duration=2.6)
+    n = frame_span(0, 312)[1]
+    mixture, clean, noise = (sig.samples[:, :n].copy() for sig in (sim.mixture, sim.clean, sim.noise))
+    mixture[1, 8000:] = 0.0
+    mixture[2:, 20000:] = 0.0
+    oracle = OracleStems(clean=MultichannelSignal(clean, 16000), noise=MultichannelSignal(noise, 16000))
+    return MultichannelSignal(mixture, 16000), oracle
+
+
+@pytest.mark.parametrize("block_frames", [31, 50, 100])
+@pytest.mark.parametrize(
+    "beamformer,postfilter,vad_mode",
+    [
+        (bf, pf, vad)
+        for bf, pf in (("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban"))
+        for vad in VAD_MODES
+        if (bf, vad) != ("gev", "none")
+    ],
+)
+def test_concurrent_blocks_equal_a_serial_reference(block_threads, beamformer, postfilter, vad_mode, block_frames):
+    # blocks enhanced on several threads give the bits of process_block over
+    # each block's span followed by one synthesis, diagnostics included
+    signal, oracle = dying_mixture()
+    network = random_network(37)
+    cfg = PipelineConfig(block_frames=block_frames, beamformer=beamformer, postfilter=postfilter, vad_mode=vad_mode)
+    threads_before = threading.active_count()
+    out, results = run_with_diagnostics(signal, cfg, network, oracle)
+    assert threading.active_count() == threads_before
+    parts = partition_frames(signal.n_samples, cfg)
+    assert parts[-1][1] > block_frames
+    reference = []
+    for start, count in parts:
+        lo, hi = frame_span(start, count)
+        block, clean, noise = (
+            MultichannelSignal(x[:, lo:hi], 16000) for x in (signal.samples, oracle.clean.samples, oracle.noise.samples)
+        )
+        reference.append(process_block(block, cfg, network, OracleStems(clean=clean, noise=noise)))
+    assert {r.diagnostics.passthrough for r in reference} == {False, True}
+    assert len({len(r.diagnostics.active_channels) for r in reference}) == 3
+    expected = synthesize(np.concatenate([r.enhanced for r in reference], axis=1)[:, :, None])
+    assert out.samples.tobytes() == expected.tobytes()
+    for alone, joint in zip(reference, results, strict=True):
+        for name in ("enhanced", "pooled_mask", "rtf"):
+            a, b = getattr(alone, name), getattr(joint, name)
+            assert a is b is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), name
+        record, joint_record = alone.diagnostics.to_json_dict(), joint.diagnostics.to_json_dict()
+        assert set(joint_record.pop("timings_s")) == set(record.pop("timings_s")) | {"synthesis"}
+        assert joint_record == record
+
+
+def test_blocks_run_concurrently_in_the_callers_context(block_threads):
+    # the first two blocks wait for each other, so they run at once on two
+    # threads; each sees the caller's np.errstate, and no thread outlives
+    # the call
+    if block_threads < 2:
+        pytest.skip("needs 2 usable CPUs")
+    sim = gain_mixture(seed=38, duration=3.0)
+    cfg = PipelineConfig(block_frames=50, vad_mode="oracle")
+    barrier, lock, seen = threading.Barrier(2, timeout=10), threading.Lock(), []
+
+    def hook(samples):
+        with lock:
+            seen.append(np.geterr())
+            first_two = len(seen) <= 2
+        if first_two:
+            barrier.wait()
+
+    threads_before = threading.active_count()
+    with np.errstate(over="ignore", divide="warn", under="call"), block_hook(hook) as records:
+        expected_err = np.geterr()
+        _, results = run_with_diagnostics(sim.mixture, cfg, oracle=OracleStems(clean=sim.clean, noise=sim.noise))
+    assert threading.active_count() == threads_before
+    assert seen == [expected_err] * len(results)
+    assert len({records[id(r)][0] for r in results}) >= 2
+
+
+def test_first_failing_block_in_block_order_raises(block_threads):
+    # blocks 1 and 3 fail, block 1 last in wall time: block 1's error is
+    # raised, as a serial loop would raise it, and every thread has joined
+    sim = gain_mixture(seed=39, duration=3.0)
+    cfg = PipelineConfig(block_frames=50, vad_mode="none")
+    starts = [frame_span(*part)[0] for part in partition_frames(sim.mixture.n_samples, cfg)]
+    assert len(starts) == 8
+
+    def hook(samples):
+        index = starts.index(start_sample(samples, sim.mixture))
+        if index == 1:
+            time.sleep(0.2)
+        if index in (1, 3):
+            raise ValueError(f"block {index}")
+
+    threads_before = threading.active_count()
+    with block_hook(hook), pytest.raises(ValueError, match="^block 1$"):
+        run_with_diagnostics(sim.mixture, cfg)
+    assert threading.active_count() == threads_before
+
+
+def test_one_block_starts_no_thread(block_threads):
+    # process_block, a one-block recording and a batch pass run on the
+    # calling thread alone
+    sim = gain_mixture(seed=40, duration=2.0)
+    n = frame_span(0, 100)[1]
+    counts = []
+    hook = lambda samples: counts.append((threading.active_count(), threading.get_ident()))  # noqa: E731
+    one_block = MultichannelSignal(sim.mixture.samples[:, :n], 16000)
+    cfg = PipelineConfig(block_frames=100, vad_mode="none")
+    expected = (threading.active_count(), threading.get_ident())
+    with block_hook(hook):
+        run(one_block, cfg)
+        run_with_diagnostics(sim.mixture, dataclasses.replace(cfg, block_frames="batch"))
+        with mock.patch("threading.Thread") as thread:
+            process_block(one_block, cfg)
+            run(one_block, cfg)
+    thread.assert_not_called()
+    assert counts == [expected] * 4
+
+
+@pytest.mark.parametrize("beamformer,postfilter", [("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban")])
+def test_block_timings_cover_the_blocks_own_time(block_threads, beamformer, postfilter):
+    # each block's stage timers, synthesis aside, cover its own elapsed time
+    # on the thread that enhanced it, though blocks overlap in wall time
+    sim = gain_mixture(seed=41, duration=3.3)
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    cfg = PipelineConfig(block_frames=100, beamformer=beamformer, postfilter=postfilter, vad_mode="oracle")
+    shares = []
+    for _ in range(5):
+        with block_hook(lambda samples: None) as records:
+            _, results = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+        shares.append(
+            [
+                (sum(r.diagnostics.timings_s.values()) - r.diagnostics.timings_s["synthesis"]) / records[id(r)][1]
+                for r in results
+            ]
+        )
+    assert np.all(np.median(shares, axis=0) >= 0.95)
+
+
+def test_more_block_threads_than_cores_take_each_block_once(block_threads, monkeypatch):
+    # eight block threads on at most two cores, switching every microsecond:
+    # each block is enhanced once and lands at its own index
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    sim = gain_mixture(seed=42, duration=3.0)
+    cfg = PipelineConfig(block_frames=20, sub_block_len=10, vad_mode="none", postfilter="none")
+    starts = [frame_span(*part)[0] for part in partition_frames(sim.mixture.n_samples, cfg)]
+    taken, lock = [], threading.Lock()
+
+    def hook(samples):
+        with lock:
+            taken.append(start_sample(samples, sim.mixture))
+
+    serial = [process_block(MultichannelSignal(sim.mixture.samples[:, slice(*frame_span(*part))], 16000), cfg)
+              for part in partition_frames(sim.mixture.n_samples, cfg)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with block_hook(hook) as records:
+            _, results = run_with_diagnostics(sim.mixture, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == starts
+    assert len({records[id(r)][0] for r in results}) >= 1
+    assert all(a.enhanced.tobytes() == b.enhanced.tobytes() for a, b in zip(serial, results, strict=True))
