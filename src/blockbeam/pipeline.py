@@ -353,12 +353,14 @@ def partition_frames(n_samples: int, cfg: PipelineConfig) -> list[tuple[int, int
 
 
 def _block_threads() -> int:
-    """Usable CPUs over the threads of one BLAS call, which OpenBLAS takes from
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (first field), else all CPUs."""
+    """Usable CPUs (`os.sched_getaffinity`, else `os.cpu_count`) divided by the
+    threads of one BLAS call, which OpenBLAS takes from OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS (first field), else all CPUs."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").split(",")[0].strip()
         if value.isdecimal() and int(value) > 0:
-            return max(1, len(os.sched_getaffinity(0)) // int(value))
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            return max(1, cpus // int(value))
     return 1
 
 

@@ -1117,6 +1117,28 @@ def block_threads(monkeypatch):
     return cpus
 
 
+@pytest.mark.parametrize(
+    "openblas,omp,threads",
+    [(None, None, 1), ("1", None, 4), ("2", "1", 2), (" 3 ", None, 1), ("8", None, 1), ("0", "1", 4),
+     ("x", "2,1", 2), ("-1", None, 1), ("", "", 1)],
+)
+@pytest.mark.parametrize("affinity", [True, False])
+def test_block_threads_leave_each_blas_call_its_threads(monkeypatch, openblas, omp, threads, affinity):
+    # 4 usable CPUs over the threads one BLAS call takes, read as OpenBLAS
+    # reads them; without sched_getaffinity the CPU count stands in
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pipeline._block_threads() == threads
+
+
 @contextlib.contextmanager
 def block_hook(hook):
     """Call hook(samples) before each block that run_with_diagnostics
