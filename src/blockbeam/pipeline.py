@@ -1,18 +1,20 @@
 """Block-online orchestration: failure detection, STFT, VAD, RTF, beamforming
 and post-filtering, applied independently to each block, then one
-resynthesis of the concatenated enhanced frames. A recording's blocks are
-enhanced on as many threads as the cores hold beside each BLAS call's own
+resynthesis of the concatenated enhanced frames. A recording's blocks, or
+the network VAD pass of a one-block run (whose `timings_s["vad"]` is then the
+cut pass's wall time; 0.8 s stream blocks on 2 cores: 18.0-18.4 -> 15.3-16.7
+ms), run on as many threads as the cores hold beside each BLAS call's own
 (`_block_threads`); the output does not depend on the count."""
 
 from __future__ import annotations
 
-import contextvars
 import copy
 import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from contextvars import copy_context
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,6 +38,10 @@ VALID_PAIRINGS = {
     "mvdr": {"none", "wiener"},
     "gev": {"none", "ban"},
 }
+
+# Each part of a split network pass makes more multiply-adds than this in every layer:
+# OpenBLAS 0.3.31 rounds smaller float32 products apart, e.g. 1-3 columns of 257-1024-1024-257.
+_SPLIT_FLOOR = 10**6
 
 # BlockDiagnostics.fallbacks keys, in record order
 FALLBACK_COUNTERS = ("rtf_variance_guard_bins", "mvdr_fallback_bins", "gev_degenerate_bins",
@@ -180,11 +186,12 @@ def _check_input(signal: MultichannelSignal, cfg: PipelineConfig, network, oracl
     return oracle.clean.samples, oracle.noise.samples
 
 
-def _pooled_mask(bins, cfg, network, stems, channels, timings):
+def _pooled_mask(bins, cfg, network, stems, channels, timings, threads=1):
     """(K, L) median pool of the VAD masks of the non-reference channels
     1..M-1 of the reference-first spectrogram bins. Those channels are the
     microphones `channels`, whose rows of the (clean, noise) sample arrays
-    `stems` give the oracle masks.
+    `stems` give the oracle masks. A network pass is cut into up to
+    `threads` even column parts (`_in_order`) above `_SPLIT_FLOOR`.
 
     Masks are made and pooled a frame chunk of `analyze` at a time, and
     freed before the next chunk's, so no full-length mask stack, activation
@@ -199,7 +206,11 @@ def _pooled_mask(bins, cfg, network, stems, channels, timings):
         if cfg.vad_mode == "network":
             # one forward pass for all channels: frame l of channel i is
             # column l * (M - 1) + i of the stacked input
-            return infer_mask(network, bins[:, part, 1:].reshape(n_bins, -1)).reshape(n_bins, -1, n_ch - 1)
+            stacked = bins[:, part, 1:].reshape(n_bins, -1)
+            floor = _SPLIT_FLOOR // min(layer.weights.size for layer in network.layers) + 1  # columns
+            parts = np.array_split(stacked, min(threads, stacked.shape[1] // floor) or 1, axis=1)
+            masks = _in_order(lambda j: infer_mask(network, parts[j]), len(parts), threads)
+            return np.concatenate(masks, axis=1).reshape(n_bins, -1, n_ch - 1)
         s_lo, s_hi = frame_span(part.start, part.stop - part.start)
         masks = np.empty((n_bins, part.stop - part.start, n_ch - 1))
         for i, ch in enumerate(channels):  # one stem channel's spectra at a time
@@ -225,10 +236,10 @@ def process_block(
     `_check_input` (any given stems whatever the VAD mode) and `_check_rtf_frames`."""
     stems = _check_input(block, cfg, network, oracle)
     _check_rtf_frames(frame_count(block.n_samples), cfg, "block")
-    return _enhance_block(block.samples, cfg, network, stems)
+    return _enhance_block(block.samples, cfg, network, stems, _block_threads())
 
 
-def _enhance_block(samples, cfg, network, stems) -> BlockResult:
+def _enhance_block(samples, cfg, network, stems, threads) -> BlockResult:
     """Enhance the (channels, samples) array of one block, checked by its
     caller; `stems` holds the (clean, noise) arrays of the same samples, or
     is None.
@@ -272,7 +283,7 @@ def _enhance_block(samples, cfg, network, stems) -> BlockResult:
         bins = analyze(samples[order])
 
     with _stage_timer(timings, "vad"):
-        pooled = _pooled_mask(bins, cfg, network, stems, order[1:], timings)
+        pooled = _pooled_mask(bins, cfg, network, stems, order[1:], timings, threads)
     # the `vad` stage ran the stem analysis, which is timed on its own
     timings["vad"] -= timings.get("oracle_stft", 0.0)
 
@@ -364,6 +375,37 @@ def _block_threads() -> int:
     return 1
 
 
+def _in_order(work, count, threads) -> list:
+    """[work(i) for i in range(count)] on the caller and min(threads, count) - 1
+    helpers, each in a copy of the caller's `contextvars` (so `np.errstate`
+    holds), taking the indices in order and none after one has failed. Once all
+    have joined, the first failing index's exception (any BaseException) is
+    raised, as a serial loop would."""
+    pending, results, errors = deque(range(count)), [None] * count, {}
+
+    def take():
+        with suppress(IndexError):  # from popleft (thread-safe) once every index is taken
+            while not errors:  # indices go in order: when one fails, all before it are taken
+                i = pending.popleft()
+                try:
+                    results[i] = work(i)
+                except BaseException as exc:  # re-raised below, after the join
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=copy_context().run, args=(take,)) for _ in range(1, min(threads, count))]
+    for helper in helpers:
+        helper.start()
+    try:
+        take()
+    finally:
+        pending.clear()  # on an interrupt between items, helpers stop after their current one
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_with_diagnostics(
     signal: MultichannelSignal,
     cfg: PipelineConfig,
@@ -380,44 +422,23 @@ def run_with_diagnostics(
     spanned by full STFT frames, so up to hop - 1 trailing input samples are
     trimmed. The checks are `process_block`'s, made once for the recording.
 
-    The caller and `_block_threads()` - 1 helper threads (none for one block),
-    each in a copy of the caller's `contextvars` context (so `np.errstate`
-    holds), take the blocks in order; once all have joined, the first failing
-    block's error is raised. `timings_s` are per-block wall times, which
+    The caller and `_block_threads()` - 1 helpers take the blocks in order
+    (`_in_order`); the first failing block's error is raised. A one-block run
+    cuts its network VAD pass over them instead (`timings_s["vad"]` is its wall
+    time, 10.8-11.1 -> 7.9-9.5 ms of 18.0-18.4 -> 15.3-16.7 ms medians on 0.8 s
+    stream blocks, 2 cores). `timings_s` are per-block wall times, which
     overlap, and each block in flight adds its working set to peak memory.
     """
     stems = _check_input(signal, cfg, network, oracle)
     blocks = partition_frames(signal.n_samples, cfg)
-    results, errors, pending = [None] * len(blocks), {}, deque(enumerate(blocks))
+    threads = _block_threads()
 
-    def enhance_pending():
-        # blocks are taken in order, so when one fails every earlier one is taken
-        while not errors:
-            try:
-                i, (start_frame, n_frames) = pending.popleft()  # thread-safe
-            except IndexError:
-                return
-            lo, hi = frame_span(start_frame, n_frames)
-            block_stems = None if stems is None else [stem[:, lo:hi] for stem in stems]
-            try:
-                results[i] = _enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems)
-            except Exception as exc:
-                errors[i] = exc
+    def enhance(i):
+        lo, hi = frame_span(*blocks[i])
+        block_stems = None if stems is None else [stem[:, lo:hi] for stem in stems]
+        return _enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems, threads if len(blocks) == 1 else 1)
 
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(enhance_pending,))
-        for _ in range(min(_block_threads(), len(blocks)) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
-    try:
-        enhance_pending()
-    finally:
-        pending.clear()  # on an interrupt, helpers stop after their current block
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
+    results = _in_order(enhance, len(blocks), threads)
 
     start = time.perf_counter()
     enhanced = np.concatenate([r.enhanced for r in results], axis=1)

@@ -1,12 +1,17 @@
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import blockbeam
+from blockbeam.pipeline import run
+from blockbeam.vad import infer_mask
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "parity_digest.py"
 
@@ -49,3 +54,22 @@ def test_parity_digest_is_independent_of_the_cpu_count():
         )
     assert len(outputs[0]) == 32
     assert outputs[0] == outputs[1]
+
+
+def test_parity_batch_network_configurations_split_the_vad_pass(monkeypatch):
+    # at 2 block threads the tool's 3.2 s batch block (397 frames: chunks of
+    # 384, 384, 384 and 39 columns) cuts each 384-column pass in two, so the
+    # CPU-count test above compares split and whole forward passes
+    spec = importlib.util.spec_from_file_location("parity_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    sim = tool.mixture(np.random.default_rng([0, 0]))
+    net = tool.network(np.random.default_rng([0, 1]))
+    batch = [cfg for cfg in tool.configurations() if cfg.is_batch and cfg.vad_mode == "network"]
+    assert len(batch) == 6
+    for cfg in batch:
+        with mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy:
+            run(sim.mixture, cfg, network=net)
+        assert [call.args[1].shape[1] for call in spy.call_args_list] == [192] * 6 + [39], cfg

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from blockbeam import pipeline
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
 from blockbeam.beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
-from blockbeam.errors import ConfigError, SizeError
+from blockbeam.errors import ConfigError, DataError, SizeError
 from blockbeam.evalsim import (
     MixtureSpec,
     decaying_firs,
@@ -43,7 +43,7 @@ from blockbeam.pipeline import (
 )
 from blockbeam.postfilter import projected_residual, wiener_mask
 from blockbeam.rtf import build_rtf_set
-from blockbeam.stft import analyze, frame_span, frames_for_duration_ms, synthesize
+from blockbeam.stft import analyze, chunk_slices, frame_span, frames_for_duration_ms, synthesize
 from blockbeam.vad import infer_mask, oracle_ibm, pool_median
 from reference import estimate_noise
 
@@ -1333,3 +1333,200 @@ def test_more_block_threads_than_cores_take_each_block_once(block_threads, monke
         sys.setswitchinterval(interval)
     assert sorted(taken) == starts
     assert all(a.enhanced.tobytes() == b.enhanced.tobytes() for a, b in zip(serial, results, strict=True))
+
+
+@pytest.fixture
+def two_block_threads(block_threads, monkeypatch):
+    """Two block threads whatever the CPUs, so a one-block network run cuts
+    its forward pass in two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return 2
+
+
+@pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
+def test_base_exception_in_a_helpers_block_is_raised_after_the_join(two_block_threads, exc_type):
+    # the caller's first block waits until a helper's block has raised an
+    # exception that is no Exception: that one is raised, and no thread outlives the call
+    sim = gain_mixture(seed=43, duration=3.0)
+    cfg = PipelineConfig(block_frames=50, vad_mode="none")
+    main, failed = threading.get_ident(), threading.Event()
+
+    def hook(samples):
+        if threading.get_ident() != main:
+            failed.set()
+            raise exc_type("helper")
+        assert failed.wait(timeout=10)
+
+    threads_before = threading.active_count()
+    with block_hook(hook), pytest.raises(exc_type, match="^helper$"):
+        run_with_diagnostics(sim.mixture, cfg)
+    assert threading.active_count() == threads_before
+
+
+def interrupting(main, busy, started, item):
+    """A hook that records item(*args), then on the thread `main` raises
+    KeyboardInterrupt once `busy` is set, and elsewhere sets `busy` and
+    keeps its item in flight for 0.2 s."""
+
+    def hook(*args):
+        started.append(item(*args))
+        if threading.get_ident() == main:
+            assert busy.wait(timeout=10)
+            raise KeyboardInterrupt
+        busy.set()
+        time.sleep(0.2)
+
+    return hook
+
+
+def test_interrupt_in_the_callers_block_starts_no_other_block(two_block_threads):
+    # the caller's first block is interrupted while a helper enhances the
+    # second: the helper finishes it and takes no other, every thread joins,
+    # and the interrupt is raised
+    sim = gain_mixture(seed=44, duration=3.0)
+    cfg = PipelineConfig(block_frames=50, vad_mode="none")
+    starts = [frame_span(*part)[0] for part in partition_frames(sim.mixture.n_samples, cfg)]
+    started = []
+    hook = interrupting(
+        threading.get_ident(), threading.Event(), started, lambda samples: starts.index(start_sample(samples, sim.mixture))
+    )
+    threads_before = threading.active_count()
+    with block_hook(hook), pytest.raises(KeyboardInterrupt):
+        run_with_diagnostics(sim.mixture, cfg)
+    assert threading.active_count() == threads_before
+    assert sorted(started) == [0, 1] and len(starts) == 8
+
+
+def test_interrupt_in_the_callers_vad_part_starts_no_other_part(two_block_threads):
+    # a batch pass of 3 frame chunks, each forward pass cut in two: the
+    # caller's first part is interrupted while the helper runs the second,
+    # which finishes; no later chunk's part starts, and every thread joins
+    sim = gain_mixture(seed=45, duration=3.2)
+    cfg = PipelineConfig(block_frames="batch", vad_mode="network")
+    started = []
+    hook = interrupting(threading.get_ident(), threading.Event(), started, lambda net, x: x.shape[1])
+    threads_before = threading.active_count()
+    with (
+        mock.patch("blockbeam.pipeline.infer_mask", side_effect=hook),
+        pytest.raises(KeyboardInterrupt),
+    ):
+        run(sim.mixture, cfg, random_network(46, (257, 64, 257)))
+    assert threading.active_count() == threads_before
+    assert started == [192, 192]
+
+
+SPLIT_SHAPES = {(257, 64, 48, 257): 326, (257, 64, 257): 61, (257, 1024, 1024, 257): 4}
+
+
+@functools.cache
+def split_network(dims):
+    return random_network(47, dims)
+
+
+def split_floor(net):
+    """Fewest columns of a part of a split forward pass."""
+    return pipeline._SPLIT_FLOOR // min(layer.weights.size for layer in net.layers) + 1
+
+
+@settings(max_examples=30)
+@given(dims=st.sampled_from(sorted(SPLIT_SHAPES)), data=st.data())
+def test_forward_pass_cut_above_the_floor_gives_the_bits_of_one_pass(dims, data):
+    # the test networks, the parity tool's and the stream workload's: every
+    # part at or above the floor, wherever the cuts fall
+    net = split_network(dims)
+    floor = split_floor(net)
+    assert floor == SPLIT_SHAPES[dims]
+    sizes = data.draw(st.lists(st.integers(floor, floor + 160), min_size=2, max_size=4))
+    bounds = np.cumsum([0, *sizes])
+    rng = np.random.default_rng(sizes)
+    x = rng.standard_normal((257, bounds[-1])) + 1j * rng.standard_normal((257, bounds[-1]))
+    parts = [infer_mask(net, x[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert np.concatenate(parts, axis=1).tobytes() == infer_mask(net, x).tobytes()
+
+
+@settings(max_examples=20)
+@given(
+    dims=st.sampled_from(sorted(SPLIT_SHAPES)),
+    n_frames=st.integers(1, 300),
+    n_ch=st.integers(2, 4),
+    threads=st.integers(2, 4),
+)
+def test_split_vad_pass_equals_one_thread(dims, n_frames, n_ch, threads):
+    # each frame chunk's pass is cut into min(threads, columns // floor)
+    # even parts, larger first, and the pool has the bits of the one-thread
+    # pass
+    net = split_network(dims)
+    rng = np.random.default_rng([n_frames, n_ch])
+    bins = rng.standard_normal((257, n_frames, n_ch)) + 1j * rng.standard_normal((257, n_frames, n_ch))
+    cfg = PipelineConfig(block_frames="batch", vad_mode="network")
+    channels = list(range(1, n_ch))
+    with mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy:
+        split = _pooled_mask(bins, cfg, net, None, channels, {}, threads)
+    columns = [(part.stop - part.start) * (n_ch - 1) for part in chunk_slices(n_frames)]
+    parts = [max(1, min(threads, c // split_floor(net))) for c in columns]
+    expected = [c // n + (j < c % n) for c, n in zip(columns, parts) for j in range(n)]
+    assert [call.args[1].shape[1] for call in spy.call_args_list] == expected
+    assert split.tobytes() == _pooled_mask(bins, cfg, net, None, channels, {}).tobytes()
+
+
+def test_network_error_in_the_second_part_only_is_raised_after_the_join(two_block_threads):
+    # columns 180 on of 300 overflow float32; the pass is cut at column 150,
+    # so only the helper's part fails, with the message of one pass
+    net = random_network(48, (257, 64, 257))
+    rng = np.random.default_rng(48)
+    bins = rng.standard_normal((257, 100, 4)) + 1j * rng.standard_normal((257, 100, 4))
+    bins[:, 60:, 1:] *= 1e300
+    cfg = PipelineConfig(block_frames="batch", vad_mode="network")
+    with pytest.raises(DataError) as serial:
+        infer_mask(net, bins[:, :, 1:].reshape(257, -1))
+    threads_before = threading.active_count()
+    with (
+        mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy,
+        pytest.raises(DataError) as split,
+    ):
+        _pooled_mask(bins, cfg, net, None, [1, 2, 3], {}, 2)
+    assert threading.active_count() == threads_before
+    assert [call.args[1].shape[1] for call in spy.call_args_list] == [150, 150]
+    assert str(split.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("entry", ["process_block", "one-block run", "batch pass", "100-frame blocks"])
+def test_one_block_run_splits_only_its_vad_pass(two_block_threads, entry):
+    # a run of one block cuts its forward passes over the two block threads
+    # and keeps every other stage on the caller; a run of several blocks
+    # cuts none, one pass per block. The output has the bits of a
+    # one-thread run
+    sim = gain_mixture(seed=49, duration=3.3)
+    net = random_network(50, (257, 64, 257))
+    cfg = PipelineConfig(block_frames="batch" if entry == "batch pass" else 100, beamformer="mvdr", vad_mode="network")
+    # 100 frames are 300 columns, cut in two; 397 are chunks of 384, 384 and
+    # 384 columns, each cut in two, and 39, under the floor of 61, left whole
+    n_frames = 100 if entry in ("process_block", "one-block run") else 397
+    signal = MultichannelSignal(sim.mixture.samples[:, : frame_span(0, n_frames)[1]], 16000)
+    enhance = {"process_block": process_block}.get(entry, run)
+    with mock.patch.object(pipeline, "_block_threads", return_value=1):
+        alone = enhance(signal, cfg, net)
+    stages = ("detect_failures", "analyze", "infer_mask", "pool_median", "build_rtf_set", "noise_projection",
+              "mvdr_weights", "apply_weights", "wiener_gain", "synthesize")
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for name in stages:
+            stack.enter_context(mock.patch.object(pipeline, name, spy(name, getattr(pipeline, name))))
+        out = enhance(signal, cfg, net)
+    assert {name for name, _ in calls} == set(stages) - ({"synthesize"} if entry == "process_block" else set())
+    vad = [ident for name, ident in calls if name == "infer_mask"]
+    if entry == "100-frame blocks":
+        assert len(vad) == len(partition_frames(signal.n_samples, cfg)) == 4
+    else:
+        assert {ident for name, ident in calls if name != "infer_mask"} == {threading.get_ident()}
+        assert len(vad) == (7 if entry == "batch pass" else 2) and set(vad) != {threading.get_ident()}
+    key = "enhanced" if entry == "process_block" else "samples"
+    assert getattr(out, key).tobytes() == getattr(alone, key).tobytes()
