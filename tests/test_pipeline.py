@@ -1345,8 +1345,9 @@ def two_block_threads(block_threads, monkeypatch):
 
 @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
 def test_base_exception_in_a_helpers_block_is_raised_after_the_join(two_block_threads, exc_type):
-    # the caller's first block waits until a helper's block has raised an
-    # exception that is no Exception: that one is raised, and no thread outlives the call
+    # the caller's block waits until a helper's block has raised a
+    # BaseException that is not an Exception: that one is raised, and no
+    # thread outlives the call
     sim = gain_mixture(seed=43, duration=3.0)
     cfg = PipelineConfig(block_frames=50, vad_mode="none")
     main, failed = threading.get_ident(), threading.Event()
@@ -1380,9 +1381,9 @@ def interrupting(main, busy, started, item):
 
 
 def test_interrupt_in_the_callers_block_starts_no_other_block(two_block_threads):
-    # the caller's first block is interrupted while a helper enhances the
-    # second: the helper finishes it and takes no other, every thread joins,
-    # and the interrupt is raised
+    # the caller's block is interrupted while a helper enhances the other
+    # of the first two: the helper finishes it and takes no other, every
+    # thread joins, and the interrupt is raised
     sim = gain_mixture(seed=44, duration=3.0)
     cfg = PipelineConfig(block_frames=50, vad_mode="none")
     starts = [frame_span(*part)[0] for part in partition_frames(sim.mixture.n_samples, cfg)]
@@ -1398,9 +1399,10 @@ def test_interrupt_in_the_callers_block_starts_no_other_block(two_block_threads)
 
 
 def test_interrupt_in_the_callers_vad_part_starts_no_other_part(two_block_threads):
-    # a batch pass of 3 frame chunks, each forward pass cut in two: the
-    # caller's first part is interrupted while the helper runs the second,
-    # which finishes; no later chunk's part starts, and every thread joins
+    # a batch pass of 4 frame chunks, the first cut into two 192-column
+    # parts: the caller's part is interrupted while the helper runs the
+    # other, which finishes; no later chunk's part starts, and every thread
+    # joins
     sim = gain_mixture(seed=45, duration=3.2)
     cfg = PipelineConfig(block_frames="batch", vad_mode="network")
     started = []
