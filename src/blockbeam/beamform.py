@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import SizeError
 from .rtf import reciprocal_rtf
-from .stft import bin_chunks
+from .stft import _in_order, bin_chunks
 from .vad import checked_mask
 
 # Relative condition cutoff below which B Cxx B^H gets diagonal loading.
@@ -65,17 +65,20 @@ def sample_covariance(bins, weights=None) -> np.ndarray:
     frame weights w; None weights every frame by 1.
 
     The weighted conjugate copy of x is made a chunk of bins at a time
-    (`stft.bin_chunks`), so a long block makes no full-size temporary; each
-    bin is one `matmul`, so chunks do not change bits.
+    (`stft.bin_chunks`, run by `stft._in_order`), so a long block makes no
+    full-size temporary; each bin is one `matmul`, so chunks do not change bits.
     """
     x = np.asarray(bins)
     n_bins, n_frames, n_ch = x.shape
     cov = np.empty((n_bins, n_ch, n_ch), dtype=x.dtype)
-    for part in bin_chunks(n_bins, n_frames):
+
+    def chunk(part):
         weighted = np.conj(x[part])
         if weights is not None:
             weighted *= weights[part, :, None]
         np.conj(weighted.transpose(0, 2, 1) @ x[part], out=cov[part])
+
+    _in_order(chunk, bin_chunks(n_bins, n_frames))
     return cov
 
 

@@ -1,20 +1,17 @@
 """Block-online orchestration: failure detection, STFT, VAD, RTF, beamforming
 and post-filtering, applied independently to each block, then one
 resynthesis of the concatenated enhanced frames. A recording's blocks, or
-the network VAD pass of a one-block run (whose `timings_s["vad"]` is then the
-cut pass's wall time; 0.8 s stream blocks on 2 cores: 18.0-18.4 -> 15.3-16.7
-ms), run on as many threads as the cores hold beside each BLAS call's own
-(`_block_threads`); the output does not depend on the count."""
+the chunk loops of a one-block run (30 s batch passes on 2 cores at
+OPENBLAS_NUM_THREADS=1: 333-411 -> 246-274 ms), run on as many threads as
+the cores hold beside each BLAS call's own (`_block_threads`); the output
+does not depend on the count."""
 
 from __future__ import annotations
 
 import copy
 import os
-import threading
 import time
-from collections import deque
-from contextlib import contextmanager, suppress
-from contextvars import copy_context
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,7 +22,8 @@ from .channel_health import T_MU_SIMULATED, detect_failures
 from .errors import ConfigError, SizeError, real_number, whole_number
 from .postfilter import projected_residual, wiener_delta, wiener_gain
 from .rtf import SUB_BLOCK_LEN_DEFAULT, build_rtf_set
-from .stft import N_BINS, SAMPLE_RATE, analyze, bin_chunks, check_rate, chunk_slices, frame_count, frame_span, synthesize
+from .stft import (_THREADS, N_BINS, SAMPLE_RATE, _in_order, _on_threads, analyze, bin_chunks, check_rate, chunk_slices,
+                   frame_count, frame_span, synthesize)
 from .vad import T_SNR_DEFAULT, infer_mask, oracle_ibm, pool_median
 
 BEAMFORMERS = ("irtf", "mvdr", "gev")
@@ -186,43 +184,52 @@ def _check_input(signal: MultichannelSignal, cfg: PipelineConfig, network, oracl
     return oracle.clean.samples, oracle.noise.samples
 
 
-def _pooled_mask(bins, cfg, network, stems, channels, timings, threads=1):
+def _pooled_mask(bins, cfg, network, stems, channels, timings):
     """(K, L) median pool of the VAD masks of the non-reference channels
     1..M-1 of the reference-first spectrogram bins. Those channels are the
     microphones `channels`, whose rows of the (clean, noise) sample arrays
-    `stems` give the oracle masks. A network pass is cut into up to
-    `threads` even column parts (`_in_order`) above `_SPLIT_FLOOR`.
+    `stems` give the oracle masks.
 
-    Masks are made and pooled a frame chunk of `analyze` at a time, and
-    freed before the next chunk's, so no full-length mask stack, activation
-    or stem spectrogram is formed; the result equals one pass over all
-    frames bit for bit. The stem analysis is timed as `oracle_stft`.
+    Masks are made and pooled a frame chunk of `analyze` at a time, so no
+    full-length mask stack, activation or stem spectrogram is formed. Oracle
+    chunks run on `_in_order`'s threads, and `timings["oracle_stft"]` is the
+    wall time times the stem analysis' share of their busy time. Network
+    chunks run in turn, each pass cut into up to that many even column parts
+    above `_SPLIT_FLOOR`. A chunk's pass has the bits of one pass over all
+    frames only where OpenBLAS rounds both alike (`chunk_slices`): not with
+    257-64-48-257 or 257-64-257 networks, off by up to 2 float32 ulps.
     """
     n_bins, n_frames, n_ch = bins.shape
     if cfg.vad_mode == "none":
         return np.ones((n_bins, n_frames))
-
-    def chunk_masks(part):
-        if cfg.vad_mode == "network":
+    pooled = np.empty((n_bins, n_frames))
+    parts = chunk_slices(n_frames)
+    if cfg.vad_mode == "network":
+        floor = _SPLIT_FLOOR // min(layer.weights.size for layer in network.layers) + 1  # columns
+        for part in parts:
             # one forward pass for all channels: frame l of channel i is
             # column l * (M - 1) + i of the stacked input
             stacked = bins[:, part, 1:].reshape(n_bins, -1)
-            floor = _SPLIT_FLOOR // min(layer.weights.size for layer in network.layers) + 1  # columns
-            parts = np.array_split(stacked, min(threads, stacked.shape[1] // floor) or 1, axis=1)
-            masks = _in_order(lambda j: infer_mask(network, parts[j]), len(parts), threads)
-            return np.concatenate(masks, axis=1).reshape(n_bins, -1, n_ch - 1)
+            cuts = np.array_split(stacked, min(_THREADS.get(), stacked.shape[1] // floor) or 1, axis=1)
+            masks = _in_order(lambda cut: infer_mask(network, cut), cuts)
+            pooled[:, part] = pool_median(np.concatenate(masks, axis=1).reshape(n_bins, -1, n_ch - 1))
+        return pooled
+
+    def oracle_chunk(part):  # -> seconds busy in stem analysis, in the whole chunk
+        start, busy = time.perf_counter(), {}
         s_lo, s_hi = frame_span(part.start, part.stop - part.start)
         masks = np.empty((n_bins, part.stop - part.start, n_ch - 1))
         for i, ch in enumerate(channels):  # one stem channel's spectra at a time
-            with _stage_timer(timings, "oracle_stft"):
+            with _stage_timer(busy, "stems"):
                 clean, noise = (analyze(stem[ch : ch + 1, s_lo:s_hi])[:, :, 0] for stem in stems)
             masks[:, :, i] = oracle_ibm(clean, noise, cfg.t_snr)
             del clean, noise  # before the next channel's are made
-        return masks
+        pooled[:, part] = pool_median(masks)
+        return busy["stems"], time.perf_counter() - start
 
-    pooled = np.empty((n_bins, n_frames))
-    for part in chunk_slices(n_frames):
-        pooled[:, part] = pool_median(chunk_masks(part))
+    start = time.perf_counter()
+    stem_s, busy_s = map(sum, zip(*_in_order(oracle_chunk, parts)))
+    timings["oracle_stft"] = (time.perf_counter() - start) * stem_s / busy_s
     return pooled
 
 
@@ -236,13 +243,13 @@ def process_block(
     `_check_input` (any given stems whatever the VAD mode) and `_check_rtf_frames`."""
     stems = _check_input(block, cfg, network, oracle)
     _check_rtf_frames(frame_count(block.n_samples), cfg, "block")
-    return _enhance_block(block.samples, cfg, network, stems, _block_threads())
+    return _on_threads(_block_threads(), _enhance_block, block.samples, cfg, network, stems)
 
 
-def _enhance_block(samples, cfg, network, stems, threads) -> BlockResult:
+def _enhance_block(samples, cfg, network, stems) -> BlockResult:
     """Enhance the (channels, samples) array of one block, checked by its
     caller; `stems` holds the (clean, noise) arrays of the same samples, or
-    is None.
+    is None. Its chunk loops run on the threads its caller grants (`_on_threads`).
 
     Sequence: microphone-failure detection, STFT, the per-bin median of the
     VAD masks of the non-reference channels (`_pooled_mask`, which pools
@@ -283,7 +290,7 @@ def _enhance_block(samples, cfg, network, stems, threads) -> BlockResult:
         bins = analyze(samples[order])
 
     with _stage_timer(timings, "vad"):
-        pooled = _pooled_mask(bins, cfg, network, stems, order[1:], timings, threads)
+        pooled = _pooled_mask(bins, cfg, network, stems, order[1:], timings)
     # the `vad` stage ran the stem analysis, which is timed on its own
     timings["vad"] -= timings.get("oracle_stft", 0.0)
 
@@ -317,14 +324,15 @@ def _enhance_block(samples, cfg, network, stems, threads) -> BlockResult:
             # the beam output only |u|^2 is block-sized, no residual or gain
             parts = bin_chunks(*beam_out.shape)
             u_pow = np.empty(beam_out.shape)
-            for part in parts:
-                u = beam_out[part]
-                u_pow[part] = u.real**2 + u.imag**2
+            _in_order(lambda part: np.add(beam_out[part].real**2, beam_out[part].imag**2, out=u_pow[part]), parts)
             delta = wiener_delta(u_pow)
-            for part in parts:
+
+            def scale(part):
                 residual = projected_residual(weights[part], bins[part], noise_proj[part])
                 speech_mask = None if cfg.vad_mode == "none" else pooled[part]
                 beam_out[part] *= wiener_gain(u_pow[part], residual, delta, part, speech_mask)
+
+            _in_order(scale, parts)
 
     if inv_rtf is not None:
         inv_rtf = inv_rtf[:, np.argsort(order)]
@@ -375,37 +383,6 @@ def _block_threads() -> int:
     return 1
 
 
-def _in_order(work, count, threads) -> list:
-    """[work(i) for i in range(count)] on the caller and min(threads, count) - 1
-    helpers, each in a copy of the caller's `contextvars` (so `np.errstate`
-    holds), taking the indices in order and none after one has failed. Once all
-    have joined, the first failing index's exception (any BaseException) is
-    raised, as a serial loop would."""
-    pending, results, errors = deque(range(count)), [None] * count, {}
-
-    def take():
-        with suppress(IndexError):  # from popleft (thread-safe) once every index is taken
-            while not errors:  # indices go in order: when one fails, all before it are taken
-                i = pending.popleft()
-                try:
-                    results[i] = work(i)
-                except BaseException as exc:  # re-raised below, after the join
-                    errors[i] = exc
-
-    helpers = [threading.Thread(target=copy_context().run, args=(take,)) for _ in range(1, min(threads, count))]
-    for helper in helpers:
-        helper.start()
-    try:
-        take()
-    finally:
-        pending.clear()  # on an interrupt between items, helpers stop after their current one
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def run_with_diagnostics(
     signal: MultichannelSignal,
     cfg: PipelineConfig,
@@ -423,26 +400,25 @@ def run_with_diagnostics(
     trimmed. The checks are `process_block`'s, made once for the recording.
 
     The caller and `_block_threads()` - 1 helpers take the blocks in order
-    (`_in_order`); the first failing block's error is raised. A one-block run
-    cuts its network VAD pass over them instead (`timings_s["vad"]` is its wall
-    time, 10.8-11.1 -> 7.9-9.5 ms of 18.0-18.4 -> 15.3-16.7 ms medians on 0.8 s
-    stream blocks, 2 cores). `timings_s` are per-block wall times, which
-    overlap, and each block in flight adds its working set to peak memory.
+    (`stft._in_order`); the first failing block's error is raised. A one-block
+    run fans its chunk loops and synthesis out over them instead. `timings_s`
+    are the caller's wall times per block, which overlap between blocks, and
+    each block in flight adds its working set to peak memory.
     """
     stems = _check_input(signal, cfg, network, oracle)
     blocks = partition_frames(signal.n_samples, cfg)
     threads = _block_threads()
 
-    def enhance(i):
-        lo, hi = frame_span(*blocks[i])
+    def enhance(block):
+        lo, hi = frame_span(*block)
         block_stems = None if stems is None else [stem[:, lo:hi] for stem in stems]
-        return _enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems, threads if len(blocks) == 1 else 1)
+        return _enhance_block(signal.samples[:, lo:hi], cfg, network, block_stems)
 
-    results = _in_order(enhance, len(blocks), threads)
+    results = _on_threads(threads, _in_order, enhance, blocks)
 
     start = time.perf_counter()
-    enhanced = np.concatenate([r.enhanced for r in results], axis=1)
-    out = synthesize(enhanced[:, :, None])
+    enhanced = np.concatenate([r.enhanced for r in results], axis=1) if len(results) > 1 else results[0].enhanced
+    out = _on_threads(1 if len(results) > 1 else threads, synthesize, enhanced[:, :, None])  # serial after blocks
     elapsed = time.perf_counter() - start
     for (_, n_frames), result in zip(blocks, results):
         result.diagnostics.timings_s["synthesis"] = elapsed * n_frames / enhanced.shape[1]

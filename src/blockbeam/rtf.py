@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeError
+from .stft import _in_order, bin_chunks
 from .vad import checked_mask
 
 # Frames per sub-block (80 ms at the 512/128 framing).
@@ -117,7 +118,10 @@ def build_rtf_set(bins, masks, sub_block_len: int = SUB_BLOCK_LEN_DEFAULT):
     weights = checked_mask(masks, (n_bins, n_frames))
 
     inv_rtf = np.ones((n_bins, n_ch), dtype=np.complex128)
-    inv_rtf[:, 1:], fallback = _closed_form(*_subblock_sums(x, weights, sub_block_len))
+    # a chunk of bins (`stft.bin_chunks`) at a time, bit for bit
+    parts = _in_order(lambda rows: _closed_form(*_subblock_sums(x[rows], weights[rows], sub_block_len)),
+                      bin_chunks(n_bins, n_frames))
+    inv_rtf[:, 1:], fallback = (np.concatenate(arrays) for arrays in zip(*parts))
     counts = np.zeros(n_ch, dtype=np.int64)
     counts[1:] = np.count_nonzero(fallback, axis=0)
     return inv_rtf, counts

@@ -5,16 +5,15 @@ Layout contract: a spectrogram is a C-contiguous complex array of shape
 (bins, frames, channels). Every downstream stage works per frequency bin with
 batched `matmul`s over the leading bin axis, which need each bin's
 (frames, channels) matrix to be one contiguous block.
-
-`analyze` windows and transforms the frames a chunk at a time, writing each
-chunk's transform into one preallocated spectrogram of that layout, so no
-full-length windowed frame tensor is formed beside it. Each frame is
-transformed on its own, so the result does not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import numbers
+import threading
+from collections import deque
+from contextlib import suppress
+from contextvars import ContextVar, copy_context
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +35,9 @@ WINDOW_SUM_FLOOR = 1e-8
 
 # Frames windowed and transformed at a time by analyze.
 _CHUNK_FRAMES = 128
+
+# Threads that a chunk loop (`_in_order`) here or in a later stage may run on (`_on_threads`).
+_THREADS = ContextVar("blockbeam_threads", default=1)
 
 
 class StftConfig:
@@ -84,8 +86,9 @@ def frames_for_duration_ms(duration_ms: float) -> int:
 
 def chunk_slices(n: int, size: int = _CHUNK_FRAMES) -> list[slice]:
     """Consecutive slices of `size` items covering range(n); a last slice of
-    1-3 items joins the one before, since OpenBLAS's float32 product rounds
-    1-3 columns differently from more (the network VAD's frame chunks)."""
+    1-3 items joins the one before: OpenBLAS rounds a float32 product of at
+    most 10^6 multiply-adds, like 1-3 columns of a 257-1024-1024-257 network
+    VAD, apart from larger ones (`pipeline._pooled_mask`)."""
     bounds = list(range(0, n, size)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < 4:
         del bounds[-2]
@@ -99,6 +102,48 @@ def bin_chunks(n_bins: int, n_frames: int) -> list[slice]:
     return chunk_slices(n_bins, max(1, n_bins * _CHUNK_FRAMES // max(n_frames, 1)))
 
 
+def _on_threads(threads: int, fn, *args):
+    """fn(*args), with the `_in_order` loops it runs on `threads` threads."""
+    context = copy_context()
+    context.run(_THREADS.set, threads)
+    return context.run(fn, *args)
+
+
+def _in_order(work, items) -> list:
+    """[work(item) for item in items] on the caller and min(`_THREADS`, len(items)) - 1
+    helpers. If helpers start, all run in copies of the caller's `contextvars`
+    (so `np.errstate` holds) whose own loops run serially, taking the items
+    in order and none after one has failed. Once all have joined, the first
+    failing item's exception (any BaseException) is raised, as a serial loop would."""
+    threads = min(_THREADS.get(), len(items))
+    if threads == 1:
+        return [work(item) for item in items]
+    pending, results, errors = deque(enumerate(items)), [None] * len(items), {}
+
+    def take():
+        _THREADS.set(1)
+        with suppress(IndexError):  # from popleft (thread-safe) once every item is taken
+            while not errors:  # items go in order: when one fails, all before it are taken
+                i, item = pending.popleft()
+                try:
+                    results[i] = work(item)
+                except BaseException as exc:  # re-raised below, after the join
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=copy_context().run, args=(take,)) for _ in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        copy_context().run(take)
+    finally:
+        pending.clear()  # on an interrupt between items, helpers stop after their current one
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def analyze(samples) -> np.ndarray:
     """STFT of every channel of a (channels >= 1, samples) float array at the
     grid's rate, shape (bins, frames, channels); other shapes raise SizeError.
@@ -107,9 +152,10 @@ def analyze(samples) -> np.ndarray:
     the periodic Hamming window and transformed with a one-sided FFT. No
     padding or centering is applied, so edge frames are real signal frames.
 
-    Frames are windowed a chunk (`chunk_slices`) at a time into a
-    (frames, channels, frame_len) array and transformed along its last axis
-    straight into their place in the (bins, frames, channels) result.
+    Frames are windowed a chunk (`chunk_slices`, run by `_in_order`) at a
+    time and transformed straight into their place in the preallocated
+    result, so no full-length windowed frame tensor is formed; each frame is
+    transformed on its own, so the chunks do not change bits.
 
     Every |X_k| is at most peak |x| * sum(window), so a DataError is raised
     unless that bound is finite and at most half the largest float64: a NaN
@@ -132,8 +178,8 @@ def analyze(samples) -> np.ndarray:
     # Each chunk is windowed in C order so that consecutive transforms fill
     # neighbouring (frame, channel) entries of bins; in the view's
     # channel-major order a 30 s 4-channel analysis ran ~10% slower.
-    for part in chunk_slices(n_frames):
-        np.fft.rfft(np.multiply(frames[part], window, order="C"), axis=-1, out=out[part])
+    _in_order(lambda part: np.fft.rfft(np.multiply(frames[part], window, order="C"), axis=-1, out=out[part]),
+              chunk_slices(n_frames))
     return bins
 
 
@@ -142,9 +188,11 @@ def synthesize(bins) -> np.ndarray:
     (bins, frames, channels) spectrogram of the grid's bins and at least one
     frame; returns the (channels, samples) float array, at the grid's rate.
 
-    Each frame is inverse-transformed, weighted by the synthesis window and
-    accumulated; the result is normalized by the summed squared window, which
-    reconstructs the analyzed samples wherever that sum is above the floor.
+    Each frame is inverse-transformed into its place in one frame array and
+    weighted there by the synthesis window, a frame chunk (`chunk_slices`) at
+    a time, and accumulated; the result is normalized by the summed squared
+    window, which reconstructs the analyzed samples wherever that sum is
+    above the floor.
 
     The overlap-add runs over the ceil(frame_len / hop) hop-long chunks of a
     frame rather than over frames: chunk c of every frame is added at once
@@ -159,8 +207,10 @@ def synthesize(bins) -> np.ndarray:
         raise DataError("spectrogram contains non-finite entries")
     _, n_frames, n_channels = bins.shape
     window = periodic_hamming(FRAME_LEN)
-    frames = np.fft.irfft(bins.transpose(2, 1, 0), n=FRAME_LEN, axis=-1)
-    frames *= window
+    frames = np.empty((n_channels, n_frames, FRAME_LEN))
+    _in_order(lambda part: np.multiply(np.fft.irfft(bins[:, part].transpose(2, 1, 0), n=FRAME_LEN, axis=-1,
+                                                    out=frames[:, part]), window, out=frames[:, part]),
+              chunk_slices(n_frames))
 
     n_chunks = -(-FRAME_LEN // HOP)
     out = np.zeros((n_channels, n_frames + n_chunks - 1, HOP))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import blockbeam
-from blockbeam.pipeline import run
+from blockbeam import stft
+from blockbeam.pipeline import OracleStems, run
 from blockbeam.vad import infer_mask
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "parity_digest.py"
@@ -73,3 +74,30 @@ def test_parity_batch_network_configurations_split_the_vad_pass(monkeypatch):
         with mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy:
             run(sim.mixture, cfg, network=net)
         assert [call.args[1].shape[1] for call in spy.call_args_list] == [192] * 6 + [39], cfg
+
+
+def test_parity_batch_configurations_fan_out_their_analysis(monkeypatch):
+    # at 2 block threads every batch configuration of the tool runs its
+    # 397-frame mixture analysis (4 frame chunks) and its synthesis on both
+    # threads, so the CPU-count test above compares fanned-out and serial
+    # chunk loops; its 100-frame configurations fan out none
+    spec = importlib.util.spec_from_file_location("parity_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    sim = tool.mixture(np.random.default_rng([0, 0]))
+    net = tool.network(np.random.default_rng([0, 1]))
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    in_order = stft._in_order
+    for cfg in tool.configurations():
+        loops = []
+
+        def spy(work, items):
+            loops.append((sys._getframe(1).f_code.co_name, len(items), min(stft._THREADS.get(), len(items))))
+            return in_order(work, items)
+
+        with mock.patch.object(stft, "_in_order", spy):
+            run(sim.mixture, cfg, network=net, oracle=oracle)
+        fanned = sorted({loop for loop in loops if loop[2] > 1})
+        assert fanned == ([("analyze", 4, 2), ("synthesize", 4, 2)] if cfg.is_batch else []), cfg

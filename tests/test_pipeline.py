@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockbeam import pipeline
+from blockbeam import beamform, pipeline, rtf, stft
 from blockbeam.audio_io import MultichannelSignal, NetworkLayer, NetworkWeights
 from blockbeam.beamform import apply_weights, gev_weights, irtf_weights, mvdr_weights, noise_projection
 from blockbeam.errors import ConfigError, DataError, SizeError
@@ -43,7 +43,7 @@ from blockbeam.pipeline import (
 )
 from blockbeam.postfilter import projected_residual, wiener_mask
 from blockbeam.rtf import build_rtf_set
-from blockbeam.stft import analyze, chunk_slices, frame_span, frames_for_duration_ms, synthesize
+from blockbeam.stft import _on_threads, analyze, chunk_slices, frame_span, frames_for_duration_ms, synthesize
 from blockbeam.vad import infer_mask, oracle_ibm, pool_median
 from reference import estimate_noise
 
@@ -997,16 +997,15 @@ def reverberant_mixture(seed, duration):
 BOUNDED_PAIRINGS = [("irtf", "wiener"), ("irtf", "none"), ("mvdr", "wiener"), ("gev", "ban"), ("gev", "none")]
 
 
-@pytest.mark.parametrize(
-    "beamformer,postfilter,vad_mode",
-    [
-        pytest.param(bf, pf, vad, id=f"{bf}-{pf}" if vad == "oracle" else f"{bf}-{pf}-novad")
-        for vad in ("oracle", "none")
-        for bf, pf in BOUNDED_PAIRINGS
-        if vad in vad_modes_of(bf)
-    ]
-    + [pytest.param(bf, pf, "network", id=f"{bf}-{pf}-network") for bf, pf in BOUNDED_PAIRINGS[:4]],
-)
+BOUNDED_CASES = [
+    pytest.param(bf, pf, vad, id=f"{bf}-{pf}" if vad == "oracle" else f"{bf}-{pf}-novad")
+    for vad in ("oracle", "none")
+    for bf, pf in BOUNDED_PAIRINGS
+    if vad in vad_modes_of(bf)
+] + [pytest.param(bf, pf, "network", id=f"{bf}-{pf}-network") for bf, pf in BOUNDED_PAIRINGS[:4]]
+
+
+@pytest.mark.parametrize("beamformer,postfilter,vad_mode", BOUNDED_CASES)
 def test_batch_working_set_is_bounded(beamformer, postfilter, vad_mode):
     # a batch pass holds the mixture spectrogram plus chunk-sized
     # temporaries: every VAD mode makes and pools its masks per analysis
@@ -1034,6 +1033,13 @@ def test_batch_working_set_is_bounded(beamformer, postfilter, vad_mode):
     finally:
         tracemalloc.stop()
     assert peak <= 1.7 * spectrogram_bytes
+
+
+@pytest.mark.parametrize("beamformer,postfilter,vad_mode", BOUNDED_CASES)
+def test_batch_working_set_is_bounded_on_two_block_threads(two_block_threads, beamformer, postfilter, vad_mode):
+    # the same bound with the pass's chunk loops on two threads: a second
+    # chunk in flight adds chunk-sized temporaries only
+    test_batch_working_set_is_bounded(beamformer, postfilter, vad_mode)
 
 
 def test_batch_oracle_masks_match_whole_stem_analysis():
@@ -1158,6 +1164,29 @@ def block_hook(hook):
         yield records
 
 
+@contextlib.contextmanager
+def chunk_loops():
+    """Record (calling function, items, threads) of every `_in_order` loop;
+    a loop started through `_on_threads` is its caller's."""
+    loops, in_order = [], stft._in_order
+
+    def spy(work, items):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_on_threads":
+            caller = caller.f_back
+        loops.append((caller.f_code.co_name, len(items), min(stft._THREADS.get(), len(items))))
+        return in_order(work, items)
+
+    with contextlib.ExitStack() as stack:
+        for module in (stft, beamform, rtf, pipeline):
+            stack.enter_context(mock.patch.object(module, "_in_order", spy))
+        yield loops
+
+
+# The loops that fan out in a one-block mvdr+wiener pass of several chunks
+ONE_BLOCK_LOOPS = {"analyze", "_pooled_mask", "build_rtf_set", "sample_covariance", "_enhance_block", "synthesize"}
+
+
 def start_sample(samples, signal):
     """First sample of the block view `samples` within `signal`."""
     return (samples.ctypes.data - signal.samples.ctypes.data) // samples.itemsize
@@ -1265,8 +1294,9 @@ def test_first_failing_block_in_block_order_raises(block_threads):
 
 
 def test_one_block_starts_no_thread(block_threads):
-    # process_block, a one-block recording and a batch pass run on the
-    # calling thread alone
+    # process_block, a one-block recording and a batch pass enhance their
+    # block on the calling thread; at 100 frames every loop is one chunk,
+    # so they start no thread
     sim = gain_mixture(seed=40, duration=2.0)
     n = frame_span(0, 100)[1]
     counts = []
@@ -1333,6 +1363,28 @@ def test_more_block_threads_than_cores_take_each_block_once(block_threads, monke
         sys.setswitchinterval(interval)
     assert sorted(taken) == starts
     assert all(a.enhanced.tobytes() == b.enhanced.tobytes() for a, b in zip(serial, results, strict=True))
+
+
+def test_more_chunk_threads_than_cores_take_each_chunk_once(block_threads, monkeypatch):
+    # eight threads on at most two cores, switching every microsecond, run
+    # every chunk loop of a batch pass: each chunk is done once, in its own
+    # place, so the output has the one-thread bits
+    sim = reverberant_mixture(seed=55, duration=3.3)
+    oracle = OracleStems(clean=sim.clean, noise=sim.noise)
+    for bf, pf in (("mvdr", "wiener"), ("gev", "ban")):
+        cfg = PipelineConfig(block_frames="batch", beamformer=bf, postfilter=pf, vad_mode="oracle")
+        with mock.patch.object(pipeline, "_block_threads", return_value=1):
+            alone, _ = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with chunk_loops() as loops:
+                out, _ = run_with_diagnostics(sim.mixture, cfg, oracle=oracle)
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(t for _, _, t in loops) == 4
+        assert out.samples.tobytes() == alone.samples.tobytes(), bf
 
 
 @pytest.fixture
@@ -1463,7 +1515,7 @@ def test_split_vad_pass_equals_one_thread(dims, n_frames, n_ch, threads):
     cfg = PipelineConfig(block_frames="batch", vad_mode="network")
     channels = list(range(1, n_ch))
     with mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy:
-        split = _pooled_mask(bins, cfg, net, None, channels, {}, threads)
+        split = _on_threads(threads, _pooled_mask, bins, cfg, net, None, channels, {})
     columns = [(part.stop - part.start) * (n_ch - 1) for part in chunk_slices(n_frames)]
     parts = [max(1, min(threads, c // split_floor(net))) for c in columns]
     expected = [c // n + (j < c % n) for c, n in zip(columns, parts) for j in range(n)]
@@ -1486,7 +1538,7 @@ def test_network_error_in_the_second_part_only_is_raised_after_the_join(two_bloc
         mock.patch("blockbeam.pipeline.infer_mask", wraps=infer_mask) as spy,
         pytest.raises(DataError) as split,
     ):
-        _pooled_mask(bins, cfg, net, None, [1, 2, 3], {}, 2)
+        _on_threads(2, _pooled_mask, bins, cfg, net, None, [1, 2, 3], {})
     assert threading.active_count() == threads_before
     assert [call.args[1].shape[1] for call in spy.call_args_list] == [150, 150]
     assert str(split.value) == str(serial.value)
@@ -1494,10 +1546,10 @@ def test_network_error_in_the_second_part_only_is_raised_after_the_join(two_bloc
 
 @pytest.mark.parametrize("entry", ["process_block", "one-block run", "batch pass", "100-frame blocks"])
 def test_one_block_run_splits_only_its_vad_pass(two_block_threads, entry):
-    # a run of one block cuts its forward passes over the two block threads
-    # and keeps every other stage on the caller; a run of several blocks
-    # cuts none, one pass per block. The output has the bits of a
-    # one-thread run
+    # a run of one block runs every chunk loop of more than one chunk on the
+    # two block threads, its cut forward passes among them; a run of several
+    # blocks runs only its blocks on them, one uncut pass per block. The
+    # output has the bits of a one-thread run
     sim = gain_mixture(seed=49, duration=3.3)
     net = random_network(50, (257, 64, 257))
     cfg = PipelineConfig(block_frames="batch" if entry == "batch pass" else 100, beamformer="mvdr", vad_mode="network")
@@ -1522,13 +1574,73 @@ def test_one_block_run_splits_only_its_vad_pass(two_block_threads, entry):
     with contextlib.ExitStack() as stack:
         for name in stages:
             stack.enter_context(mock.patch.object(pipeline, name, spy(name, getattr(pipeline, name))))
+        loops = stack.enter_context(chunk_loops())
         out = enhance(signal, cfg, net)
     assert {name for name, _ in calls} == set(stages) - ({"synthesize"} if entry == "process_block" else set())
     vad = [ident for name, ident in calls if name == "infer_mask"]
+    fanned = {caller for caller, _, threads in loops if threads > 1}
     if entry == "100-frame blocks":
         assert len(vad) == len(partition_frames(signal.n_samples, cfg)) == 4
+        assert fanned == {"run_with_diagnostics"}
     else:
-        assert {ident for name, ident in calls if name != "infer_mask"} == {threading.get_ident()}
+        # every stage is entered on the caller; only a chunk's work leaves it
+        assert {name for name, ident in calls if ident != threading.get_ident()} <= {"infer_mask", "wiener_gain"}
         assert len(vad) == (7 if entry == "batch pass" else 2) and set(vad) != {threading.get_ident()}
+        assert fanned == (ONE_BLOCK_LOOPS if entry == "batch pass" else {"_pooled_mask"})
     key = "enhanced" if entry == "process_block" else "samples"
     assert getattr(out, key).tobytes() == getattr(alone, key).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("vad_mode", ["oracle", "network"])
+@pytest.mark.parametrize("beamformer,postfilter", [("irtf", "wiener"), ("mvdr", "wiener"), ("gev", "ban")])
+def test_one_block_stage_times_fit_its_wall_time(block_threads, monkeypatch, beamformer, postfilter, vad_mode, threads):
+    # each stage timer is the caller's wall time, also where the stage's
+    # chunks run on two threads, and the oracle stem analysis takes its busy
+    # share of the VAD stage's: no value is negative, and a one-block pass's
+    # stages, synthesis aside, add up to at most its wall time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
+    sim = reverberant_mixture(seed=51, duration=3.3)
+    cfg = PipelineConfig(block_frames="batch", beamformer=beamformer, postfilter=postfilter, vad_mode=vad_mode)
+    args = (random_network(52, (257, 64, 257)), OracleStems(clean=sim.clean, noise=sim.noise))
+    for enhance in (process_block, run_with_diagnostics) * 2:
+        start = time.perf_counter()
+        result = enhance(sim.mixture, cfg, *args)
+        wall = time.perf_counter() - start
+        timings = (result if enhance is process_block else result[1][0]).diagnostics.timings_s
+        assert min(timings.values()) >= 0.0, timings
+        assert sum(timings.values()) - timings.get("synthesis", 0.0) <= wall, (timings, wall)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+@pytest.mark.parametrize("n_frames", [129, 397])
+def test_one_block_pass_on_threads_equals_one_thread(block_threads, monkeypatch, n_frames, threads):
+    # a batch pass whose chunk loops run on 2-4 threads gives the one-thread
+    # bits for every reachable pairing and VAD mode: output, spectrum, mask,
+    # RTFs and diagnostics. 129 frames are one analysis chunk whose forward
+    # pass is cut; 397 are four, with four bin chunks
+    sim = reverberant_mixture(seed=53, duration=3.3)
+    n = frame_span(0, n_frames)[1]
+    signal, clean, noise = (MultichannelSignal(x.samples[:, :n], 16000) for x in (sim.mixture, sim.clean, sim.noise))
+    args = (random_network(54, (257, 64, 257)), OracleStems(clean=clean, noise=noise))
+    configs = [
+        PipelineConfig(block_frames="batch", beamformer=bf, postfilter=pf, vad_mode=vad)
+        for bf, pf in PAIRINGS
+        for vad in VAD_MODES
+        if (bf, vad) != ("gev", "none")
+    ]
+    assert len(configs) == 16
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
+    for cfg in configs:
+        with mock.patch.object(pipeline, "_block_threads", return_value=1):
+            alone_out, (alone,) = run_with_diagnostics(signal, cfg, *args)
+        with chunk_loops() as loops:
+            out, (joint,) = run_with_diagnostics(signal, cfg, *args)
+        assert max(t for _, _, t in loops) == (threads if n_frames > 129 or cfg.vad_mode == "network" else 1)
+        assert out.samples.tobytes() == alone_out.samples.tobytes(), cfg
+        for name in ("enhanced", "pooled_mask", "rtf"):
+            a, b = getattr(alone, name), getattr(joint, name)
+            assert a is b is None or a.tobytes() == b.tobytes(), (cfg, name)
+        record, joint_record = alone.diagnostics.to_json_dict(), joint.diagnostics.to_json_dict()
+        assert set(record.pop("timings_s")) == set(joint_record.pop("timings_s"))
+        assert record == joint_record, cfg
