@@ -188,11 +188,10 @@ def synthesize(bins) -> np.ndarray:
     (bins, frames, channels) spectrogram of the grid's bins and at least one
     frame; returns the (channels, samples) float array, at the grid's rate.
 
-    Each frame is inverse-transformed into its place in one frame array and
-    weighted there by the synthesis window, a frame chunk (`chunk_slices`) at
-    a time, and accumulated; the result is normalized by the summed squared
-    window, which reconstructs the analyzed samples wherever that sum is
-    above the floor.
+    Each frame is inverse-transformed in place and weighted by the synthesis
+    window, a frame chunk (`chunk_slices`) at a time, and accumulated; the
+    result is normalized by the summed squared window, which reconstructs the
+    analyzed samples wherever that sum is above the floor.
 
     The overlap-add runs over the ceil(frame_len / hop) hop-long chunks of a
     frame rather than over frames: chunk c of every frame is added at once
